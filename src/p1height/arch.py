@@ -55,6 +55,19 @@ def _eval_real(coeffs, x, y):
     return acc
 
 
+def _step(fc, gc, ux, uy):
+    """Images of the unit pair (ux, uy) under the mpf coefficient lists fc, gc, and their sup norm."""
+    fa = _eval_real(fc, ux, uy)
+    ga = _eval_real(gc, ux, uy)
+    m = max(abs(fa), abs(ga))
+    if m == 0:
+        raise RuntimeError(
+            "internal error: both forms vanished at working precision, which "
+            "cannot happen for a morphism away from precision exhaustion"
+        )
+    return fa, ga, m
+
+
 def arch_step(lift: MapLift, u) -> mp.mpf:
     """One series step at a unit-sup-norm real pair: -log max(|F(u)|, |G(u)|).
 
@@ -66,14 +79,9 @@ def arch_step(lift: MapLift, u) -> mp.mpf:
     norm = max(abs(ux), abs(uy))
     if abs(norm - 1) > mp.mpf(2) ** (4 - mp.mp.prec):
         raise ValueError("arch_step needs sup norm 1; divide the pair by its sup norm first")
-    fa = _eval_real([mp.mpf(c) for c in lift.F.coefficients], ux, uy)
-    ga = _eval_real([mp.mpf(c) for c in lift.G.coefficients], ux, uy)
-    m = max(abs(fa), abs(ga))
-    if m == 0:
-        raise RuntimeError(
-            "internal error: both forms vanished at working precision, which "
-            "cannot happen for a morphism away from precision exhaustion"
-        )
+    fc = [mp.mpf(c) for c in lift.F.coefficients]
+    gc = [mp.mpf(c) for c in lift.G.coefficients]
+    _, _, m = _step(fc, gc, ux, uy)
     return -mp.log(m)
 
 
@@ -119,13 +127,7 @@ def arch_height(
         total = mp.mpf(0)
         denom = d
         for _ in range(terms):
-            fa = _eval_real(fc, ux, uy)
-            ga = _eval_real(gc, ux, uy)
-            m = max(abs(fa), abs(ga))
-            if m == 0:
-                raise RuntimeError(
-                    "internal error: both forms vanished at working precision"
-                )
+            fa, ga, m = _step(fc, gc, ux, uy)
             total -= mp.log(m) / denom
             denom *= d
             ux, uy = fa / m, ga / m

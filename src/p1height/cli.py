@@ -130,11 +130,6 @@ def _short_int(n: int) -> str:
     return f"{sign}{s[0]}.{s[1:4]}e+{len(s) - 1}"
 
 
-def _short_real(value, bits: int, digits: int = _TEXT_DIGITS) -> str:
-    with mp.workprec(bits):
-        return mp.nstr(mp.mpf(value), digits)
-
-
 def _document(spec, lift, point, parts, breakdown, oracle_seq, elapsed) -> dict:
     bits = breakdown.precision_bits
     na, ar = breakdown.nonarch, breakdown.arch

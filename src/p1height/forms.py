@@ -27,9 +27,8 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 __all__ = [
     "BinaryForm",
@@ -233,9 +232,25 @@ def _sylvester(F: BinaryForm, G: BinaryForm) -> list[list[int]]:
     return rows
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Exact determinant by fraction-free elimination; mutates m."""
-    n = len(m)
+def _eliminate(F: BinaryForm, G: BinaryForm) -> tuple[int, list[int], list[int]]:
+    """Res(F, G) and the two adjugate columns of the transposed Sylvester matrix.
+
+    One fraction-free (Bareiss) forward elimination runs on the transpose,
+    augmented with the unit columns e_0 and e_(2d-1); its last pivot is the
+    determinant, which equals Res with the F rows above the G rows.  Exact
+    integer back-substitution, y_i = (Res*c_i - sum_j m_ij*y_j) / m_ii, then
+    gives the solutions of S^T y = Res*e_0 and S^T y = Res*e_(2d-1), which
+    are integral because they are adjugate columns.  When Res = 0 both
+    columns come back empty.
+    """
+    if F.degree != G.degree or F.degree < 1:
+        raise ValueError("F and G must be forms of one degree d >= 1")
+    n = 2 * F.degree
+    syl = _sylvester(F, G)
+    # rows of the transpose, augmented with e_0 and e_(n-1)
+    m = [[syl[j][i] for j in range(n)] + [0, 0] for i in range(n)]
+    m[0][n] = 1
+    m[n - 1][n + 1] = 1
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -246,18 +261,32 @@ def _bareiss_det(m: list[list[int]]) -> int:
                     sign = -sign
                     break
             else:
-                return 0
+                return 0, [], []
         pivot = m[k][k]
         row_k = m[k]
         for i in range(k + 1, n):
             row_i = m[i]
             factor = row_i[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, n + 2):
                 # exact division: Bareiss guarantees prev divides the 2x2 minor
                 row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    det = sign * m[n - 1][n - 1]
+    if det == 0:
+        return 0, [], []
+
+    def solve(col: int) -> list[int]:
+        y = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            s = det * row[col] - sum(row[j] * y[j] for j in range(i + 1, n))
+            y[i], rem = divmod(s, row[i])
+            if rem:
+                raise ArithmeticError("adjugate column is not integral; the elimination is corrupt")
+        return y
+
+    return det, solve(n), solve(n + 1)
 
 
 def resultant(F: BinaryForm, G: BinaryForm) -> int:
@@ -268,72 +297,19 @@ def resultant(F: BinaryForm, G: BinaryForm) -> int:
     whatever the Sylvester determinant gives (F rows above G rows); callers
     that need a modulus or a bound should take abs().
     """
-    if F.degree != G.degree:
-        raise ValueError("resultant needs forms of equal degree")
-    if F.degree < 1:
-        raise ValueError("resultant needs degree at least 1")
-    return _bareiss_det(_sylvester(F, G))
+    return _eliminate(F, G)[0]
 
 
 def cofactors(F: BinaryForm, G: BinaryForm) -> CofactorIdentity:
     """Integer cofactor forms of degree d-1 for the two resultant identities.
 
-    Solves the transposed Sylvester system exactly: fraction-free forward
-    elimination with the two unit right-hand sides carried along, then
-    rational back-substitution scaled by the determinant.  The scaled
-    solutions are columns of the adjugate, hence integral.
+    The coefficients of (a1, b1) and (a2, b2) are the two adjugate columns
+    that the resultant's elimination yields alongside Res.
     """
-    if F.degree != G.degree or F.degree < 1:
-        raise ValueError("cofactors need two forms of equal degree at least 1")
-    d = F.degree
-    n = 2 * d
-    syl = _sylvester(F, G)
-    # rows of the transpose, augmented with e_0 and e_{n-1}
-    m = [[syl[j][i] for j in range(n)] + [0, 0] for i in range(n)]
-    m[0][n] = 1
-    m[n - 1][n + 1] = 1
-
-    width = n + 2
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                raise NotAMorphismError("zero resultant: F and G share a projective root")
-        pivot = m[k][k]
-        row_k = m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            factor = row_i[k]
-            for j in range(k + 1, width):
-                row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    if m[n - 1][n - 1] == 0:
+    det, v1, v2 = _eliminate(F, G)
+    if det == 0:
         raise NotAMorphismError("zero resultant: F and G share a projective root")
-    det = sign * m[n - 1][n - 1]
-
-    def solve(col: int) -> list[int]:
-        sol = [Fraction(0)] * n
-        for i in range(n - 1, -1, -1):
-            s = Fraction(m[i][col])
-            for j in range(i + 1, n):
-                s -= m[i][j] * sol[j]
-            sol[i] = s / m[i][i]
-        out = []
-        for v in sol:
-            scaled = v * det
-            assert scaled.denominator == 1, "adjugate column must be integral"
-            out.append(int(scaled))
-        return out
-
-    v1 = solve(n)
-    v2 = solve(n + 1)
+    d = F.degree
     return CofactorIdentity(
         a1=BinaryForm(tuple(v1[:d])),
         b1=BinaryForm(tuple(v1[d:])),
@@ -347,9 +323,10 @@ def cofactors(F: BinaryForm, G: BinaryForm) -> CofactorIdentity:
 class MapLift:
     """Integer lift Phi = [F, G] of a degree-d self-map of P^1, with cached invariants.
 
-    ``resultant`` is the exact Sylvester resultant (nonzero by construction
-    when built through :meth:`from_forms` or :func:`parse_map`) and
-    ``coeff_norm`` the sup norm over both forms' coefficients.
+    Build it through :meth:`from_forms` or :func:`parse_map`, which check the
+    pair.  ``resultant`` is the exact, nonzero Sylvester resultant,
+    ``coeff_norm`` the sup norm over both forms' coefficients, and
+    ``cofactor_identity`` the cofactor forms computed with the resultant.
     """
 
     F: BinaryForm
@@ -357,25 +334,15 @@ class MapLift:
     degree: int
     resultant: int
     coeff_norm: int
-
-    def __post_init__(self) -> None:
-        if self.F.degree != self.degree or self.G.degree != self.degree:
-            raise ValueError("form degrees disagree with the lift degree")
-        if self.degree < 2:
-            raise ValueError("a self-map of P^1 needs degree at least 2")
-        if self.resultant == 0:
-            raise NotAMorphismError("zero resultant: F and G share a projective root")
+    cofactor_identity: CofactorIdentity = field(repr=False, compare=False)
 
     @classmethod
     def from_forms(cls, F: BinaryForm, G: BinaryForm) -> "MapLift":
-        """Validate a pair of forms and cache its resultant and coefficient norm."""
-        if F.degree != G.degree:
-            raise ValueError("F and G must have the same degree")
+        """Validate a pair of forms and cache its resultant, cofactors and coefficient norm."""
         if F.degree < 2:
             raise ValueError("a self-map of P^1 needs degree at least 2")
-        res = resultant(F, G)
-        if res == 0:
-            raise NotAMorphismError("zero resultant: F and G share a projective root")
+        # raises ValueError on unequal degrees and NotAMorphismError on Res = 0
+        ident = cofactors(F, G)
         content = math.gcd(*F.coefficients, *G.coefficients)
         if content > 1:
             # content is deliberately not divided out: it is part of the lift
@@ -389,15 +356,10 @@ class MapLift:
             F=F,
             G=G,
             degree=F.degree,
-            resultant=res,
+            resultant=ident.resultant,
             coeff_norm=max(F.norm, G.norm),
+            cofactor_identity=ident,
         )
-
-    @cached_property
-    def cofactor_identity(self) -> CofactorIdentity:
-        ident = cofactors(self.F, self.G)
-        assert ident.resultant == self.resultant
-        return ident
 
     def apply(self, x: int, y: int) -> tuple[int, int]:
         """Exact image pair (F(x, y), G(x, y))."""

@@ -25,7 +25,8 @@ import mpmath as mp
 
 from .arch import ArchResult, arch_height, arch_step
 from .forms import MapLift, ProjectivePoint, normalize_point
-from .nonarch import (
+# nonarch_height_factored is unused here; perfbench/spans.py wraps it in this module
+from .nonarch import (  # noqa: F401
     NonArchResult,
     PartialFactorization,
     nonarch_height,
@@ -88,11 +89,11 @@ def canonical_height(
     """Canonical height of P under the lifted map, with a rigorous error bound.
 
     Both series run `terms` steps by default (override individually with
-    nonarch_terms / arch_terms).  `factoring` picks the nonarchimedean
-    driver: None runs the plain single-modulus loop; a PartialFactorization
-    runs the per-part loops; an integer B first builds parts by trial
-    division of |Res| up to B.  Results agree to within the error bound
-    whichever driver runs.
+    nonarch_terms / arch_terms).  `factoring` picks the coprime parts of
+    |Res| that the nonarchimedean gcd loop runs over: None runs it once
+    against |Res|; a PartialFactorization runs it per part; an integer B
+    first builds parts by trial division of |Res| up to B.  All three give
+    the same g-sequence and value.
     """
     n_terms = nonarch_terms if nonarch_terms is not None else terms
     a_terms = arch_terms if arch_terms is not None else terms
@@ -100,13 +101,10 @@ def canonical_height(
         lift.degree, max(n_terms, a_terms), lift.coeff_norm
     )
     R = abs(lift.resultant)
-    if factoring is None or R == 1:
-        na = nonarch_height(lift, P, n_terms, precision_bits=bits)
-    elif isinstance(factoring, PartialFactorization):
-        na = nonarch_height_factored(lift, P, n_terms, factoring, precision_bits=bits)
-    else:
-        parts = trial_division(R, int(factoring))
-        na = nonarch_height_factored(lift, P, n_terms, parts, precision_bits=bits)
+    parts = None if R == 1 else factoring
+    if parts is not None and not isinstance(parts, PartialFactorization):
+        parts = trial_division(R, int(parts))
+    na = nonarch_height(lift, P, n_terms, precision_bits=bits, parts=parts)
     ar = arch_height(lift, P, a_terms, precision_bits=bits)
     with mp.workprec(bits):
         naive = log_int(max(abs(P.x), abs(P.y)))

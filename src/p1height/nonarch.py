@@ -208,22 +208,35 @@ def nonarch_height(
     P: ProjectivePoint,
     terms: int,
     precision_bits: int | None = None,
+    *,
+    parts: PartialFactorization | None = None,
 ) -> NonArchResult:
-    """Truncated nonarchimedean series at P via the single-modulus gcd loop.
+    """Truncated nonarchimedean series at P via the reduced-orbit gcd loop.
 
-    The full infinite sum differs from the returned value by at most
-    tail_bound.  A unit resultant short-circuits: every orbit gcd is 1 and
-    the series vanishes identically, with zero tail.
+    The loop runs once per coprime part of |Res| (the single part |Res|
+    when `parts` is None).  Coprimality makes gcds multiplicative, so the
+    per-part gcds multiply back into exactly the g-sequence of the
+    single-modulus run; modulus_bits reports the largest per-part working
+    modulus.  The full infinite sum differs from the returned value by at
+    most tail_bound.  A unit resultant short-circuits: every orbit gcd is 1
+    and the series vanishes identically, with zero tail.
     """
     _check_terms(terms)
     bits = precision_bits or default_precision_bits(lift.degree, terms, lift.coeff_norm)
     R = abs(lift.resultant)
+    if parts is not None:
+        parts.validate_for(R)
     if R == 1:
         zero = mp.mpf(0)
         return NonArchResult(zero, (1,) * terms, zero, terms, 1, bits)
-    top = R**terms
-    gs = _gcd_loop(lift, P, R, top, terms)
-    return _assemble(lift, gs, terms, top.bit_length(), bits)
+    gs = [1] * terms
+    max_bits = 0
+    for part in parts.coprime_parts if parts is not None else (R,):
+        top = part**terms
+        max_bits = max(max_bits, top.bit_length())
+        for i, g in enumerate(_gcd_loop(lift, P, part, top, terms)):
+            gs[i] *= g
+    return _assemble(lift, gs, terms, max_bits, bits)
 
 
 def nonarch_height_factored(
@@ -233,25 +246,5 @@ def nonarch_height_factored(
     parts: PartialFactorization,
     precision_bits: int | None = None,
 ) -> NonArchResult:
-    """Same series as nonarch_height, computed per coprime part of |Res|.
-
-    Each part runs the gcd loop against its own (much smaller) modulus
-    powers; coprimality makes gcds multiplicative, so the per-part gcds
-    multiply back into exactly the g-sequence of the single-modulus run.
-    modulus_bits reports the largest per-part working modulus.
-    """
-    _check_terms(terms)
-    bits = precision_bits or default_precision_bits(lift.degree, terms, lift.coeff_norm)
-    R = abs(lift.resultant)
-    parts.validate_for(R)
-    if R == 1:
-        zero = mp.mpf(0)
-        return NonArchResult(zero, (1,) * terms, zero, terms, 1, bits)
-    gs = [1] * terms
-    max_bits = 0
-    for part in parts.coprime_parts:
-        top = part**terms
-        max_bits = max(max_bits, top.bit_length())
-        for i, g in enumerate(_gcd_loop(lift, P, part, top, terms)):
-            gs[i] *= g
-    return _assemble(lift, gs, terms, max_bits, bits)
+    """Alias of nonarch_height that takes the coprime parts positionally."""
+    return nonarch_height(lift, P, terms, precision_bits, parts=parts)

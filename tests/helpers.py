@@ -1,15 +1,17 @@
 """Shared brute-force oracles for the test suite.
 
 Everything here recomputes quantities by a route deliberately different
-from the implementation under test: determinants by cofactor expansion
-instead of elimination, gcd sequences from full-size exact orbits instead
-of reduced ones, polynomial identities by coefficient convolution.
+from the implementation under test: determinants by cofactor expansion or
+by Gaussian elimination over Fraction instead of fraction-free elimination,
+gcd sequences from full-size exact orbits instead of reduced ones,
+polynomial identities by coefficient convolution.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 
 from p1height.forms import BinaryForm, MapLift, ProjectivePoint, evaluate, normalize_point
 
@@ -26,6 +28,27 @@ def brute_det(m: list[list[int]]) -> int:
         minor = [row[:j] + row[j + 1 :] for row in m[1:]]
         total += (-1) ** j * c * brute_det(minor)
     return total
+
+
+def fraction_det(m: list[list[int]]) -> int:
+    """Determinant by Gaussian elimination over Fraction, sharing nothing with Bareiss."""
+    a = [[Fraction(v) for v in row] for row in m]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    assert det.denominator == 1
+    return int(det)
 
 
 def sylvester_rows(F: BinaryForm, G: BinaryForm) -> list[list[int]]:

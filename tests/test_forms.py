@@ -25,6 +25,7 @@ from helpers import (
     brute_det,
     cofactor_identities_hold,
     convolve,
+    fraction_det,
     random_form,
     random_lift,
     sylvester_rows,
@@ -148,6 +149,25 @@ def test_resultant_matches_bruteforce_determinant():
         norm = max(F.norm, G.norm)
         if norm:
             assert abs(expected) <= math.factorial(2 * d) * norm ** (2 * d)
+
+
+def test_resultant_matches_fraction_elimination():
+    # every fourth pair shares the factor X - kY, so its resultant is zero
+    rng = random.Random(313)
+    zeros = 0
+    for n in range(100):
+        d = rng.randint(1, 6)
+        if n % 4 == 0:
+            shared = (1, -rng.randint(-5, 5))
+            F = BinaryForm(tuple(convolve(shared, random_form(rng, d - 1, -9, 9).coefficients)))
+            G = BinaryForm(tuple(convolve(shared, random_form(rng, d - 1, -9, 9).coefficients)))
+        else:
+            F = random_form(rng, d, -30, 30)
+            G = random_form(rng, d, -30, 30)
+        expected = fraction_det(sylvester_rows(F, G))
+        assert resultant(F, G) == expected
+        zeros += expected == 0
+    assert zeros >= 25
 
 
 def test_resultant_sign_convention():

@@ -2,11 +2,21 @@
 
 import math
 import random
+import warnings
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 
-from p1height.forms import BinaryForm, MapLift, ProjectivePoint, evaluate
+from p1height.forms import (
+    BinaryForm,
+    MapLift,
+    NotAMorphismError,
+    ProjectivePoint,
+    evaluate,
+    normalize_point,
+)
 from p1height.nonarch import (
     PartialFactorization,
     exact_log_gcd,
@@ -235,6 +245,37 @@ def test_factored_run_reproduces_plain_run():
         assert fact.tail_bound == plain.tail_bound
         assert fact.modulus_bits <= plain.modulus_bits
         checked += 1
+
+
+@st.composite
+def _small_map_and_point(draw):
+    d = draw(st.integers(2, 3))
+    coeffs = st.tuples(*[st.integers(-20, 20)] * (d + 1))
+    F, G = BinaryForm(draw(coeffs)), BinaryForm(draw(coeffs))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # drawn pairs may carry content
+            lift = MapLift.from_forms(F, G)
+    except NotAMorphismError:
+        reject()
+    x, y = draw(st.integers(-30, 30)), draw(st.integers(-30, 30))
+    assume(x or y)
+    return lift, normalize_point(x, y)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_small_map_and_point())
+def test_one_driver_agrees_with_itself_split_and_with_exact_orbit(case):
+    lift, P = case
+    R = abs(lift.resultant)
+    assume(R > 1)
+    plain = nonarch_height(lift, P, 5)
+    split = nonarch_height(
+        lift, P, 5, plain.precision_bits, parts=trial_division(R, bound=50)
+    )
+    assert plain.gcd_sequence == split.gcd_sequence
+    assert list(plain.gcd_sequence) == exact_gcd_sequence(lift, P, 5)
+    assert plain.value == split.value
 
 
 def test_single_part_factored_run_is_the_plain_run():
