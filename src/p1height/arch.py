@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .forms import MapLift, ProjectivePoint
-from .numerics import MIN_PRECISION_BITS, default_precision_bits, log_int
+from .numerics import log_int, resolve_precision_bits
 
 __all__ = ["ArchResult", "arch_height", "arch_step", "arch_step_bound"]
 
@@ -115,9 +115,7 @@ def arch_height(
     """
     if not isinstance(terms, int) or terms < 1:
         raise ValueError("terms must be a positive integer")
-    bits = precision_bits or default_precision_bits(lift.degree, terms, lift.coeff_norm)
-    if bits < MIN_PRECISION_BITS:
-        raise ValueError(f"precision_bits must be at least {MIN_PRECISION_BITS}")
+    bits = resolve_precision_bits(precision_bits, lift.degree, terms, lift.coeff_norm)
     d = lift.degree
     with mp.workprec(bits):
         fc = [mp.mpf(c) for c in lift.F.coefficients]

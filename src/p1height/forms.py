@@ -25,6 +25,7 @@ All coefficients are unbounded Python ints; nothing in this module rounds.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -179,17 +180,78 @@ def evaluate_mod(f: BinaryForm, x: int, y: int, m: int) -> int:
     """
     if m < 1:
         raise ValueError("modulus must be at least 1")
-    if m == 1:
-        return 0
-    x %= m
-    y %= m
-    coeffs = f.coefficients
-    acc = coeffs[0] % m
-    yp = 1
-    for c in coeffs[1:]:
-        yp = yp * y % m
-        acc = (acc * x + c * yp) % m
-    return acc
+    return _form_evaluator((f,))(x, y, m)[0]
+
+
+def _block_size(d: int) -> int:
+    """Paterson-Stockmeyer block size for degree d: the k in 1..d+1 that needs
+    the fewest full-size products to evaluate a pair of forms (ties go to the
+    larger k, which has fewer blocks to reduce).
+
+    The count mirrors _form_evaluator: the powers x^2..x^k and y^2..y^k, the
+    k-2 inner baby monomials, the s-2 inner ones of a shorter leading block
+    of s coefficients, the B-2 shared powers Y^(b_j) and two products per
+    form per giant step.  A single block (k = d+1) needs the powers up to d
+    and the d-1 inner monomials only.
+    """
+
+    def products(k: int) -> int:
+        blocks = -(-(d + 1) // k)
+        if blocks == 1:
+            return 3 * (d - 1)
+        lead = d + 1 - (blocks - 1) * k
+        short = max(lead - 2, 0) if lead < k else 0
+        return 2 * (k - 1) + max(k - 2, 0) + short + (blocks - 2) + 4 * (blocks - 1)
+
+    return min(range(d + 1, 0, -1), key=products)
+
+
+def _form_evaluator(forms: tuple[BinaryForm, ...], k: int | None = None):
+    """ev(x, y, m) -> the values of all `forms` at (x, y), each reduced into [0, m), for m >= 1.
+
+    One homogeneous Paterson-Stockmeyer walk serves every form.  The d+1
+    coefficients split into a leading block of s <= k and blocks of k; with
+    the baby monomials x^(k-1-r)*y^r each block is a scalar dot product,
+    reduced once, and the giant steps run Horner in X^k,
+
+        acc = (acc*X^k + block_j*Y^(b_j)) % m,   b_j = s + (j-1)*k,
+
+    with the powers Y^(b_j) shared by every form.  The forms must share one
+    degree d; k defaults to _block_size(d) and is explicit only in tests.
+    The plan (k and the coefficient slices) is built here, once, so callers
+    that evaluate at many points build the evaluator once too.
+    """
+    d = forms[0].degree
+    if any(f.degree != d for f in forms):
+        raise ValueError("forms evaluated together must share one degree")
+    k = k or _block_size(d)
+    nblocks = -(-(d + 1) // k)
+    s = d + 1 - (nblocks - 1) * k
+    leads = [f.coefficients[:s] for f in forms]
+    blocks = [
+        [f.coefficients[i : i + k] for i in range(s, d + 1, k)] for f in forms
+    ]
+    top = k if nblocks > 1 else k - 1  # highest baby power needed
+    mul = operator.mul
+
+    def ev(x: int, y: int, m: int) -> list[int]:
+        x %= m
+        y %= m
+        xp, yp = [1, x], [1, y]
+        for _ in range(top - 1):
+            xp.append(xp[-1] * x % m)
+            yp.append(yp[-1] * y % m)
+        baby = [xp[k - 1 - r] * yp[r] % m for r in range(k)]
+        short = baby if s == k else [xp[s - 1 - r] * yp[r] % m for r in range(s)]
+        accs = [sum(map(mul, cs, short)) % m for cs in leads]
+        for j in range(nblocks - 1):
+            yb = yb * yp[k] % m if j else yp[s]
+            for i, fb in enumerate(blocks):
+                block = sum(map(mul, fb[j], baby))
+                accs[i] = (accs[i] * xp[k] + block % m * yb) % m
+        return accs
+
+    return ev
 
 
 def normalize_point(x, y) -> ProjectivePoint:
@@ -420,6 +482,20 @@ class _PolyParser:
                 self.tokens.append((kind, val))
         self.pos = 0
         self.variables = variables
+        # the exponent literal applied to each parenthesised group, keyed by
+        # its '(' token, so a factor knows it before expanding the group
+        self.group_exponent: dict[int, int] = {}
+        opened: list[int] = []
+        for i, tok in enumerate(self.tokens):
+            if tok == ("op", "("):
+                opened.append(i)
+            elif tok == ("op", ")") and opened:
+                start = opened.pop()
+                after = self.tokens[i + 1 : i + 3]
+                if len(after) == 2 and after[0] == ("op", "^") and after[1][0] == "int":
+                    self.group_exponent[start] = max(int(after[1][1]), 1)
+        # product of the exponents that enclosing groups will apply
+        self.scale = 1
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -475,7 +551,10 @@ class _PolyParser:
                     sign = -sign
             else:
                 break
+        ahead = self.group_exponent.get(self.pos, 1)
+        self.scale *= ahead
         poly = self.base()
+        self.scale //= ahead
         kind, val = self.peek()
         if kind == "op" and val == "^":
             self.next()
@@ -485,6 +564,14 @@ class _PolyParser:
             e = int(val)
             if e > _MAX_EXPONENT:
                 raise ParseError(f"exponent {e} exceeds the supported maximum {_MAX_EXPONENT}")
+            # the degree this power reaches once the enclosing powers apply too,
+            # checked before any expansion so nested powers cannot blow up
+            projected = max(map(sum, poly), default=0) * e * self.scale
+            if projected > _MAX_EXPONENT:
+                raise ParseError(
+                    f"nested powers project degree {projected}, over the supported "
+                    f"maximum {_MAX_EXPONENT}"
+                )
             poly = _ppow(poly, e, len(self.variables))
         return poly if sign == 1 else _pneg(poly)
 

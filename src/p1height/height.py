@@ -33,7 +33,7 @@ from .nonarch import (  # noqa: F401
     nonarch_height_factored,
     trial_division,
 )
-from .numerics import default_precision_bits, log_int
+from .numerics import log_int, resolve_precision_bits
 
 __all__ = [
     "BudgetExceededError",
@@ -97,8 +97,8 @@ def canonical_height(
     """
     n_terms = nonarch_terms if nonarch_terms is not None else terms
     a_terms = arch_terms if arch_terms is not None else terms
-    bits = precision_bits or default_precision_bits(
-        lift.degree, max(n_terms, a_terms), lift.coeff_norm
+    bits = resolve_precision_bits(
+        precision_bits, lift.degree, max(n_terms, a_terms), lift.coeff_norm
     )
     R = abs(lift.resultant)
     parts = None if R == 1 else factoring

@@ -20,8 +20,8 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .forms import MapLift, ProjectivePoint, evaluate, evaluate_mod
-from .numerics import default_precision_bits, log_int
+from .forms import MapLift, ProjectivePoint, _form_evaluator, evaluate
+from .numerics import log_int, resolve_precision_bits
 
 __all__ = [
     "NonArchResult",
@@ -142,7 +142,7 @@ def exact_log_gcd(lift: MapLift, Q: ProjectivePoint, precision_bits: int | None 
     so this is for tests and single steps; use nonarch_height for series.
     """
     g = math.gcd(evaluate(lift.F, Q.x, Q.y), evaluate(lift.G, Q.x, Q.y))
-    bits = precision_bits or default_precision_bits(lift.degree, 1, lift.coeff_norm)
+    bits = resolve_precision_bits(precision_bits, lift.degree, 1, lift.coeff_norm)
     with mp.workprec(bits):
         return log_int(g)
 
@@ -157,22 +157,22 @@ def _gcd_loop(lift: MapLift, P: ProjectivePoint, modulus: int, top_power: int, t
 
     Step i works modulo modulus^(terms-i); the shrinking powers come from
     exact division of the precomputed top power, so only one big power is
-    ever held.  gcd(0, 0, m) = m is correct here: the true orbit gcd always
+    ever held.  gcd(m, 0, 0) = m is correct here: the true orbit gcd always
     divides the modulus, so a doubly-vanishing residue pair means the gcd
     is the whole current part.
     """
-    F, G = lift.F, lift.G
+    ev = _form_evaluator((lift.F, lift.G))
     live = top_power
-    x, y = P.x % live, P.y % live
+    x, y = P.x, P.y
     out: list[int] = []
     for _ in range(terms):
-        fx = evaluate_mod(F, x, y, live)
-        gy = evaluate_mod(G, x, y, live)
-        g = math.gcd(fx, gy, modulus)
+        fx, gy = ev(x, y, live)
+        # modulus first: math.gcd folds left to right, and reducing each
+        # full-size residue against the modulus is the cheap first step
+        g = math.gcd(modulus, fx, gy)
         out.append(g)
         live //= modulus
-        if live > 1:
-            x, y = (fx // g) % live, (gy // g) % live
+        x, y = fx // g, gy // g
     return out
 
 
@@ -222,7 +222,7 @@ def nonarch_height(
     and the series vanishes identically, with zero tail.
     """
     _check_terms(terms)
-    bits = precision_bits or default_precision_bits(lift.degree, terms, lift.coeff_norm)
+    bits = resolve_precision_bits(precision_bits, lift.degree, terms, lift.coeff_norm)
     R = abs(lift.resultant)
     if parts is not None:
         parts.validate_for(R)

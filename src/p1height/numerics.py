@@ -33,6 +33,21 @@ def default_precision_bits(degree: int, terms: int, coeff_norm: int) -> int:
     return max(PRECISION_FLOOR_BITS, GUARD_BITS + growth + scale)
 
 
+def resolve_precision_bits(
+    precision_bits: int | None, degree: int, terms: int, coeff_norm: int
+) -> int:
+    """The working precision of a run: precision_bits, or the default when None.
+
+    Raises ValueError for a request below MIN_PRECISION_BITS (0 included),
+    so an unusable precision fails before any series work starts.
+    """
+    if precision_bits is None:
+        return default_precision_bits(degree, terms, coeff_norm)
+    if precision_bits < MIN_PRECISION_BITS:
+        raise ValueError(f"precision_bits must be at least {MIN_PRECISION_BITS}")
+    return precision_bits
+
+
 def log_int(n: int) -> mp.mpf:
     """Natural log of a positive integer at the current working precision.
 

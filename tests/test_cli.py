@@ -172,6 +172,7 @@ def test_list_fixtures_json(capsys):
         ("--map", "phi(z) = z^2"),  # missing point
         ("--fixture", "nope"),
         ("--map", "phi(z) = z^2", "--point", "1", "--terms", "0"),
+        ("--map", "phi(z) = z^2", "--point", "1", "--precision", "32"),
     ],
 )
 def test_parse_failures_exit_2(capsys, argv):

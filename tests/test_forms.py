@@ -5,7 +5,10 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from p1height import forms
 from p1height.forms import (
     BinaryForm,
     MapLift,
@@ -14,6 +17,8 @@ from p1height.forms import (
     ProjectivePoint,
     cofactors,
     evaluate,
+    _block_size,
+    _form_evaluator,
     evaluate_mod,
     normalize_point,
     parse_map,
@@ -93,6 +98,43 @@ def test_evaluate_mod_matches_evaluate():
         x, y = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
         m = rng.randint(1, 10**12)
         assert evaluate_mod(f, x, y, m) == evaluate(f, x, y) % m
+
+
+@st.composite
+def _forms_modulus_and_point(draw):
+    """1-3 forms of one degree 1..90, a modulus, and coordinates of either sign beyond it."""
+    d = draw(st.integers(1, 90))
+    bound = draw(st.sampled_from((9, 2**700)))
+    coeffs = st.tuples(*[st.integers(-bound, bound)] * (d + 1))
+    fs = tuple(BinaryForm(draw(coeffs)) for _ in range(draw(st.integers(1, 3))))
+    composite = draw(st.integers(2, 2**40)) * draw(st.integers(2, 2**40))
+    m = draw(
+        st.one_of(
+            st.sampled_from((1, 2)),
+            st.integers(1, 2**4000),
+            st.integers(1, 4000 // composite.bit_length()).map(lambda e: composite**e),
+        )
+    )
+    coordinate = st.integers(-4 * m - 2**64, 4 * m + 2**64)
+    return fs, m, draw(coordinate), draw(coordinate)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_forms_modulus_and_point())
+def test_form_evaluator_matches_evaluate_for_every_block_size(case):
+    fs, m, x, y = case
+    want = [evaluate(f, x, y) % m for f in fs]
+    d = fs[0].degree
+    assert _form_evaluator(fs)(x, y, m) == want
+    for k in range(1, d + 2):
+        assert _form_evaluator(fs, k)(x, y, m) == want
+
+
+def test_block_size_is_set_by_the_degree():
+    # degree: block size; the pair (F, G) then costs 3, 14, 46, 53 and 62
+    # full-size products per step, against 4d for two Horner walks
+    table = {2: 3, 8: 3, 48: 7, 65: 11, 80: 9}
+    assert {d: _block_size(d) for d in table} == table
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +407,20 @@ def test_parse_map_errors():
         parse_map("F = X^2; G = X^2")
     with pytest.raises(NotAMorphismError):
         parse_map("phi(z) = (z^2 + z) / (z + 1)")  # common root z = -1
+
+
+def test_parse_map_bounds_nested_powers_before_expanding(monkeypatch):
+    def expand(*args):
+        raise AssertionError("a power was expanded before its projected degree was checked")
+
+    monkeypatch.setattr(forms, "_ppow", expand)
+    for text, projected in (("((X+Y)^4096)^4096", 16777216), ("(X^2)^3000", 6000)):
+        with pytest.raises(ParseError, match=f"degree {projected}"):
+            parse_map(f"F = {text}; G = Y^{projected}")
+    monkeypatch.undo()
+    lift = parse_map("F = ((X+Y)^3)^3; G = Y^9")
+    assert lift.degree == 9
+    assert lift.F.coefficients == tuple(math.comb(9, i) for i in range(10))
 
 
 def test_parse_map_roundtrip_str():

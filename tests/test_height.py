@@ -5,6 +5,8 @@ import random
 import mpmath as mp
 import pytest
 
+from p1height import nonarch
+from p1height.arch import arch_height
 from p1height.forms import BinaryForm, MapLift, ProjectivePoint, normalize_point
 from p1height.height import (
     BudgetExceededError,
@@ -13,7 +15,7 @@ from p1height.height import (
     height_identity_check,
     naive_height,
 )
-from p1height.nonarch import trial_division
+from p1height.nonarch import nonarch_height, trial_division
 
 from helpers import random_lift, random_point
 
@@ -212,3 +214,19 @@ def test_split_terms_override():
     bd = canonical_height(lift, P, terms=10, nonarch_terms=4, arch_terms=9)
     assert bd.nonarch.terms == 4
     assert bd.arch.terms == 9
+
+
+def test_precision_is_checked_before_any_layer_runs(monkeypatch):
+    def loop(*args):
+        raise AssertionError("the gcd loop ran before the precision was checked")
+
+    monkeypatch.setattr(nonarch, "_gcd_loop", loop)
+    lift = _lift((2, 1, 3), (1, 5, 7))
+    assert abs(lift.resultant) > 1
+    P = ProjectivePoint(3, 2)
+    for bits in (0, 32, 63):
+        for run in (canonical_height, nonarch_height, arch_height):
+            with pytest.raises(ValueError, match="precision_bits"):
+                run(lift, P, 10, precision_bits=bits)
+    monkeypatch.undo()
+    assert canonical_height(lift, P, 10, precision_bits=64).precision_bits == 64
