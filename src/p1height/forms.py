@@ -173,10 +173,11 @@ def evaluate(f: BinaryForm, x: int, y: int) -> int:
 
 
 def evaluate_mod(f: BinaryForm, x: int, y: int, m: int) -> int:
-    """Value of f at (x, y) reduced into [0, m).
+    """The exact value f(x, y) reduced into [0, m), for m >= 1.
 
-    Every intermediate product is reduced mod m, so the working integers
-    stay below m^2 regardless of how large the true value would be.
+    A view of the shared Paterson-Stockmeyer walk of _form_evaluator: the
+    powers and the giant steps are reduced mod m, and each block's dot
+    product of coefficients and baby monomials is reduced once.
     """
     if m < 1:
         raise ValueError("modulus must be at least 1")
@@ -206,7 +207,7 @@ def _block_size(d: int) -> int:
     return min(range(d + 1, 0, -1), key=products)
 
 
-def _form_evaluator(forms: tuple[BinaryForm, ...], k: int | None = None):
+def _form_evaluator(forms: tuple[BinaryForm, ...]):
     """ev(x, y, m) -> the values of all `forms` at (x, y), each reduced into [0, m), for m >= 1.
 
     One homogeneous Paterson-Stockmeyer walk serves every form.  The d+1
@@ -217,14 +218,14 @@ def _form_evaluator(forms: tuple[BinaryForm, ...], k: int | None = None):
         acc = (acc*X^k + block_j*Y^(b_j)) % m,   b_j = s + (j-1)*k,
 
     with the powers Y^(b_j) shared by every form.  The forms must share one
-    degree d; k defaults to _block_size(d) and is explicit only in tests.
-    The plan (k and the coefficient slices) is built here, once, so callers
-    that evaluate at many points build the evaluator once too.
+    degree d, and k = _block_size(d).  The plan (k and the coefficient
+    slices) is built here, once, so callers that evaluate at many points
+    build the evaluator once too.
     """
     d = forms[0].degree
     if any(f.degree != d for f in forms):
         raise ValueError("forms evaluated together must share one degree")
-    k = k or _block_size(d)
+    k = _block_size(d)
     nblocks = -(-(d + 1) // k)
     s = d + 1 - (nblocks - 1) * k
     leads = [f.coefficients[:s] for f in forms]
