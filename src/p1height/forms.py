@@ -175,13 +175,12 @@ def evaluate(f: BinaryForm, x: int, y: int) -> int:
 def evaluate_mod(f: BinaryForm, x: int, y: int, m: int) -> int:
     """The exact value f(x, y) reduced into [0, m), for m >= 1.
 
-    A view of the shared Paterson-Stockmeyer walk of _form_evaluator: the
-    powers and the giant steps are reduced mod m, and each block's dot
-    product of coefficients and baby monomials is reduced once.
+    A view of the shared Paterson-Stockmeyer walk of _form_evaluator, with
+    every reduction a plain `% m`.
     """
     if m < 1:
         raise ValueError("modulus must be at least 1")
-    return _form_evaluator((f,))(x, y, m)[0]
+    return _form_evaluator((f,))(x, y, m, m.__rmod__)[0]
 
 
 def _block_size(d: int) -> int:
@@ -208,19 +207,27 @@ def _block_size(d: int) -> int:
 
 
 def _form_evaluator(forms: tuple[BinaryForm, ...]):
-    """ev(x, y, m) -> the values of all `forms` at (x, y), each reduced into [0, m), for m >= 1.
+    """ev(x, y, m, red) -> the values of all `forms` at (x, y), each reduced into [0, m), for m >= 1.
 
     One homogeneous Paterson-Stockmeyer walk serves every form.  The d+1
     coefficients split into a leading block of s <= k and blocks of k; with
     the baby monomials x^(k-1-r)*y^r each block is a scalar dot product,
     reduced once, and the giant steps run Horner in X^k,
 
-        acc = (acc*X^k + block_j*Y^(b_j)) % m,   b_j = s + (j-1)*k,
+        acc = red(acc*X^k + (block_j % m)*Y^(b_j)),   b_j = s + (j-1)*k,
 
-    with the powers Y^(b_j) shared by every form.  The forms must share one
-    degree d, and k = _block_size(d).  The plan (k and the coefficient
-    slices) is built here, once, so callers that evaluate at many points
-    build the evaluator once too.
+    with the powers Y^(b_j) shared by every form.  A single block (k = d+1)
+    leaves its top powers and monomials unreduced, each below m^2, and
+    reduces each form's sum once.
+
+    red(v) must return v % m.  It gets every full-size value: products of
+    two residues, sums of two such products, and the single block's sums,
+    which stay below (d+1) * max|c| * m^2 in absolute value and may be
+    negative.  Small-quotient reductions use `%` directly.
+
+    The forms must share one degree d, and k = _block_size(d).  The plan (k
+    and the coefficient slices) is built here, once, so callers that
+    evaluate at many points build the evaluator once too.
     """
     d = forms[0].degree
     if any(f.degree != d for f in forms):
@@ -232,24 +239,31 @@ def _form_evaluator(forms: tuple[BinaryForm, ...]):
     blocks = [
         [f.coefficients[i : i + k] for i in range(s, d + 1, k)] for f in forms
     ]
-    top = k if nblocks > 1 else k - 1  # highest baby power needed
+    lazy = nblocks == 1
+    top = k - lazy  # highest power of x and y the walk needs
     mul = operator.mul
 
-    def ev(x: int, y: int, m: int) -> list[int]:
+    def ev(x: int, y: int, m: int, red) -> list[int]:
         x %= m
         y %= m
         xp, yp = [1, x], [1, y]
-        for _ in range(top - 1):
-            xp.append(xp[-1] * x % m)
-            yp.append(yp[-1] * y % m)
-        baby = [xp[k - 1 - r] * yp[r] % m for r in range(k)]
-        short = baby if s == k else [xp[s - 1 - r] * yp[r] % m for r in range(s)]
+        for _ in range(top - 1 - lazy):
+            xp.append(red(xp[-1] * x))
+            yp.append(red(yp[-1] * y))
+        if lazy:
+            if d > 1:
+                xp.append(xp[-1] * x)
+                yp.append(yp[-1] * y)
+            mono = [xp[d - r] * yp[r] for r in range(d + 1)]
+            return [red(sum(map(mul, cs, mono))) for cs in leads]
+        baby = [red(xp[k - 1 - r] * yp[r]) for r in range(k)]
+        short = baby if s == k else [red(xp[s - 1 - r] * yp[r]) for r in range(s)]
         accs = [sum(map(mul, cs, short)) % m for cs in leads]
         for j in range(nblocks - 1):
-            yb = yb * yp[k] % m if j else yp[s]
+            yb = red(yb * yp[k]) if j else yp[s]
             for i, fb in enumerate(blocks):
                 block = sum(map(mul, fb[j], baby))
-                accs[i] = (accs[i] * xp[k] + block % m * yb) % m
+                accs[i] = red(accs[i] * xp[k] + block % m * yb)
         return accs
 
     return ev
@@ -440,6 +454,9 @@ _TOKEN_RE = re.compile(
 )
 
 _MAX_EXPONENT = 4096
+# deepest parenthesis nesting the recursive-descent parser accepts; each
+# level costs it four stack frames
+_MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -490,6 +507,10 @@ class _PolyParser:
         for i, tok in enumerate(self.tokens):
             if tok == ("op", "("):
                 opened.append(i)
+                if len(opened) > _MAX_NESTING:
+                    raise ParseError(
+                        f"parentheses nest deeper than the supported maximum {_MAX_NESTING}"
+                    )
             elif tok == ("op", ")") and opened:
                 start = opened.pop()
                 after = self.tokens[i + 1 : i + 3]
@@ -530,10 +551,10 @@ class _PolyParser:
             kind, val = self.peek()
             if kind == "op" and val == "*":
                 self.next()
-                poly = _pmul(poly, self.factor())
+                poly = self.times(poly, self.factor())
             elif kind in ("int", "name") or (kind == "op" and val == "("):
                 # implicit multiplication, as in 3X^2Y
-                poly = _pmul(poly, self.factor())
+                poly = self.times(poly, self.factor())
             elif kind == "op" and val == "/":
                 raise ParseError(
                     "'/' inside a polynomial is not supported; coefficients must be "
@@ -541,6 +562,17 @@ class _PolyParser:
                 )
             else:
                 return poly
+
+    def times(self, p, q):
+        # the degree the product reaches once the enclosing powers apply,
+        # checked before multiplying
+        projected = (_degree(p) + _degree(q)) * self.scale
+        if projected > _MAX_EXPONENT:
+            raise ParseError(
+                f"a product projects degree {projected}, over the supported "
+                f"maximum {_MAX_EXPONENT}"
+            )
+        return _pmul(p, q)
 
     def factor(self):
         sign = 1
@@ -567,7 +599,7 @@ class _PolyParser:
                 raise ParseError(f"exponent {e} exceeds the supported maximum {_MAX_EXPONENT}")
             # the degree this power reaches once the enclosing powers apply too,
             # checked before any expansion so nested powers cannot blow up
-            projected = max(map(sum, poly), default=0) * e * self.scale
+            projected = _degree(poly) * e * self.scale
             if projected > _MAX_EXPONENT:
                 raise ParseError(
                     f"nested powers project degree {projected}, over the supported "
@@ -599,6 +631,10 @@ class _PolyParser:
         if kind is None:
             raise ParseError("expression ended unexpectedly")
         raise ParseError(f"unexpected {val!r} in expression")
+
+
+def _degree(p) -> int:
+    return max(map(sum, p), default=0)
 
 
 def _padd(p, q):

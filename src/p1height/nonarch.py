@@ -152,6 +152,68 @@ def _check_terms(terms: int) -> None:
         raise ValueError("terms must be a positive integer")
 
 
+# Moduli of at least this many bits reduce by Barrett's method (one product
+# by a carried reciprocal and one by the modulus) instead of `%`, whose
+# schoolbook division is quadratic where Karatsuba multiplication is not.
+# Timed on products of two residues (Python 3.11, 2 cores), `%` against
+# Barrett: 39 against 58 us at 4000 bits, 223 against 246 us at 10000,
+# 326 against 310 us at 12000, 2.36 against 1.56 ms at 32674.
+_BARRETT_MIN_BITS = 12_000
+
+
+def _headroom(forms) -> int:
+    """E with every value _form_evaluator(forms) reduces mod M below 2^(2n+E)
+    in absolute value, n = M.bit_length(): they stay below (d+1)*max|c|*M^2."""
+    return max(f.norm for f in forms).bit_length() + (forms[0].degree + 1).bit_length() + 2
+
+
+def _reciprocals(top: int, modulus: int, count: int, extra: int):
+    """Yield (M, mu) for the first `count` links of the chain M = top,
+    top/modulus, top/modulus^2, ...
+
+    mu approximates floor(2^(2n+extra)/M), n = M.bit_length(), from below by
+    at most a few units; it is None when M is below _BARRETT_MIN_BITS.  Only
+    the first Barrett step divides.  After it, since M' = M/modulus exactly,
+    mu' = (mu*modulus) >> 2s with s = n - n' >= bits(modulus) - 1, so the
+    factor modulus/4^s is below 1: an error e becomes at most
+    e*modulus/4^s + 1 and stays bounded down the chain.
+    """
+    M, mu, n = top, None, top.bit_length()
+    for _ in range(count):
+        n_prev, n = n, M.bit_length()
+        if n < _BARRETT_MIN_BITS:
+            mu = None
+        elif mu is None:
+            mu = (1 << (2 * n + extra)) // M
+        else:
+            mu = (mu * modulus) >> (2 * (n_prev - n))
+        yield M, mu
+        M //= modulus
+
+
+def _reducer(M: int, mu: int | None, extra: int):
+    """red(v) -> v % M, exactly, for |v| < 2^(2n+extra), n = M.bit_length().
+
+    Without a reciprocal this is M.__rmod__, a builtin with no Python frame.
+    With one, the quotient estimate is off by a few units whatever mu's
+    error, and the two loops correct it in either direction.
+    """
+    if mu is None:
+        return M.__rmod__
+    shift = M.bit_length() - 1
+    back = M.bit_length() + extra + 1
+
+    def red(v: int) -> int:
+        r = v - (((v >> shift) * mu) >> back) * M
+        while r >= M:
+            r -= M
+        while r < 0:
+            r += M
+        return r
+
+    return red
+
+
 def _gcd_loop(lift: MapLift, P: ProjectivePoint, modulus: int, top_power: int, terms: int) -> list[int]:
     """Reduced-orbit gcd extraction against one modulus.
 
@@ -159,19 +221,20 @@ def _gcd_loop(lift: MapLift, P: ProjectivePoint, modulus: int, top_power: int, t
     exact division of the precomputed top power, so only one big power is
     ever held.  gcd(m, 0, 0) = m is correct here: the true orbit gcd always
     divides the modulus, so a doubly-vanishing residue pair means the gcd
-    is the whole current part.
+    is the whole current part.  Large moduli reduce by Barrett's method
+    with the reciprocal carried down the chain; every residue is exact.
     """
-    ev = _form_evaluator((lift.F, lift.G))
-    live = top_power
+    forms = (lift.F, lift.G)
+    ev = _form_evaluator(forms)
+    extra = _headroom(forms)
     x, y = P.x, P.y
     out: list[int] = []
-    for _ in range(terms):
-        fx, gy = ev(x, y, live)
+    for live, mu in _reciprocals(top_power, modulus, terms, extra):
+        fx, gy = ev(x, y, live, _reducer(live, mu, extra))
         # modulus first: math.gcd folds left to right, and reducing each
         # full-size residue against the modulus is the cheap first step
         g = math.gcd(modulus, fx, gy)
         out.append(g)
-        live //= modulus
         x, y = fx // g, gy // g
     return out
 

@@ -182,6 +182,18 @@ def test_parse_failures_exit_2(capsys, argv):
     assert err != ""
 
 
+def test_deep_nesting_exits_2_and_shallower_nesting_parses(capsys):
+    def nested(depth):
+        return "F = " + "(" * depth + "X" + ")" * depth + "^2; G = Y^2"
+
+    code, out, err = run_cli(capsys, "--map", nested(400), "--point", "[1,1]")
+    assert code == 2
+    assert out == ""
+    assert "100" in err
+    code, out, err = run_cli(capsys, "--map", nested(50), "--point", "[1,1]", "--terms", "5")
+    assert code == 0
+
+
 def test_conflicting_sources_exit_2(capsys):
     code, out, err = run_cli(capsys, "--map", "phi(z) = z^2", "--fixture", "ex3")
     assert code == 2

@@ -1,6 +1,7 @@
 """Exact-arithmetic layer: forms, points, resultants, cofactors, parsing."""
 
 import math
+import operator
 import random
 import warnings
 from unittest import mock
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p1height import forms
+from p1height import forms, nonarch
 from p1height.forms import (
     BinaryForm,
     MapLift,
@@ -18,8 +19,10 @@ from p1height.forms import (
     ProjectivePoint,
     cofactors,
     evaluate,
+    _PolyParser,
     _block_size,
     _form_evaluator,
+    _tokenize,
     evaluate_mod,
     normalize_point,
     parse_map,
@@ -103,14 +106,24 @@ def test_evaluate_mod_matches_evaluate():
 
 @st.composite
 def _forms_modulus_and_point(draw):
-    """1-3 forms of one degree 1..90, a modulus, and coordinates of either sign beyond it."""
-    d = draw(st.integers(1, 90))
-    bound = draw(st.sampled_from((9, 2**700)))
-    coeffs = st.tuples(*[st.integers(-bound, bound)] * (d + 1))
+    """1-3 forms of one degree 1..90, a modulus, and coordinates of either sign beyond it.
+
+    About half the draws have degree 1..4 and 700-bit coefficients: one
+    block covers such a form, and the walk reduces its unreduced sum once.
+    """
+    single = draw(st.booleans())
+    d = draw(st.integers(1, 4) if single else st.integers(5, 90))
+    if single:
+        coeff = st.builds(operator.mul, st.sampled_from((-1, 1)), st.integers(2**699, 2**700))
+    else:
+        bound = draw(st.sampled_from((9, 2**700)))
+        coeff = st.integers(-bound, bound)
+    coeffs = st.tuples(*[coeff] * (d + 1))
     fs = tuple(BinaryForm(draw(coeffs)) for _ in range(draw(st.integers(1, 3))))
     composite = draw(st.integers(2, 2**40)) * draw(st.integers(2, 2**40))
     m = draw(
         st.one_of(
+            st.integers(2**64, 2**4000),
             st.sampled_from((1, 2)),
             st.integers(1, 2**4000),
             st.integers(1, 4000 // composite.bit_length()).map(lambda e: composite**e),
@@ -126,10 +139,20 @@ def test_form_evaluator_matches_evaluate_for_every_block_size(case):
     fs, m, x, y = case
     want = [evaluate(f, x, y) % m for f in fs]
     d = fs[0].degree
-    assert _form_evaluator(fs)(x, y, m) == want
+    # a Barrett reducer built as the gcd loop builds it, with the crossover
+    # lowered so that moduli from 64 bits up take it, at the chosen k and at
+    # the single block; plain `%` at every k
+    extra = nonarch._headroom(fs)
+    with mock.patch.object(nonarch, "_BARRETT_MIN_BITS", 64):
+        [(_, mu)] = nonarch._reciprocals(m, 2, 1, extra)
+    assert (mu is None) == (m.bit_length() < 64)
+    barrett = nonarch._reducer(m, mu, extra)
+    assert _form_evaluator(fs)(x, y, m, barrett) == want
     for k in range(1, d + 2):
         with mock.patch.object(forms, "_block_size", lambda _: k):
-            assert _form_evaluator(fs)(x, y, m) == want
+            ev = _form_evaluator(fs)
+        assert ev(x, y, m, m.__rmod__) == want
+    assert ev(x, y, m, barrett) == want
 
 
 def test_block_size_is_set_by_the_degree():
@@ -423,6 +446,17 @@ def test_parse_map_bounds_nested_powers_before_expanding(monkeypatch):
     lift = parse_map("F = ((X+Y)^3)^3; G = Y^9")
     assert lift.degree == 9
     assert lift.F.coefficients == tuple(math.comb(9, i) for i in range(10))
+
+
+def test_parse_map_bounds_products_before_multiplying():
+    def parse(text):
+        return _PolyParser(_tokenize(text), ("X", "Y")).parse()
+
+    with pytest.raises(ParseError, match="degree 8192"):
+        parse("X^4096*Y^4096")
+    with pytest.raises(ParseError, match="degree 8192"):
+        parse("X^4096 Y^4096")  # implicit multiplication
+    assert parse("X^2048*Y^2048") == {(2048, 2048): 1}
 
 
 def test_parse_map_roundtrip_str():

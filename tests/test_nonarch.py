@@ -3,12 +3,15 @@
 import math
 import random
 import warnings
+from unittest import mock
 
 import mpmath as mp
 import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
+from p1height import nonarch
+from p1height.fixtures import load_fixture
 from p1height.forms import (
     BinaryForm,
     MapLift,
@@ -19,6 +22,10 @@ from p1height.forms import (
 )
 from p1height.nonarch import (
     PartialFactorization,
+    _gcd_loop,
+    _headroom,
+    _reciprocals,
+    _reducer,
     exact_log_gcd,
     nonarch_height,
     nonarch_height_factored,
@@ -222,6 +229,58 @@ def test_partial_factorization_validation():
     with pytest.raises(ValueError, match="product"):
         pf.validate_for(12)
     pf.validate_for(6)
+
+
+# ---------------------------------------------------------------------------
+# Barrett reduction down the modulus chain
+
+
+@st.composite
+def _modulus_chain(draw):
+    """A chain modulus R, its length, a form setting the headroom, and a
+    crossover somewhere along the chain."""
+    R = draw(st.one_of(st.sampled_from((2, 3, 12)), st.integers(2, 2**1400)))
+    steps = 200 if R in (2, 3, 12) else draw(st.integers(2, 8))
+    d = draw(st.integers(1, 90))
+    c = draw(st.integers(1, 2**700))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=d + 1, max_size=d + 1))
+    crossover = draw(st.integers(2, (R**steps).bit_length()))
+    return R, steps, BinaryForm(tuple(s * c for s in signs)), crossover, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_modulus_chain())
+def test_barrett_chain_reduces_exactly_and_keeps_its_reciprocal_close(case):
+    R, steps, form, crossover, seed = case
+    rng = random.Random(seed)
+    E = _headroom((form,))
+    with mock.patch.object(nonarch, "_BARRETT_MIN_BITS", crossover):
+        for M, mu in _reciprocals(R**steps, R, steps, E):
+            n = M.bit_length()
+            if n < crossover:
+                assert mu is None
+            else:
+                assert 0 <= ((1 << (2 * n + E)) // M) - mu <= 4
+            red = _reducer(M, mu, E)
+            edge = (1 << (2 * n + E)) - 1
+            # the single-block sums at their largest, either sign, and a random one
+            top = sum(abs(c) for c in form.coefficients) * (M - 1) ** 2
+            dot = sum(c * rng.randrange(M) * rng.randrange(M) for c in form.coefficients)
+            values = (rng.randrange(M) * rng.randrange(M), 2 * M * M - 1, edge, -edge, top, -top, dot)
+            assert [red(v) for v in values] == [v % M for v in values]
+
+
+@pytest.mark.parametrize("fixture_id", ["ex3", "ex4"])
+def test_barrett_loop_gives_the_plain_loop_g_sequence(fixture_id):
+    fx = load_fixture(fixture_id)
+    lift, P = fx.lift(), fx.point()
+    R = abs(lift.resultant)
+    top = R**50
+    # the first steps reduce by Barrett under the default crossover
+    assert top.bit_length() > 2 * nonarch._BARRETT_MIN_BITS
+    barrett = _gcd_loop(lift, P, R, top, 50)
+    with mock.patch.object(nonarch, "_BARRETT_MIN_BITS", math.inf):
+        assert _gcd_loop(lift, P, R, top, 50) == barrett
 
 
 # ---------------------------------------------------------------------------
