@@ -9,7 +9,7 @@ building blocks the height computations rest on:
   function in one variable),
 * form evaluation, full-size and modular,
 * point normalization to coprime integer coordinates,
-* Sylvester resultants by fraction-free (Bareiss) elimination,
+* Sylvester resultants by the fraction-free subresultant PRS,
 * the degree-(d-1) cofactor forms a1, b1, a2, b2 with
 
       a1*F + b1*G = Res(F, G) * X^(2d-1)
@@ -296,83 +296,158 @@ def _as_fraction(v) -> Fraction:
         raise ValueError(f"not a rational number: {v!r}") from exc
 
 
-def _sylvester(F: BinaryForm, G: BinaryForm) -> list[list[int]]:
-    """2d x 2d Sylvester matrix; row k of each block shifts the form by k columns."""
-    d = F.degree
-    n = 2 * d
-    rows = []
-    for block in (F.coefficients, G.coefficients):
-        for k in range(d):
-            row = [0] * n
-            row[k : k + d + 1] = block
-            rows.append(row)
-    return rows
+def _strip(p) -> list[int]:
+    """The coefficient list p without its leading zeros (empty for the zero polynomial)."""
+    i = 0
+    while i < len(p) and not p[i]:
+        i += 1
+    return list(p[i:])
+
+
+def _divide_exact(num: list[int], den: list[int]) -> list[int]:
+    """The quotient num / den of coefficient lists, which den must divide over Z.
+
+    Any nonzero remainder, in a coefficient or in the polynomial, raises
+    ArithmeticError.
+    """
+    num = list(num)
+    lc, tail = den[0], den[1:]
+    n = len(tail)
+    q = []
+    for k in range(len(num) - n):
+        t, rem = divmod(num[k], lc)
+        if rem:
+            raise ArithmeticError("a cofactor is not integral; the elimination is corrupt")
+        q.append(t)
+        num[k + 1 : k + 1 + n] = [x - t * y for x, y in zip(num[k + 1 : k + 1 + n], tail)]
+    if any(num[len(num) - n :]):
+        raise ArithmeticError("a cofactor is not integral; the elimination is corrupt")
+    return q
+
+
+def _mul_sub(s: int, p: list[int], q: list[int], u: list[int]) -> list[int]:
+    """s*p - q*u for coefficient lists in descending powers, aligned at the constant term."""
+    m = len(u)
+    n = max(len(p), len(q) + m - 1 if q and m else 0)
+    out = [0] * (n - len(p)) + [s * x for x in p]
+    if m:
+        for at, qk in enumerate(q, n - m - len(q) + 1):
+            out[at : at + m] = [w - qk * x for w, x in zip(out[at : at + m], u)]
+    return out
+
+
+def _prem(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Pseudo-division lc(b)^(e+1) * a = q*b + r, where e = deg a - deg b >= 0.
+
+    Coefficient lists run in descending powers; r has len(b) - 1 entries,
+    leading zeros included.
+    """
+    lc, tail = b[0], b[1:]
+    n = len(tail)
+    r, ts = a, []
+    for _ in range(len(a) - n):
+        t, rest = r[0], r[1:]
+        ts.append(t)
+        r = [lc * x - t * y for x, y in zip(rest, tail)] + [lc * x for x in rest[n:]]
+    e = len(ts) - 1
+    return [t * lc ** (e - k) for k, t in enumerate(ts)], r
+
+
+def _prs(a: list[int], b: list[int]) -> tuple[int, int, list[int]]:
+    """Subresultant PRS of a and b (Brown and Traub), carrying the cofactor of a.
+
+    a and b have nonzero leading coefficients and deg a >= deg b.  Step i
+    divides prem(r_(i-1), r_i) exactly by beta = -g * c^e, where e is the
+    degree gap, g = lc(r_(i-1)) (1 at the first step) and c, starting at -1,
+    becomes (-lc(r_i))^e / c^(e-1).  Every remainder is then a subresultant,
+    whose coefficients are minors of the Sylvester matrix, and so are the
+    coefficients of the cofactor u_i with u_i * a = r_i (mod b), which
+    follows the same pseudo-remainder and the same exact division.
+
+    Returns (res(a, b), r, u): r is the last remainder, a nonzero constant,
+    and u * a + v * b = r for some v.  When a and b share a factor the
+    result is (0, 0, []).
+    """
+    u0, u1 = [1], []
+    g, c = 1, -1
+    while len(b) > 1:
+        e = len(a) - len(b)
+        beta = -g * c**e
+        q, r = _prem(a, b)
+        u = _mul_sub(b[0] ** (e + 1), u0, q, u1)
+        r = _strip(r)
+        if not r:
+            return 0, 0, []
+        g = b[0]
+        c = (-g) ** e // c ** (e - 1) if e else c
+        a, b = b, [x // beta for x in r]
+        u0, u1 = u1, [x // beta for x in u]
+    # one more update of c, by the constant remainder, gives -res(a, b)
+    e = len(a) - 1
+    return -((-b[0]) ** e // c ** (e - 1)), b[0], u1
+
+
+def _bezout(
+    fc: tuple[int, ...], gc: tuple[int, ...], res: int | None = None
+) -> tuple[int, list[int], list[int]]:
+    """Res and the Bezout pair at formal degree d = len(fc) - 1.
+
+    fc and gc are the coefficients of f and g in descending powers.  Returns
+    (res, a, b), with a and b of length d and a*f + b*g = res; res defaults
+    to the Sylvester resultant of f and g at formal degree d.  Both lists are
+    empty when res = 0.
+    """
+    d = len(fc) - 1
+    f, g = _strip(fc), _strip(gc)
+    ef, eg = d + 1 - len(f), d + 1 - len(g)
+    if not (f and g) or (ef and eg):
+        return 0, [], []
+    swap = len(f) < len(g)
+    a, b = (g, f) if swap else (f, g)
+    res_ab, r, u = _prs(a, b)
+    if res is None:
+        # swapping costs (-1)^(deg a * deg b); e leading zeros of f cost
+        # (-1)^(d*e) * lc(g)^e, and e leading zeros of g cost lc(f)^e
+        sign = (-1) ** (swap * (len(a) - 1) * (len(b) - 1) + d * ef)
+        res = sign * res_ab * gc[0] ** ef * fc[0] ** eg
+    if res == 0:
+        return 0, [], []
+    ua = _divide_exact([x * res for x in u], [r])
+    ub = _divide_exact(_mul_sub(1, [res], ua, a), b)
+    cf, cg = (ub, ua) if swap else (ua, ub)
+    return res, [0] * (d - len(cf)) + cf, [0] * (d - len(cg)) + cg
 
 
 def _eliminate(F: BinaryForm, G: BinaryForm) -> tuple[int, list[int], list[int]]:
     """Res(F, G) and the two adjugate columns of the transposed Sylvester matrix.
 
-    One fraction-free (Bareiss) forward elimination runs on the transpose,
-    augmented with the unit columns e_0 and e_(2d-1); its last pivot is the
-    determinant, which equals Res with the F rows above the G rows.  Exact
-    integer back-substitution, y_i = (Res*c_i - sum_j m_ij*y_j) / m_ii, then
-    gives the solutions of S^T y = Res*e_0 and S^T y = Res*e_(2d-1), which
-    are integral because they are adjugate columns.  When Res = 0 both
-    columns come back empty.
+    The columns are the coefficient lists a1 + b1 and a2 + b2 of the unique
+    degree-(d-1) solutions of a1*F + b1*G = Res * X^(2d-1) and
+    a2*F + b2*G = Res * Y^(2d-1).  Setting Y = 1 turns the second identity
+    into a2(x, 1)*F(x, 1) + b2(x, 1)*G(x, 1) = Res, so one subresultant PRS
+    on F(x, 1) and G(x, 1) gives Res and (a2, b2); a second on F(1, y) and
+    G(1, y), the reversed coefficient lists, gives (a1, b1) scaled to that
+    Res.  In each run the cofactor of the first polynomial is u * Res / r,
+    for the last remainder r = u*a + v*b of its PRS, and the other cofactor
+    is an exact polynomial quotient; a nonzero remainder in either division
+    raises ArithmeticError.  When Res = 0 both columns come back empty.
     """
     if F.degree != G.degree or F.degree < 1:
         raise ValueError("F and G must be forms of one degree d >= 1")
-    n = 2 * F.degree
-    syl = _sylvester(F, G)
-    # rows of the transpose, augmented with e_0 and e_(n-1)
-    m = [[syl[j][i] for j in range(n)] + [0, 0] for i in range(n)]
-    m[0][n] = 1
-    m[n - 1][n + 1] = 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0, [], []
-        pivot = m[k][k]
-        row_k = m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            factor = row_i[k]
-            for j in range(k + 1, n + 2):
-                # exact division: Bareiss guarantees prev divides the 2x2 minor
-                row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    det = sign * m[n - 1][n - 1]
-    if det == 0:
+    res, a2, b2 = _bezout(F.coefficients, G.coefficients)
+    if res == 0:
         return 0, [], []
-
-    def solve(col: int) -> list[int]:
-        y = [0] * n
-        for i in range(n - 1, -1, -1):
-            row = m[i]
-            s = det * row[col] - sum(row[j] * y[j] for j in range(i + 1, n))
-            y[i], rem = divmod(s, row[i])
-            if rem:
-                raise ArithmeticError("adjugate column is not integral; the elimination is corrupt")
-        return y
-
-    return det, solve(n), solve(n + 1)
+    _, a1, b1 = _bezout(F.coefficients[::-1], G.coefficients[::-1], res)
+    return res, a1[::-1] + b1[::-1], a2 + b2
 
 
 def resultant(F: BinaryForm, G: BinaryForm) -> int:
     """Exact Sylvester resultant of two degree-d forms, d >= 1.
 
-    Fraction-free elimination keeps every intermediate value an integer;
-    a zero return means the forms share a projective root.  The sign is
-    whatever the Sylvester determinant gives (F rows above G rows); callers
-    that need a modulus or a bound should take abs().
+    The subresultant PRS keeps every intermediate value an integer minor of
+    the Sylvester matrix; a zero return means the forms share a projective
+    root.  The sign is the Sylvester determinant's (F rows above G rows);
+    callers that need a modulus or a bound should take abs().
     """
     return _eliminate(F, G)[0]
 
@@ -415,10 +490,17 @@ class MapLift:
 
     @classmethod
     def from_forms(cls, F: BinaryForm, G: BinaryForm) -> "MapLift":
-        """Validate a pair of forms and cache its resultant, cofactors and coefficient norm."""
+        """Validate a pair of forms and cache its resultant, cofactors and coefficient norm.
+
+        The one check of a map: unequal degrees and degree below 2 raise
+        ValueError, and a zero resultant raises NotAMorphismError.
+        """
+        if F.degree != G.degree:
+            raise ValueError(
+                f"F and G must have the same degree (got {F.degree} and {G.degree})"
+            )
         if F.degree < 2:
             raise ValueError("a self-map of P^1 needs degree at least 2")
-        # raises ValueError on unequal degrees and NotAMorphismError on Res = 0
         ident = cofactors(F, G)
         content = math.gcd(*F.coefficients, *G.coefficients)
         if content > 1:
@@ -741,38 +823,34 @@ def parse_map(text: str) -> MapLift:
         if set(forms) != {"F", "G"}:
             raise ParseError("both F and G must be assigned")
         F, G = forms["F"], forms["G"]
-        if F.degree != G.degree:
+    else:
+        m = _PHI_RE.match(text)
+        if m is None:
             raise ParseError(
-                f"F and G must have the same degree (got {F.degree} and {G.degree})"
+                "could not recognize the map; write 'F = ...; G = ...' in X and Y, "
+                "or 'phi(z) = (...)/(...)'"
             )
-        if F.degree < 2:
-            raise ParseError("the map must have degree at least 2")
-        return MapLift.from_forms(F, G)
-
-    m = _PHI_RE.match(text)
-    if m is None:
-        raise ParseError(
-            "could not recognize the map; write 'F = ...; G = ...' in X and Y, "
-            "or 'phi(z) = (...)/(...)'"
+        var, rhs = m.group(1), m.group(2)
+        num_text, den_text = _split_toplevel_slash(rhs)
+        num = _PolyParser(_tokenize(num_text), (var,)).parse()
+        den = (
+            _PolyParser(_tokenize(den_text), (var,)).parse()
+            if den_text is not None
+            else {(0,): 1}
         )
-    var, rhs = m.group(1), m.group(2)
-    num_text, den_text = _split_toplevel_slash(rhs)
-    num = _PolyParser(_tokenize(num_text), (var,)).parse()
-    den = (
-        _PolyParser(_tokenize(den_text), (var,)).parse()
-        if den_text is not None
-        else {(0,): 1}
-    )
-    if not num:
-        raise ParseError("the numerator must not be the zero polynomial")
-    if not den:
-        raise ParseError("the denominator must not be the zero polynomial")
-    d = max(max(k[0] for k in num), max(k[0] for k in den))
-    if d < 2:
-        raise ParseError("the map must have degree at least 2")
-    f_coeffs = tuple(num.get((d - i,), 0) for i in range(d + 1))
-    g_coeffs = tuple(den.get((d - i,), 0) for i in range(d + 1))
-    return MapLift.from_forms(BinaryForm(f_coeffs), BinaryForm(g_coeffs))
+        if not num:
+            raise ParseError("the numerator must not be the zero polynomial")
+        if not den:
+            raise ParseError("the denominator must not be the zero polynomial")
+        d = max(max(k[0] for k in num), max(k[0] for k in den))
+        F = BinaryForm(tuple(num.get((d - i,), 0) for i in range(d + 1)))
+        G = BinaryForm(tuple(den.get((d - i,), 0) for i in range(d + 1)))
+    try:
+        return MapLift.from_forms(F, G)
+    except NotAMorphismError:
+        raise
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:\s*/\s*([+-]?\d+))?$")

@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+import p1height
 from p1height.cli import main
 
 
@@ -226,11 +229,15 @@ def test_oracle_budget_exit_4(capsys):
 
 
 def test_module_invocation():
+    # the child imports the package under test, installed or not
+    src = str(Path(p1height.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "p1height", "--list-fixtures"],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "ex4" in proc.stdout

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p1height import forms, nonarch
+from p1height.fixtures import fixture_lift
 from p1height.forms import (
     BinaryForm,
     MapLift,
@@ -278,6 +279,90 @@ def test_resultant_validations():
         resultant(BinaryForm((1,)), BinaryForm((2,)))
 
 
+@st.composite
+def _form_pairs(draw):
+    """Two forms of one degree 1..12 for the elimination.
+
+    Coefficients come from {-1, 0, 1} (whose remainder sequences often skip
+    degrees), from +-30 or from +-2^700; either form may lose its X^d or
+    its Y^d coefficient, and some pairs share the linear factor X - kY.
+    """
+    d = draw(st.integers(1, 12))
+    bound = draw(st.sampled_from((1, 30, 2**700)))
+    shared = draw(st.integers(-3, 3)) if draw(st.integers(0, 3)) == 0 else None
+    coeffs = st.lists(st.integers(-bound, bound), min_size=d + 1, max_size=d + 1)
+    pair = []
+    for _ in range(2):
+        c = draw(coeffs)
+        if shared is not None:
+            c = convolve((1, -shared), c[1:])
+        for end in (0, -1):
+            if draw(st.integers(0, 5)) == 0:
+                c[end] = 0
+        pair.append(BinaryForm(tuple(c)))
+    return tuple(pair)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_form_pairs())
+def test_elimination_matches_fraction_determinant_and_identities(pair):
+    F, G = pair
+    res = resultant(F, G)
+    assert res == fraction_det(sylvester_rows(F, G))
+    if res:
+        assert cofactor_identities_hold(F, G, cofactors(F, G))
+
+
+# Res and (a1, b1, a2, b2), pinned from the Bareiss elimination the PRS replaced
+_PINNED_ELIMINATIONS = {
+    "degree gap": (
+        (1, 0, 1, -1, -1), (-1, 1, 0, 1, 1),
+        2, ((1, 0, 2, 1), (-1, -1, 2, 1), (-5, 8, -4, 7), (-5, 3, -6, 9)),
+    ),
+    "F without X^d": (
+        (0, 2, -1, 3), (1, 1, 0, -2),
+        -164, ((27, 38, -106), (-164, 110, -159), (3, -14, -30), (0, -6, 37)),
+    ),
+    "G without X^d": (
+        (2, -1, 0, 1), (0, 0, 3, 1),
+        -88, ((-44, -22, -2), (-6, 16, 2), (0, 0, -108), (72, -60, 20)),
+    ),
+    "F without Y^d": (
+        (1, 3, -2, 0), (2, 0, 1, 5),
+        -2630, ((-300, -320, 1525), (-1165, 610, 0), (-146, 230, -3), (73, 104, -526)),
+    ),
+    "degree 1": ((2, 3), (-1, 4), 11, ((4,), (-3,), (1,), (2,))),
+    "negative": ((1, 0, -1), (1, -4, 2), -7, ((-10, 8), (3, 4), (-4, 13), (4, 3))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_ELIMINATIONS))
+def test_pinned_eliminations(case):
+    f, g, res, forms_want = _PINNED_ELIMINATIONS[case]
+    F, G = BinaryForm(f), BinaryForm(g)
+    ident = cofactors(F, G)
+    assert resultant(F, G) == ident.resultant == res == fraction_det(sylvester_rows(F, G))
+    got = (ident.a1, ident.b1, ident.a2, ident.b2)
+    assert tuple(c.coefficients for c in got) == forms_want
+    assert cofactor_identities_hold(F, G, ident)
+
+
+def test_pinned_degree_gap_occurs():
+    # every end coefficient is nonzero, so a gap of 2 or more between a
+    # dividend and its divisor is an abnormal step of the PRS
+    f, g, *_ = _PINNED_ELIMINATIONS["degree gap"]
+    assert f[0] and f[-1] and g[0] and g[-1]
+    with mock.patch.object(forms, "_prem", wraps=forms._prem) as prem:
+        resultant(BinaryForm(f), BinaryForm(g))
+    assert max(len(a) - len(b) for (a, b), _ in prem.call_args_list) >= 2
+
+
+def test_ex1_cofactor_identities_hold():
+    lift = fixture_lift("ex1")
+    assert lift.degree == 80
+    assert cofactor_identities_hold(lift.F, lift.G, lift.cofactor_identity)
+
+
 # ---------------------------------------------------------------------------
 # cofactors
 
@@ -353,6 +438,14 @@ def test_map_lift_validations():
         MapLift.from_forms(BinaryForm((1, 0, 0)), BinaryForm((1, 0)))
     with pytest.raises(NotAMorphismError):
         MapLift.from_forms(BinaryForm((1, 0, 0)), BinaryForm((1, 0, 0)))
+
+
+def test_parse_map_reports_map_checks_as_parse_errors():
+    with pytest.raises(ParseError, match=r"\(got 2 and 3\)"):
+        parse_map("F = X^2; G = Y^3")
+    for text in ("F = X; G = Y", "phi(z) = 3z + 1", "phi(z) = 5"):
+        with pytest.raises(ParseError, match="degree at least 2"):
+            parse_map(text)
 
 
 def test_map_lift_content_warning():
