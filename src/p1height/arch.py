@@ -13,8 +13,13 @@ evaluating the exact cofactor identities
     a1*F + b1*G = Res * X^(2d-1),   a2*F + b2*G = Res * Y^(2d-1)
 
 at a unit-norm pair bounds it from below by |Res|/(2d*cofactor_norm).  The
-resulting constant is rigorous, so the reported tail bound is a proof, not
-an observation; a coarse budget of terms * 2^(8 - precision) covers rounding.
+resulting truncation bound is proved; the rounding budget of
+terms * 2^(8 - precision) is asserted, not proved (ROADMAP item 2).
+
+The step kernel calls mpmath's libmp primitives on raw values, so no mpf
+object is built per operation.  It makes the same correctly rounded
+operations in the same order as the mpf-operator loop it replaced, and
+skips only exact ones, so every value is bit-identical to that loop's.
 """
 
 from __future__ import annotations
@@ -22,6 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath.libmp import (
+    fnone, fone, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_log, mpf_lt, mpf_mul, mpf_sub,
+    round_nearest,
+)
 
 from .forms import MapLift, ProjectivePoint
 from .numerics import log_int, resolve_precision_bits
@@ -45,27 +54,45 @@ class ArchResult:
     terms: int
 
 
-def _eval_real(coeffs, x, y):
-    # Horner in x with powers of y accumulated alongside
-    acc = coeffs[0]
-    yp = mp.mpf(1)
-    for c in coeffs[1:]:
-        yp *= y
-        acc = acc * x + c * yp
-    return acc
+# +1 and -1, indexed by an mpf's sign bit
+_UNIT = (fone, fnone)
 
 
-def _step(fc, gc, ux, uy):
-    """Images of the unit pair (ux, uy) under the mpf coefficient lists fc, gc, and their sup norm."""
-    fa = _eval_real(fc, ux, uy)
-    ga = _eval_real(gc, ux, uy)
-    m = max(abs(fa), abs(ga))
-    if m == 0:
+def _raw_coefficients(lift: MapLift, prec: int):
+    """F's and G's coefficients as libmp values rounded to prec bits."""
+    return [[from_int(c, prec, round_nearest) for c in f.coefficients] for f in (lift.F, lift.G)]
+
+
+def _step(fc, gc, ux, uy, prec: int):
+    """(Phi(u)/m, m) for the unit pair u = (ux, uy), m = max(|F(u)|, |G(u)|).
+
+    Horner in x with the powers of y alongside, acc = acc*x + c*y^i, each
+    operation rounded to nearest at prec bits.  Exact shortcuts only: F and
+    G share the y-powers, y^1 is uy itself (uy has prec bits), a zero
+    coefficient adds nothing, and the coordinate whose absolute value is m
+    becomes +-1 (|F(u)| on a tie, as max keeps its first argument).
+    """
+    rnd = round_nearest
+    ys = [uy]
+    for _ in range(len(fc) - 2):
+        ys.append(mpf_mul(ys[-1], uy, prec, rnd))
+    fa, ga = fc[0], gc[0]
+    for cf, cg, yp in zip(fc[1:], gc[1:], ys):
+        fa = mpf_mul(fa, ux, prec, rnd)
+        if cf[1]:
+            fa = mpf_add(fa, mpf_mul(cf, yp, prec, rnd), prec, rnd)
+        ga = mpf_mul(ga, ux, prec, rnd)
+        if cg[1]:
+            ga = mpf_add(ga, mpf_mul(cg, yp, prec, rnd), prec, rnd)
+    afa, aga = mpf_abs(fa), mpf_abs(ga)
+    if mpf_lt(afa, aga):
+        return mpf_div(fa, aga, prec, rnd), _UNIT[ga[0]], aga
+    if not afa[1]:
         raise RuntimeError(
             "internal error: both forms vanished at working precision, which "
             "cannot happen for a morphism away from precision exhaustion"
         )
-    return fa, ga, m
+    return _UNIT[fa[0]], mpf_div(ga, afa, prec, rnd), afa
 
 
 def arch_step(lift: MapLift, u) -> mp.mpf:
@@ -75,14 +102,13 @@ def arch_step(lift: MapLift, u) -> mp.mpf:
     the current working precision; scaling input is the caller's job, which
     is what makes the step value readable without a norm correction.
     """
+    prec = mp.mp.prec
     ux, uy = mp.mpf(u[0]), mp.mpf(u[1])
     norm = max(abs(ux), abs(uy))
-    if abs(norm - 1) > mp.mpf(2) ** (4 - mp.mp.prec):
+    if abs(norm - 1) > mp.mpf(2) ** (4 - prec):
         raise ValueError("arch_step needs sup norm 1; divide the pair by its sup norm first")
-    fc = [mp.mpf(c) for c in lift.F.coefficients]
-    gc = [mp.mpf(c) for c in lift.G.coefficients]
-    _, _, m = _step(fc, gc, ux, uy)
-    return -mp.log(m)
+    _, _, m = _step(*_raw_coefficients(lift, prec), ux._mpf_, uy._mpf_, prec)
+    return -mp.log(mp.make_mpf(m))
 
 
 def arch_step_bound(lift: MapLift) -> mp.mpf:
@@ -110,29 +136,29 @@ def arch_height(
     """Truncated archimedean series at P by renormalized iteration.
 
     The full series differs from the returned value by at most tail_bound,
-    which combines the rigorous truncation bound with a coarse rounding
-    budget of terms * 2^(8 - precision_bits).
+    which combines the proved truncation bound with a rounding budget of
+    terms * 2^(8 - precision_bits) that is asserted, not proved.
     """
     if not isinstance(terms, int) or terms < 1:
         raise ValueError("terms must be a positive integer")
     bits = resolve_precision_bits(precision_bits, lift.degree, terms, lift.coeff_norm)
     d = lift.degree
+    rnd = round_nearest
+    fc, gc = _raw_coefficients(lift, bits)
+    scale = from_int(max(abs(P.x), abs(P.y)), bits, rnd)
+    ux, uy = (mpf_div(from_int(v, bits, rnd), scale, bits, rnd) for v in (P.x, P.y))
+    total = fzero
+    denom = d
+    for _ in range(terms):
+        ux, uy, m = _step(fc, gc, ux, uy, bits)
+        step = mpf_div(mpf_log(m, bits, rnd), from_int(denom), bits, rnd)
+        total = mpf_sub(total, step, bits, rnd)
+        denom *= d
     with mp.workprec(bits):
-        fc = [mp.mpf(c) for c in lift.F.coefficients]
-        gc = [mp.mpf(c) for c in lift.G.coefficients]
-        scale = mp.mpf(max(abs(P.x), abs(P.y)))
-        ux, uy = mp.mpf(P.x) / scale, mp.mpf(P.y) / scale
-        total = mp.mpf(0)
-        denom = d
-        for _ in range(terms):
-            fa, ga, m = _step(fc, gc, ux, uy)
-            total -= mp.log(m) / denom
-            denom *= d
-            ux, uy = fa / m, ga / m
         bound = arch_step_bound(lift)
         tail = bound / ((d - 1) * d**terms) + terms * mp.mpf(2) ** (8 - bits)
     return ArchResult(
-        value=total,
+        value=mp.make_mpf(total),
         tail_bound=tail,
         step_bound=bound,
         precision_bits=bits,

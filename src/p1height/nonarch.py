@@ -86,6 +86,7 @@ class PartialFactorization:
 
 
 _SIEVE_CAP = 10_000_000
+_BLOCK = 256  # primes per gcd in trial_division
 
 
 @lru_cache(maxsize=8)
@@ -98,11 +99,19 @@ def _primes_upto(bound: int) -> tuple[int, ...]:
     return tuple(i for i in range(bound + 1) if sieve[i])
 
 
+@lru_cache(maxsize=4096)
+def _block_product(bound: int, start: int) -> int:
+    """The product of the _BLOCK primes up to `bound` from index `start` on."""
+    return math.prod(_primes_upto(bound)[start : start + _BLOCK])
+
+
 def trial_division(R: int, bound: int = 100_000) -> PartialFactorization:
     """Split R into prime powers p^e for p <= bound plus one unfactored cofactor.
 
     The parts are pairwise coprime and multiply to R.  If the remainder
-    after stripping small primes is 1 there is no cofactor part.
+    after stripping small primes is 1 there is no cofactor part.  The
+    primes go in blocks of _BLOCK, and a block is scanned prime by prime
+    only when the gcd of the remainder with its product exceeds 1.
     """
     if R < 2:
         raise ValueError("trial division needs an integer >= 2")
@@ -113,25 +122,27 @@ def trial_division(R: int, bound: int = 100_000) -> PartialFactorization:
     parts: list[int] = []
     prov: list[str] = []
     rest = R
-    for p in _primes_upto(bound):
-        if rest == 1 or p * p > rest:
+    primes = _primes_upto(bound)
+    for start in range(0, len(primes), _BLOCK):
+        if rest == 1 or primes[start] ** 2 > rest:
             break
-        if rest % p == 0:
-            q = p
-            rest //= p
-            while rest % p == 0:
-                q *= p
+        if math.gcd(rest, _block_product(bound, start)) == 1:
+            continue
+        for p in primes[start : start + _BLOCK]:
+            if rest == 1 or p * p > rest:
+                break
+            if rest % p == 0:
+                q = p
                 rest //= p
-            parts.append(q)
-            prov.append("prime-power")
+                while rest % p == 0:
+                    q *= p
+                    rest //= p
+                parts.append(q)
+                prov.append("prime-power")
     if rest > 1:
-        if rest <= bound:
-            # survived division by every prime up to its square root, so prime
-            parts.append(rest)
-            prov.append("prime-power")
-        else:
-            parts.append(rest)
-            prov.append("cofactor")
+        # a remainder <= bound survived division by every prime up to its square root: prime
+        parts.append(rest)
+        prov.append("prime-power" if rest <= bound else "cofactor")
     return PartialFactorization(tuple(parts), tuple(prov))
 
 
@@ -214,19 +225,18 @@ def _reducer(M: int, mu: int | None, extra: int):
     return red
 
 
-def _gcd_loop(lift: MapLift, P: ProjectivePoint, modulus: int, top_power: int, terms: int) -> list[int]:
+def _gcd_loop(ev, extra: int, P: ProjectivePoint, modulus: int, top_power: int, terms: int) -> list[int]:
     """Reduced-orbit gcd extraction against one modulus.
 
-    Step i works modulo modulus^(terms-i); the shrinking powers come from
-    exact division of the precomputed top power, so only one big power is
-    ever held.  gcd(m, 0, 0) = m is correct here: the true orbit gcd always
+    ev is _form_evaluator((F, G)) and extra is _headroom((F, G)); both
+    depend on the map alone, so one pair serves every modulus.  Step i
+    works modulo modulus^(terms-i); the shrinking powers come from exact
+    division of the precomputed top power, so only one big power is ever
+    held.  gcd(m, 0, 0) = m is correct here: the true orbit gcd always
     divides the modulus, so a doubly-vanishing residue pair means the gcd
     is the whole current part.  Large moduli reduce by Barrett's method
     with the reciprocal carried down the chain; every residue is exact.
     """
-    forms = (lift.F, lift.G)
-    ev = _form_evaluator(forms)
-    extra = _headroom(forms)
     x, y = P.x, P.y
     out: list[int] = []
     for live, mu in _reciprocals(top_power, modulus, terms, extra):
@@ -292,12 +302,13 @@ def nonarch_height(
     if R == 1:
         zero = mp.mpf(0)
         return NonArchResult(zero, (1,) * terms, zero, terms, 1, bits)
+    ev, extra = _form_evaluator((lift.F, lift.G)), _headroom((lift.F, lift.G))
     gs = [1] * terms
     max_bits = 0
     for part in parts.coprime_parts if parts is not None else (R,):
         top = part**terms
         max_bits = max(max_bits, top.bit_length())
-        for i, g in enumerate(_gcd_loop(lift, P, part, top, terms)):
+        for i, g in enumerate(_gcd_loop(ev, extra, P, part, top, terms)):
             gs[i] *= g
     return _assemble(lift, gs, terms, max_bits, bits)
 

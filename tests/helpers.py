@@ -4,7 +4,9 @@ Everything here recomputes quantities by a route deliberately different
 from the implementation under test: determinants by cofactor expansion or
 by Gaussian elimination over Fraction instead of fraction-free elimination,
 gcd sequences from full-size exact orbits instead of reduced ones,
-polynomial identities by coefficient convolution.
+polynomial identities by coefficient convolution, the archimedean series by
+mpf operators instead of raw libmp calls, trial division one prime at a
+time instead of by block gcds.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath as mp
+
 from p1height.forms import BinaryForm, MapLift, ProjectivePoint, evaluate, normalize_point
+from p1height.nonarch import PartialFactorization, _primes_upto
 
 
 def brute_det(m: list[list[int]]) -> int:
@@ -133,3 +138,77 @@ def exact_gcd_sequence(lift: MapLift, P: ProjectivePoint, n: int) -> list[int]:
         out.append(g)
         x, y = a // g, b // g
     return out
+
+
+def _reference_eval_real(coeffs, x, y):
+    acc = coeffs[0]
+    yp = mp.mpf(1)
+    for c in coeffs[1:]:
+        yp *= y
+        acc = acc * x + c * yp
+    return acc
+
+
+def _reference_norm(fc, gc, ux, uy):
+    fa = _reference_eval_real(fc, ux, uy)
+    ga = _reference_eval_real(gc, ux, uy)
+    m = max(abs(fa), abs(ga))
+    if m == 0:
+        raise RuntimeError("both forms vanished at working precision")
+    return fa, ga, m
+
+
+def reference_arch_orbit(lift: MapLift, P: ProjectivePoint, terms: int, bits: int):
+    """(value, pairs, norms) of the archimedean series by mpf operators, one
+    rounding per operator: Horner in x with y-powers alongside,
+    max(abs, abs), mp.log(m) / d^(n+1), and both coordinates divided by m.
+
+    pairs[n] is the unit pair u_n (pairs[0] is P scaled), and norms[n] is
+    m = max(|F(u_n)|, |G(u_n)|), which gives u_(n+1).
+    """
+    d = lift.degree
+    with mp.workprec(bits):
+        fc = [mp.mpf(c) for c in lift.F.coefficients]
+        gc = [mp.mpf(c) for c in lift.G.coefficients]
+        scale = mp.mpf(max(abs(P.x), abs(P.y)))
+        ux, uy = mp.mpf(P.x) / scale, mp.mpf(P.y) / scale
+        pairs, norms = [(ux, uy)], []
+        total = mp.mpf(0)
+        denom = d
+        for _ in range(terms):
+            fa, ga, m = _reference_norm(fc, gc, ux, uy)
+            total -= mp.log(m) / denom
+            denom *= d
+            ux, uy = fa / m, ga / m
+            pairs.append((ux, uy))
+            norms.append(m)
+    return total, pairs, norms
+
+
+def reference_arch_step(lift: MapLift, u) -> mp.mpf:
+    """-log max(|F(u)|, |G(u)|) by mpf operators at the current precision."""
+    fc = [mp.mpf(c) for c in lift.F.coefficients]
+    gc = [mp.mpf(c) for c in lift.G.coefficients]
+    return -mp.log(_reference_norm(fc, gc, mp.mpf(u[0]), mp.mpf(u[1]))[2])
+
+
+def reference_trial_division(R: int, bound: int):
+    """trial_division as one remainder per sieve prime, in order, stopping
+    at rest == 1 or p*p > rest; a remainder <= bound is a prime power."""
+    parts, prov = [], []
+    rest = R
+    for p in _primes_upto(bound):
+        if rest == 1 or p * p > rest:
+            break
+        if rest % p == 0:
+            q = p
+            rest //= p
+            while rest % p == 0:
+                q *= p
+                rest //= p
+            parts.append(q)
+            prov.append("prime-power")
+    if rest > 1:
+        parts.append(rest)
+        prov.append("prime-power" if rest <= bound else "cofactor")
+    return PartialFactorization(tuple(parts), tuple(prov))

@@ -4,11 +4,15 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from p1height.arch import arch_height, arch_step, arch_step_bound
-from p1height.forms import BinaryForm, MapLift, ProjectivePoint
+from p1height.arch import _raw_coefficients, _step, arch_height, arch_step, arch_step_bound
+from p1height.fixtures import load_fixture
+from p1height.forms import BinaryForm, CofactorIdentity, MapLift, ProjectivePoint, normalize_point
+from p1height.numerics import default_precision_bits
 
-from helpers import random_lift, random_point
+from helpers import random_lift, random_point, reference_arch_orbit, reference_arch_step
 
 
 def _lift(f_coeffs, g_coeffs):
@@ -172,3 +176,107 @@ def test_arch_series_tracks_large_coefficient_map():
         # and unit pairs whose F-value is near a, so value ~ -log a
         assert abs(res.value + mp.log(a)) < mp.mpf("1e-5")
         assert abs(res.value) > mp.log(a) / 2
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the raw-libmp kernel with the mpf-operator loop
+
+
+def _unchecked_lift(F, G):
+    """A MapLift without the elimination, which takes minutes at degree 60
+    with 700-bit coefficients.  The series value depends on F, G, the point
+    and the precision alone; only the tail bound reads the stand-in
+    resultant and cofactors, and these tests do not check it."""
+    zero = BinaryForm((0,) * (F.degree + 1))
+    ident = CofactorIdentity(zero, zero, zero, zero, 1)
+    return MapLift(F, G, F.degree, 1, max(F.norm, G.norm, 1), ident)
+
+
+def _dense_int(bits_seed):
+    # a length drawn uniformly and every bit random, so that rounding to
+    # fewer bits is inexact: of 200 draws from st.integers(-2^700, 2^700)
+    # only 4 exceed 2^300, and 2 of those are powers of 2
+    bits, seed = bits_seed
+    rng = random.Random(seed)
+    return rng.choice((-1, 1)) * rng.getrandbits(bits)
+
+
+_COEFF = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.tuples(st.integers(1, 700), st.integers(0, 2**32)).map(_dense_int),
+)
+
+
+@st.composite
+def _series_cases(draw):
+    shape = draw(st.sampled_from(("random", "points", "tie", "tie-negated")))
+    if shape == "points":
+        f, g = (3, 0, 1), (0, 2, 0)
+    elif shape == "random":
+        d = draw(st.integers(2, 60))
+        f = draw(st.lists(_COEFF, min_size=d + 1, max_size=d + 1))
+        g = draw(st.lists(_COEFF, min_size=d + 1, max_size=d + 1))
+    else:
+        # |F(u)| = |G(u)| at every u: the tie goes to F on every step
+        d = draw(st.integers(2, 12))
+        f = draw(st.lists(_COEFF, min_size=d + 1, max_size=d + 1))
+        g = [-c for c in f] if shape == "tie-negated" else list(f)
+    if not any(f) or not any(g):
+        f, g = (1, 0, 1), (0, 2, 0)  # ties at (1, 1)
+    coord = st.one_of(st.integers(-3, 3), st.integers(-(10**40), 10**40))
+    x, y = draw(coord), draw(coord)
+    if x == 0 and y == 0:
+        y = 1
+    prec = draw(st.one_of(st.integers(64, 400), st.integers(64, 1200)))
+    terms = draw(st.integers(1, 12))
+    t = draw(st.fractions(-1, 1, max_denominator=10**6))
+    return f, g, normalize_point(x, y), prec, terms, t
+
+
+def _raw(pair):
+    return tuple(v._mpf_ for v in pair)
+
+
+def _check_against_reference(lift, P, terms, prec):
+    """The series value and every step of the kernel (next unit pair and its
+    norm m) equal the mpf-operator loop's bit for bit.  A log compresses
+    last-bit differences of a large m, so the value alone would not show them."""
+    try:
+        want, pairs, norms = reference_arch_orbit(lift, P, terms, prec)
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            arch_height(lift, P, terms, precision_bits=prec)
+        return
+    assert arch_height(lift, P, terms, precision_bits=prec).value._mpf_ == want._mpf_
+    fc, gc = _raw_coefficients(lift, prec)
+    for n, m in enumerate(norms):
+        assert _step(fc, gc, *_raw(pairs[n]), prec) == (*_raw(pairs[n + 1]), m._mpf_)
+
+
+def _outcome(fn):
+    try:
+        return fn()._mpf_
+    except RuntimeError:
+        return "both forms vanished"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_series_cases())
+def test_raw_kernel_is_bit_identical_to_the_mpf_operator_loop(case):
+    f, g, P, prec, terms, t = case
+    lift = _unchecked_lift(BinaryForm(tuple(f)), BinaryForm(tuple(g)))
+    _check_against_reference(lift, P, terms, prec)
+    with mp.workprec(prec):
+        scale = mp.mpf(max(abs(P.x), abs(P.y)))
+        tm = mp.mpf(t.numerator) / t.denominator
+        for u in ((mp.mpf(P.x) / scale, mp.mpf(P.y) / scale), (mp.mpf(1), tm), (-tm, mp.mpf(-1))):
+            assert _outcome(lambda: arch_step(lift, u)) == _outcome(lambda: reference_arch_step(lift, u))
+
+
+@pytest.mark.parametrize("fixture_id", ["ex1", "ex2", "ex3", "ex4"])
+def test_raw_kernel_is_bit_identical_on_the_fixtures(fixture_id):
+    fx = load_fixture(fixture_id)
+    lift = fx.lift()
+    bits = default_precision_bits(lift.degree, 50, lift.coeff_norm)
+    _check_against_reference(lift, fx.point(), 50, bits)

@@ -17,6 +17,7 @@ from p1height.forms import (
     MapLift,
     NotAMorphismError,
     ProjectivePoint,
+    _form_evaluator,
     evaluate,
     normalize_point,
 )
@@ -32,7 +33,7 @@ from p1height.nonarch import (
     trial_division,
 )
 
-from helpers import exact_gcd_sequence, random_lift, random_point
+from helpers import exact_gcd_sequence, random_lift, random_point, reference_trial_division
 
 
 def _lift(f_coeffs, g_coeffs):
@@ -217,6 +218,44 @@ def test_trial_division_random_roundtrip():
         parts.validate_for(R)
 
 
+def _trial_division_cases():
+    """(R, bound) pairs around the block structure of trial_division."""
+    B = 100_000
+    primes = nonarch._primes_upto(B)
+    size = nonarch._BLOCK
+    last0, first1 = primes[size - 1], primes[size]  # the first block boundary
+    big = 2**89 - 1  # a Mersenne prime far above every bound
+    cases = [
+        (2, B),
+        (last0 * first1, B),
+        (last0**3 * first1**2 * big, B),
+        (last0 * primes[3 * size + 7] * big, B),
+        # the p*p > rest stop leaves a prime <= B: block 1's first, and the largest below B
+        (3 * first1, B),
+        (2**4 * primes[-1], B),
+        # a prime remainder above B, and a factor equal to B
+        (6 * 100_003, B),
+        (97**2 * 101, 97),
+        (2 * 97 * 103 * 107, 97),
+        # B below one block: a single partial block
+        (2**3 * 5 * 211, 100),
+        (211 * 223, 100),
+    ]
+    rng = random.Random(1309)
+    for _ in range(150):
+        R = 1
+        for _ in range(rng.randint(0, 4)):
+            R *= rng.choice(primes[: 4 * size]) ** rng.randint(1, 3)
+        R *= rng.choice((1, rng.randint(2, 10**6), rng.getrandbits(200) | 1, big))
+        cases.append((max(R, 2), rng.choice((B, 1000, 2000, 17))))
+    return cases
+
+
+def test_trial_division_matches_the_per_prime_scan():
+    for R, bound in _trial_division_cases():
+        assert trial_division(R, bound) == reference_trial_division(R, bound), (R, bound)
+
+
 def test_partial_factorization_validation():
     with pytest.raises(ValueError):
         PartialFactorization((2, 1), ("user", "user"))
@@ -278,9 +317,11 @@ def test_barrett_loop_gives_the_plain_loop_g_sequence(fixture_id):
     top = R**50
     # the first steps reduce by Barrett under the default crossover
     assert top.bit_length() > 2 * nonarch._BARRETT_MIN_BITS
-    barrett = _gcd_loop(lift, P, R, top, 50)
+    forms = (lift.F, lift.G)
+    ev, extra = _form_evaluator(forms), _headroom(forms)
+    barrett = _gcd_loop(ev, extra, P, R, top, 50)
     with mock.patch.object(nonarch, "_BARRETT_MIN_BITS", math.inf):
-        assert _gcd_loop(lift, P, R, top, 50) == barrett
+        assert _gcd_loop(ev, extra, P, R, top, 50) == barrett
 
 
 # ---------------------------------------------------------------------------
