@@ -1,87 +1,19 @@
 """Canonical heights on the projective line over Q, without factoring resultants.
 
-Public API re-exported here:
-
-* forms:    BinaryForm, ProjectivePoint, MapLift, CofactorIdentity,
-            parse_map, parse_point, normalize_point, evaluate, evaluate_mod,
-            resultant, cofactors, ParseError, NotAMorphismError
-* nonarch:  NonArchResult, PartialFactorization, nonarch_height,
-            nonarch_height_factored, trial_division, exact_log_gcd
-* arch:     ArchResult, arch_height, arch_step, arch_step_bound
-* height:   HeightBreakdown, canonical_height, canonical_height_oracle,
-            naive_height, height_identity_check, BudgetExceededError
-* fixtures: Fixture, fixture_ids, load_fixture, fixture_lift
+The public API is the ``__all__`` of the modules forms, nonarch, arch,
+height and fixtures, re-exported here.
 """
 
-from .arch import ArchResult, arch_height, arch_step, arch_step_bound
-from .fixtures import Fixture, fixture_ids, fixture_lift, load_fixture
-from .forms import (
-    BinaryForm,
-    CofactorIdentity,
-    MapLift,
-    NotAMorphismError,
-    ParseError,
-    ProjectivePoint,
-    cofactors,
-    evaluate,
-    evaluate_mod,
-    normalize_point,
-    parse_map,
-    parse_point,
-    resultant,
-)
-from .height import (
-    BudgetExceededError,
-    HeightBreakdown,
-    canonical_height,
-    canonical_height_oracle,
-    height_identity_check,
-    naive_height,
-)
-from .nonarch import (
-    NonArchResult,
-    PartialFactorization,
-    exact_log_gcd,
-    nonarch_height,
-    nonarch_height_factored,
-    trial_division,
-)
+from . import arch, fixtures, forms, height, nonarch
+from .arch import *  # noqa: F403
+from .fixtures import *  # noqa: F403
+from .forms import *  # noqa: F403
+from .height import *  # noqa: F403
+from .nonarch import *  # noqa: F403
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "ArchResult",
-    "BinaryForm",
-    "BudgetExceededError",
-    "CofactorIdentity",
-    "Fixture",
-    "HeightBreakdown",
-    "MapLift",
-    "NonArchResult",
-    "NotAMorphismError",
-    "ParseError",
-    "PartialFactorization",
-    "ProjectivePoint",
-    "arch_height",
-    "arch_step",
-    "arch_step_bound",
-    "canonical_height",
-    "canonical_height_oracle",
-    "cofactors",
-    "evaluate",
-    "evaluate_mod",
-    "exact_log_gcd",
-    "fixture_ids",
-    "fixture_lift",
-    "height_identity_check",
-    "load_fixture",
-    "naive_height",
-    "nonarch_height",
-    "nonarch_height_factored",
-    "normalize_point",
-    "parse_map",
-    "parse_point",
-    "resultant",
-    "trial_division",
+    *forms.__all__, *nonarch.__all__, *arch.__all__, *height.__all__, *fixtures.__all__,
     "__version__",
 ]

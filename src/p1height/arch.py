@@ -88,9 +88,9 @@ def _step(fc, gc, ux, uy, prec: int):
     if mpf_lt(afa, aga):
         return mpf_div(fa, aga, prec, rnd), _UNIT[ga[0]], aga
     if not afa[1]:
-        raise RuntimeError(
-            "internal error: both forms vanished at working precision, which "
-            "cannot happen for a morphism away from precision exhaustion"
+        raise ValueError(
+            f"both forms vanished at the {prec}-bit working precision, which a "
+            "morphism does only when it is too low; raise precision_bits (--precision)"
         )
     return _UNIT[fa[0]], mpf_div(ga, afa, prec, rnd), afa
 
@@ -139,8 +139,6 @@ def arch_height(
     which combines the proved truncation bound with a rounding budget of
     terms * 2^(8 - precision_bits) that is asserted, not proved.
     """
-    if not isinstance(terms, int) or terms < 1:
-        raise ValueError("terms must be a positive integer")
     bits = resolve_precision_bits(precision_bits, lift.degree, terms, lift.coeff_norm)
     d = lift.degree
     rnd = round_nearest

@@ -7,9 +7,10 @@ height with its error bound, and timing.  Structured output is a single
 JSON document whose numeric fields are decimal strings, because the values
 routinely carry more digits than any fixed-width float holds.
 
-Exit codes: 0 success, 2 input could not be parsed or validated, 3 the two
-forms share a projective root (not a morphism), 4 a resource budget was
-exceeded.  Error paths print nothing to stdout.
+Exit codes: 0 success, 2 input could not be parsed or validated (a too-low
+--precision included), 3 the two forms share a projective root (not a
+morphism), 4 a resource budget was exceeded, Python's int<->str digit limit
+included.  Error paths print nothing to stdout.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from .fixtures import fixture_ids, load_fixture
 from .forms import NotAMorphismError, ParseError, parse_map, parse_point
 from .height import BudgetExceededError, canonical_height, canonical_height_oracle
 from .nonarch import trial_division
-from .numerics import to_decimal_string
+from .numerics import (
+    check_run_parameters, decimal_digits, int_str_digits_limit, to_decimal_string,
+)
 
 __all__ = ["JobSpec", "main", "run"]
 
@@ -41,7 +44,11 @@ _TEXT_DIGITS = 32
 
 @dataclass
 class JobSpec:
-    """One CLI job: exactly one map source, a point, and the run options."""
+    """One CLI job: exactly one map source, a point, and the run options.
+
+    The fields are the argparse dests of the CLI options; trial_bound None
+    (--no-factor) runs the single-modulus loop without splitting |Res|.
+    """
 
     map_text: str | None = None
     map_file: str | None = None
@@ -49,8 +56,7 @@ class JobSpec:
     point_text: str | None = None
     terms: int = 50
     precision_bits: int | None = None
-    trial_bound: int = 100_000
-    factor: bool = True
+    trial_bound: int | None = 100_000
     emit_g_sequence: bool = False
     oracle_n: int | None = None
     output_format: str = "text"
@@ -78,8 +84,7 @@ def _execute(spec: JobSpec) -> str:
     sources = [s for s in (spec.map_text, spec.map_file, spec.fixture) if s]
     if len(sources) != 1:
         raise ValueError("exactly one of --map, --map-file, or --fixture is required")
-    if spec.terms < 1:
-        raise ValueError("--terms must be at least 1")
+    check_run_parameters(spec.terms, spec.precision_bits)
     if spec.output_format not in ("text", "json"):
         raise ValueError("--format must be text or json")
 
@@ -98,9 +103,10 @@ def _execute(spec: JobSpec) -> str:
         if not spec.point_text:
             raise ValueError("--point is required when the map is given directly")
         point = parse_point(spec.point_text)
+    _check_int_str_digits(lift, point)
 
     parts = None
-    if spec.factor and abs(lift.resultant) > 1:
+    if spec.trial_bound is not None and abs(lift.resultant) > 1:
         parts = trial_division(abs(lift.resultant), spec.trial_bound)
     breakdown = canonical_height(
         lift,
@@ -120,6 +126,18 @@ def _execute(spec: JobSpec) -> str:
     if spec.output_format == "json":
         return json.dumps(doc, indent=2)
     return _render_text(doc)
+
+
+def _check_int_str_digits(lift, point) -> None:
+    """Raise BudgetExceededError when an integer the report prints in decimal
+    (a part of |Res|, coeff_norm, a coordinate) may pass Python's int<->str limit."""
+    limit = int_str_digits_limit()
+    digits = max(decimal_digits(n) for n in (lift.resultant, lift.coeff_norm, point.x, point.y))
+    if limit is not None and digits > limit:
+        raise BudgetExceededError(
+            f"the report would print an integer of up to {digits} decimal digits, over "
+            f"Python's int<->str conversion limit of {limit} digits"
+        )
 
 
 def _short_int(n: int) -> str:
@@ -297,16 +315,19 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="BITS",
         help="working precision; the default grows with terms, degree, and coefficient size",
     )
-    parser.add_argument(
+    split = parser.add_mutually_exclusive_group()
+    split.add_argument(
         "--trial-bound",
         type=int,
         default=100_000,
         metavar="B",
         help="trial-division bound for splitting the resultant (default 100000)",
     )
-    parser.add_argument(
+    split.add_argument(
         "--no-factor",
-        action="store_true",
+        dest="trial_bound",
+        action="store_const",
+        const=None,
         help="skip trial division and run the single-modulus loop",
     )
     parser.add_argument(
@@ -338,27 +359,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = vars(parser.parse_args(argv))
     except SystemExit as exc:
         # argparse has already printed usage or help
         return int(exc.code) if exc.code else EXIT_OK
-    if args.list_fixtures:
-        print(_render_catalog(args.output_format))
+    if args.pop("list_fixtures"):
+        print(_render_catalog(args["output_format"]))
         return EXIT_OK
-    spec = JobSpec(
-        map_text=args.map_text,
-        map_file=args.map_file,
-        fixture=args.fixture,
-        point_text=args.point_text,
-        terms=args.terms,
-        precision_bits=args.precision_bits,
-        trial_bound=args.trial_bound,
-        factor=not args.no_factor,
-        emit_g_sequence=args.emit_g_sequence,
-        oracle_n=args.oracle_n,
-        output_format=args.output_format,
-    )
-    code, report = run(spec)
+    code, report = run(JobSpec(**args))
     print(report, file=sys.stdout if code == EXIT_OK else sys.stderr)
     return code
 

@@ -66,7 +66,7 @@ class Fixture:
     expected: tuple[tuple[str, str], ...]
 
     def point(self) -> ProjectivePoint:
-        return _fixture_point(self.fixture_id)
+        return _inputs(self.fixture_id)[2]
 
     def lift(self) -> MapLift:
         return fixture_lift(self.fixture_id)
@@ -76,39 +76,30 @@ def _digits_form(digits: str) -> BinaryForm:
     return BinaryForm(tuple(int(ch) for ch in digits))
 
 
-@lru_cache(maxsize=None)
-def fixture_lift(fixture_id: str) -> MapLift:
-    """Build (and cache) the lift of a fixture; cached so repeated runs share it."""
+def _inputs(fixture_id: str) -> tuple[BinaryForm, BinaryForm, ProjectivePoint]:
+    """F, G and the point of a fixture; load_fixture rejects an unknown id."""
+    load_fixture(fixture_id)
     if fixture_id == "ex1":
         F = _digits_form(_load_data("ex1_num_digits.txt"))
         G = _digits_form(_load_data("ex1_den_digits.txt"))
-    elif fixture_id == "ex2":
+        return F, G, normalize_point(-5, 1)
+    if fixture_id == "ex2":
         primes = _primes_upto(65)
         F = BinaryForm(tuple(-i if i in primes else 1 for i in range(66)))
         G = BinaryForm(tuple(1 if i <= 33 else -1 for i in range(66)))
-    elif fixture_id == "ex3":
-        a = int(_load_data("pi_digits_201.txt"))
-        F = BinaryForm((1, 1, 1))
-        G = BinaryForm((1, a, 2))
-    elif fixture_id == "ex4":
-        a = int(_load_data("rsa768.txt"))
-        F = BinaryForm((a, 0, 1))
-        G = BinaryForm((0, 1, 0))
-    else:
-        raise KeyError(f"unknown fixture {fixture_id!r}; known: {', '.join(fixture_ids())}")
-    return MapLift.from_forms(F, G)
-
-
-def _fixture_point(fixture_id: str) -> ProjectivePoint:
-    if fixture_id == "ex1":
-        return normalize_point(-5, 1)
-    if fixture_id == "ex2":
-        return normalize_point(0, 1)
+        return F, G, normalize_point(0, 1)
     if fixture_id == "ex3":
-        return normalize_point(1, 1)
-    if fixture_id == "ex4":
-        return normalize_point(int(_load_data("rsa768.txt")), 1)
-    raise KeyError(f"unknown fixture {fixture_id!r}; known: {', '.join(fixture_ids())}")
+        a = int(_load_data("pi_digits_201.txt"))
+        return BinaryForm((1, 1, 1)), BinaryForm((1, a, 2)), normalize_point(1, 1)
+    a = int(_load_data("rsa768.txt"))  # ex4
+    return BinaryForm((a, 0, 1)), BinaryForm((0, 1, 0)), normalize_point(a, 1)
+
+
+@lru_cache(maxsize=None)
+def fixture_lift(fixture_id: str) -> MapLift:
+    """Build (and cache) the lift of a fixture; cached so repeated runs share it."""
+    F, G, _ = _inputs(fixture_id)
+    return MapLift.from_forms(F, G)
 
 
 _CATALOG = (

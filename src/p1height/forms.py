@@ -31,6 +31,8 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .numerics import int_str_digits_limit
+
 __all__ = [
     "BinaryForm",
     "CofactorIdentity",
@@ -541,6 +543,25 @@ _MAX_EXPONENT = 4096
 _MAX_NESTING = 100
 
 
+def _check_literal(text: str) -> str:
+    """An integer literal, unchanged, or ParseError past Python's int<->str digit limit."""
+    limit, digits = int_str_digits_limit(), len(text.lstrip("+-"))
+    if limit is not None and digits > limit:
+        raise ParseError(
+            f"an integer literal of {digits} digits is over Python's int<->str "
+            f"conversion limit of {limit} digits"
+        )
+    return text
+
+
+def _check_degree(projected: int, what: str) -> None:
+    """ParseError if the degree `what` projects once enclosing powers apply is too high."""
+    if projected > _MAX_EXPONENT:
+        raise ParseError(
+            f"{what} degree {projected}, over the supported maximum {_MAX_EXPONENT}"
+        )
+
+
 def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens = []
     pos = 0
@@ -552,7 +573,7 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
             raise ParseError(f"unexpected character {text[pos:].strip()[0]!r} at position {pos}")
         pos = m.end()
         if m.group("int") is not None:
-            tokens.append(("int", m.group("int")))
+            tokens.append(("int", _check_literal(m.group("int"))))
         elif m.group("name") is not None:
             tokens.append(("name", m.group("name")))
         else:
@@ -648,12 +669,7 @@ class _PolyParser:
     def times(self, p, q):
         # the degree the product reaches once the enclosing powers apply,
         # checked before multiplying
-        projected = (_degree(p) + _degree(q)) * self.scale
-        if projected > _MAX_EXPONENT:
-            raise ParseError(
-                f"a product projects degree {projected}, over the supported "
-                f"maximum {_MAX_EXPONENT}"
-            )
+        _check_degree((_degree(p) + _degree(q)) * self.scale, "a product projects")
         return _pmul(p, q)
 
     def factor(self):
@@ -681,12 +697,7 @@ class _PolyParser:
                 raise ParseError(f"exponent {e} exceeds the supported maximum {_MAX_EXPONENT}")
             # the degree this power reaches once the enclosing powers apply too,
             # checked before any expansion so nested powers cannot blow up
-            projected = _degree(poly) * e * self.scale
-            if projected > _MAX_EXPONENT:
-                raise ParseError(
-                    f"nested powers project degree {projected}, over the supported "
-                    f"maximum {_MAX_EXPONENT}"
-                )
+            _check_degree(_degree(poly) * e * self.scale, "nested powers project")
             poly = _ppow(poly, e, len(self.variables))
         return poly if sign == 1 else _pneg(poly)
 
@@ -803,7 +814,8 @@ def parse_map(text: str) -> MapLift:
       numerator and denominator are homogenized to the larger of their
       degrees (the denominator ``1`` may be omitted).
 
-    Integer literals may be arbitrarily large; ``*`` between a coefficient
+    Integer literals may be as long as Python's int<->str digit limit
+    (sys.get_int_max_str_digits(), 4300 by default) allows; ``*`` between a coefficient
     and a monomial is optional; ``^`` and ``**`` both exponentiate.
     """
     if ";" in text:
@@ -860,8 +872,8 @@ def _parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ParseError(f"not a rational number: {text.strip()!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    num = int(_check_literal(m.group(1)))
+    den = int(_check_literal(m.group(2))) if m.group(2) is not None else 1
     if den == 0:
         raise ParseError("zero denominator in a rational number")
     return Fraction(num, den)

@@ -33,7 +33,7 @@ from .nonarch import (  # noqa: F401
     nonarch_height_factored,
     trial_division,
 )
-from .numerics import log_int, resolve_precision_bits
+from .numerics import decimal_digits, log_int, resolve_precision_bits
 
 __all__ = [
     "BudgetExceededError",
@@ -82,32 +82,24 @@ def canonical_height(
     terms: int = 50,
     precision_bits: int | None = None,
     factoring: PartialFactorization | int | None = None,
-    *,
-    nonarch_terms: int | None = None,
-    arch_terms: int | None = None,
 ) -> HeightBreakdown:
     """Canonical height of P under the lifted map, with a rigorous error bound.
 
-    Both series run `terms` steps by default (override individually with
-    nonarch_terms / arch_terms).  `factoring` picks the coprime parts of
+    Both series run `terms` steps.  `factoring` picks the coprime parts of
     |Res| that the nonarchimedean gcd loop runs over: None runs it once
     against |Res|; a PartialFactorization runs it per part; an integer B
     first builds parts by trial division of |Res| up to B.  All three give
     the same g-sequence and value.
     """
-    n_terms = nonarch_terms if nonarch_terms is not None else terms
-    a_terms = arch_terms if arch_terms is not None else terms
-    bits = resolve_precision_bits(
-        precision_bits, lift.degree, max(n_terms, a_terms), lift.coeff_norm
-    )
+    bits = resolve_precision_bits(precision_bits, lift.degree, terms, lift.coeff_norm)
     R = abs(lift.resultant)
     parts = None if R == 1 else factoring
     if parts is not None and not isinstance(parts, PartialFactorization):
         parts = trial_division(R, int(parts))
-    na = nonarch_height(lift, P, n_terms, precision_bits=bits, parts=parts)
-    ar = arch_height(lift, P, a_terms, precision_bits=bits)
+    na = nonarch_height(lift, P, terms, precision_bits=bits, parts=parts)
+    ar = arch_height(lift, P, terms, precision_bits=bits)
+    naive = naive_height(P, bits)
     with mp.workprec(bits):
-        naive = log_int(max(abs(P.x), abs(P.y)))
         canonical = naive - ar.value - na.value
         err = na.tail_bound + ar.tail_bound
         if canonical < -err:
@@ -122,10 +114,6 @@ def canonical_height(
         canonical=canonical,
         error_bound=err,
     )
-
-
-def _decimal_digits(n: int) -> int:
-    return abs(n).bit_length() * 30103 // 100000 + 1
 
 
 def canonical_height_oracle(
@@ -152,8 +140,8 @@ def canonical_height_oracle(
         out.append(log_int(max(abs(x), abs(y))))
     denom = 1
     for n in range(1, n_max + 1):
-        cur = max(_decimal_digits(x), _decimal_digits(y))
-        projected = d * cur + _decimal_digits(lift.coeff_norm) + len(str(d + 1))
+        cur = max(decimal_digits(x), decimal_digits(y))
+        projected = d * cur + decimal_digits(lift.coeff_norm) + len(str(d + 1))
         if projected > digit_budget:
             raise BudgetExceededError(
                 f"iterate {n} needs about {projected} decimal digits per "

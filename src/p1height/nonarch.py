@@ -158,11 +158,6 @@ def exact_log_gcd(lift: MapLift, Q: ProjectivePoint, precision_bits: int | None 
         return log_int(g)
 
 
-def _check_terms(terms: int) -> None:
-    if not isinstance(terms, int) or terms < 1:
-        raise ValueError("terms must be a positive integer")
-
-
 # Moduli of at least this many bits reduce by Barrett's method (one product
 # by a carried reciprocal and one by the modulus) instead of `%`, whose
 # schoolbook division is quadratic where Karatsuba multiplication is not.
@@ -294,7 +289,6 @@ def nonarch_height(
     most tail_bound.  A unit resultant short-circuits: every orbit gcd is 1
     and the series vanishes identically, with zero tail.
     """
-    _check_terms(terms)
     bits = resolve_precision_bits(precision_bits, lift.degree, terms, lift.coeff_norm)
     R = abs(lift.resultant)
     if parts is not None:

@@ -10,6 +10,7 @@ logarithms carry about bit_length(coeff_norm) bits in their integer parts.
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath as mp
 
@@ -33,19 +34,38 @@ def default_precision_bits(degree: int, terms: int, coeff_norm: int) -> int:
     return max(PRECISION_FLOOR_BITS, GUARD_BITS + growth + scale)
 
 
+def check_run_parameters(terms, precision_bits: int | None) -> None:
+    """Raise ValueError unless terms is a positive int and precision_bits is
+    None or at least MIN_PRECISION_BITS."""
+    if not isinstance(terms, int) or terms < 1:
+        raise ValueError("terms must be a positive integer")
+    if precision_bits is not None and precision_bits < MIN_PRECISION_BITS:
+        raise ValueError(f"precision_bits must be at least {MIN_PRECISION_BITS}")
+
+
 def resolve_precision_bits(
     precision_bits: int | None, degree: int, terms: int, coeff_norm: int
 ) -> int:
     """The working precision of a run: precision_bits, or the default when None.
 
-    Raises ValueError for a request below MIN_PRECISION_BITS (0 included),
-    so an unusable precision fails before any series work starts.
+    Checks the run parameters first (check_run_parameters), so an unusable
+    terms or precision fails before any series work starts.
     """
+    check_run_parameters(terms, precision_bits)
     if precision_bits is None:
         return default_precision_bits(degree, terms, coeff_norm)
-    if precision_bits < MIN_PRECISION_BITS:
-        raise ValueError(f"precision_bits must be at least {MIN_PRECISION_BITS}")
     return precision_bits
+
+
+def decimal_digits(n: int) -> int:
+    """An upper bound on the number of decimal digits of |n|, from its bit length."""
+    return abs(n).bit_length() * 30103 // 100000 + 1
+
+
+def int_str_digits_limit() -> int | None:
+    """Python's limit on the digits of an int<->str conversion; None when unlimited."""
+    getter = getattr(sys, "get_int_max_str_digits", None)
+    return (getter() or None) if getter else None
 
 
 def log_int(n: int) -> mp.mpf:

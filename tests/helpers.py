@@ -154,7 +154,7 @@ def _reference_norm(fc, gc, ux, uy):
     ga = _reference_eval_real(gc, ux, uy)
     m = max(abs(fa), abs(ga))
     if m == 0:
-        raise RuntimeError("both forms vanished at working precision")
+        raise ValueError("both forms vanished at working precision")
     return fa, ga, m
 
 

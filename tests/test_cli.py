@@ -10,6 +10,7 @@ import mpmath as mp
 import pytest
 
 import p1height
+import p1height.cli as cli
 from p1height.cli import main
 
 
@@ -80,6 +81,21 @@ def test_no_factor_matches_default(capsys):
     assert d1["factoring"] is not None
     assert d2["factoring"] is None
     assert d2["nonarch"]["modulus_bits"] >= d1["nonarch"]["modulus_bits"]
+
+
+def test_point_at_infinity_through_the_split_loop(capsys):
+    # [1, 0] is fixed, and every g_i is 3, a proper part of Res = 12
+    code, out, _ = run_cli(
+        capsys, "--map", "phi(z) = (3*z^2 + 1)/(2*z)", "--point", "[-4, 0]", "--terms", "12",
+        "--emit-g-sequence", "--format", "json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["point"] == "[1, 0]"
+    assert [p["decimal"] for p in doc["factoring"]["parts"]] == ["4", "3"]
+    assert doc["nonarch"]["gcd_sequence"] == ["3"] * 12
+    with mp.workprec(doc["precision_bits"]):
+        assert abs(mp.mpf(doc["canonical_height"])) <= mp.mpf(doc["error_bound"])
 
 
 def test_map_file_input(capsys, tmp_path):
@@ -176,6 +192,7 @@ def test_list_fixtures_json(capsys):
         ("--fixture", "nope"),
         ("--map", "phi(z) = z^2", "--point", "1", "--terms", "0"),
         ("--map", "phi(z) = z^2", "--point", "1", "--precision", "32"),
+        ("--map", "phi(z) = z^2", "--point", "1", "--trial-bound", "5", "--no-factor"),
     ],
 )
 def test_parse_failures_exit_2(capsys, argv):
@@ -183,6 +200,63 @@ def test_parse_failures_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err != ""
+
+
+# F = (X - cY)^2 + Y^2, G = Y(X - cY) with c = 2^40; at [c, 1] scaled to
+# (1, 2^-40), F is 2^-80 and G is 0, so 64 bits round both to 0 and the
+# default precision (256 bits) does not
+_NEAR_ROOT = (
+    "--map", "F = X^2 - 2199023255552*X*Y + 1208925819614629174706177*Y^2; "
+    "G = X*Y - 1099511627776*Y^2", "--point", "[1099511627776, 1]", "--terms", "5",
+)
+
+
+def test_too_low_precision_exits_2(capsys):
+    code, out, err = run_cli(capsys, *_NEAR_ROOT, "--precision", "64")
+    assert code == 2
+    assert out == ""
+    assert "64-bit" in err and "--precision" in err
+    code, out, err = run_cli(capsys, *_NEAR_ROOT)
+    assert code == 0
+    assert err == ""
+
+
+@pytest.fixture
+def int_str_limit_4300():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int<->str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def test_resultant_past_the_int_str_limit_exits_4_before_the_series(
+    capsys, monkeypatch, int_str_limit_4300
+):
+    def fail(*args, **kwargs):
+        raise AssertionError("canonical_height ran before the digit limit was checked")
+
+    monkeypatch.setattr(cli, "canonical_height", fail)
+    # |Res| has about 5000 digits
+    code, out, err = run_cli(
+        capsys, "--map", "F = X^2 + 10^2500*X*Y + Y^2; G = X^2 + 2*Y^2", "--point", "[1, 1]",
+    )
+    assert code == 4
+    assert out == ""
+    assert "4300" in err
+
+
+def test_literal_past_the_int_str_limit_exits_2(capsys, int_str_limit_4300):
+    digits = "7" * 4400
+    for argv in (
+        ("--map", f"F = X^2 + {digits}*Y^2; G = X*Y", "--point", "[1, 1]"),
+        ("--map", "F = X^2 + Y^2; G = X*Y", "--point", f"[-{digits}, 1]"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "literal" in err and "4300" in err
 
 
 def test_deep_nesting_exits_2_and_shallower_nesting_parses(capsys):

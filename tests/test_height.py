@@ -208,14 +208,6 @@ def test_factoring_ignored_for_unit_resultant():
     assert bd.nonarch.modulus_bits == 1
 
 
-def test_split_terms_override():
-    lift = _lift((3, 1, 1), (1, 4, 2))
-    P = ProjectivePoint(5, 2)
-    bd = canonical_height(lift, P, terms=10, nonarch_terms=4, arch_terms=9)
-    assert bd.nonarch.terms == 4
-    assert bd.arch.terms == 9
-
-
 def test_precision_is_checked_before_any_layer_runs(monkeypatch):
     def loop(*args):
         raise AssertionError("the gcd loop ran before the precision was checked")
