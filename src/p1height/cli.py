@@ -85,6 +85,8 @@ def _execute(spec: JobSpec) -> str:
     if len(sources) != 1:
         raise ValueError("exactly one of --map, --map-file, or --fixture is required")
     check_run_parameters(spec.terms, spec.precision_bits)
+    if spec.oracle_n is not None and spec.oracle_n < 1:
+        raise ValueError(f"--oracle must be a positive integer, got {spec.oracle_n}")
     if spec.output_format not in ("text", "json"):
         raise ValueError("--format must be text or json")
 
@@ -115,11 +117,11 @@ def _execute(spec: JobSpec) -> str:
         precision_bits=spec.precision_bits,
         factoring=parts,
     )
-    oracle_seq = (
-        canonical_height_oracle(lift, point, spec.oracle_n)
-        if spec.oracle_n is not None
-        else None
-    )
+    oracle_seq = None
+    if spec.oracle_n is not None:
+        oracle_seq = canonical_height_oracle(
+            lift, point, spec.oracle_n, precision_bits=breakdown.precision_bits
+        )
     elapsed = time.perf_counter() - started
 
     doc = _document(spec, lift, point, parts, breakdown, oracle_seq, elapsed)

@@ -7,7 +7,7 @@ building blocks the height computations rest on:
 
 * parsing of map and point descriptions (homogeneous pair or rational
   function in one variable),
-* form evaluation, full-size and modular,
+* exact form evaluation,
 * point normalization to coprime integer coordinates,
 * Sylvester resultants by the fraction-free subresultant PRS,
 * the degree-(d-1) cofactor forms a1, b1, a2, b2 with
@@ -25,7 +25,6 @@ All coefficients are unbounded Python ints; nothing in this module rounds.
 from __future__ import annotations
 
 import math
-import operator
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -42,7 +41,6 @@ __all__ = [
     "ProjectivePoint",
     "cofactors",
     "evaluate",
-    "evaluate_mod",
     "normalize_point",
     "parse_map",
     "parse_point",
@@ -90,9 +88,6 @@ class BinaryForm:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coefficients)
-
-    def __call__(self, x: int, y: int) -> int:
-        return evaluate(self, x, y)
 
     def __str__(self) -> str:
         d = self.degree
@@ -172,103 +167,6 @@ def evaluate(f: BinaryForm, x: int, y: int) -> int:
         yp *= y
         acc = acc * x + c * yp
     return acc
-
-
-def evaluate_mod(f: BinaryForm, x: int, y: int, m: int) -> int:
-    """The exact value f(x, y) reduced into [0, m), for m >= 1.
-
-    A view of the shared Paterson-Stockmeyer walk of _form_evaluator, with
-    every reduction a plain `% m`.
-    """
-    if m < 1:
-        raise ValueError("modulus must be at least 1")
-    return _form_evaluator((f,))(x, y, m, m.__rmod__)[0]
-
-
-def _block_size(d: int) -> int:
-    """Paterson-Stockmeyer block size for degree d: the k in 1..d+1 that needs
-    the fewest full-size products to evaluate a pair of forms (ties go to the
-    larger k, which has fewer blocks to reduce).
-
-    The count mirrors _form_evaluator: the powers x^2..x^k and y^2..y^k, the
-    k-2 inner baby monomials, the s-2 inner ones of a shorter leading block
-    of s coefficients, the B-2 shared powers Y^(b_j) and two products per
-    form per giant step.  A single block (k = d+1) needs the powers up to d
-    and the d-1 inner monomials only.
-    """
-
-    def products(k: int) -> int:
-        blocks = -(-(d + 1) // k)
-        if blocks == 1:
-            return 3 * (d - 1)
-        lead = d + 1 - (blocks - 1) * k
-        short = max(lead - 2, 0) if lead < k else 0
-        return 2 * (k - 1) + max(k - 2, 0) + short + (blocks - 2) + 4 * (blocks - 1)
-
-    return min(range(d + 1, 0, -1), key=products)
-
-
-def _form_evaluator(forms: tuple[BinaryForm, ...]):
-    """ev(x, y, m, red) -> the values of all `forms` at (x, y), each reduced into [0, m), for m >= 1.
-
-    One homogeneous Paterson-Stockmeyer walk serves every form.  The d+1
-    coefficients split into a leading block of s <= k and blocks of k; with
-    the baby monomials x^(k-1-r)*y^r each block is a scalar dot product,
-    reduced once, and the giant steps run Horner in X^k,
-
-        acc = red(acc*X^k + (block_j % m)*Y^(b_j)),   b_j = s + (j-1)*k,
-
-    with the powers Y^(b_j) shared by every form.  A single block (k = d+1)
-    leaves its top powers and monomials unreduced, each below m^2, and
-    reduces each form's sum once.
-
-    red(v) must return v % m.  It gets every full-size value: products of
-    two residues, sums of two such products, and the single block's sums,
-    which stay below (d+1) * max|c| * m^2 in absolute value and may be
-    negative.  Small-quotient reductions use `%` directly.
-
-    The forms must share one degree d, and k = _block_size(d).  The plan (k
-    and the coefficient slices) is built here, once, so callers that
-    evaluate at many points build the evaluator once too.
-    """
-    d = forms[0].degree
-    if any(f.degree != d for f in forms):
-        raise ValueError("forms evaluated together must share one degree")
-    k = _block_size(d)
-    nblocks = -(-(d + 1) // k)
-    s = d + 1 - (nblocks - 1) * k
-    leads = [f.coefficients[:s] for f in forms]
-    blocks = [
-        [f.coefficients[i : i + k] for i in range(s, d + 1, k)] for f in forms
-    ]
-    lazy = nblocks == 1
-    top = k - lazy  # highest power of x and y the walk needs
-    mul = operator.mul
-
-    def ev(x: int, y: int, m: int, red) -> list[int]:
-        x %= m
-        y %= m
-        xp, yp = [1, x], [1, y]
-        for _ in range(top - 1 - lazy):
-            xp.append(red(xp[-1] * x))
-            yp.append(red(yp[-1] * y))
-        if lazy:
-            if d > 1:
-                xp.append(xp[-1] * x)
-                yp.append(yp[-1] * y)
-            mono = [xp[d - r] * yp[r] for r in range(d + 1)]
-            return [red(sum(map(mul, cs, mono))) for cs in leads]
-        baby = [red(xp[k - 1 - r] * yp[r]) for r in range(k)]
-        short = baby if s == k else [red(xp[s - 1 - r] * yp[r]) for r in range(s)]
-        accs = [sum(map(mul, cs, short)) % m for cs in leads]
-        for j in range(nblocks - 1):
-            yb = red(yb * yp[k]) if j else yp[s]
-            for i, fb in enumerate(blocks):
-                block = sum(map(mul, fb[j], baby))
-                accs[i] = red(accs[i] * xp[k] + block % m * yb)
-        return accs
-
-    return ev
 
 
 def normalize_point(x, y) -> ProjectivePoint:
@@ -832,8 +730,6 @@ def parse_map(text: str) -> MapLift:
                 raise ParseError(f"{name} is assigned twice")
             poly = _PolyParser(_tokenize(rhs), ("X", "Y")).parse()
             forms[name] = _form_from_xy_poly(poly, name)
-        if set(forms) != {"F", "G"}:
-            raise ParseError("both F and G must be assigned")
         F, G = forms["F"], forms["G"]
     else:
         m = _PHI_RE.match(text)

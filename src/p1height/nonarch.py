@@ -5,7 +5,9 @@ sum_{i<N} log(g_i)/d^(i+1), where g_i is the gcd of the i-th exact image
 pair with R = |Res(F, G)|.  The key point is that the g_i survive reduction:
 running the orbit modulo R^(N-i) and dividing each step's gcd out of the
 reduced pair recovers exactly the g_i of the exact orbit, while keeping
-every working integer below R^N.  R is never factored.
+every working integer below R^N.  R is never factored.  Each step
+evaluates F and G by one Paterson-Stockmeyer walk, reduced by Barrett's
+method on large moduli; this module holds the walk, the reducer and the loop.
 
 When some coprime splitting of R is known anyway (say, small prime powers
 from trial division), the same loop runs once per part on much smaller
@@ -15,12 +17,13 @@ moduli, and the per-part gcds multiply back into the g_i.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath as mp
 
-from .forms import MapLift, ProjectivePoint, _form_evaluator, evaluate
+from .forms import BinaryForm, MapLift, ProjectivePoint, evaluate
 from .numerics import log_int, resolve_precision_bits
 
 __all__ = [
@@ -158,6 +161,92 @@ def exact_log_gcd(lift: MapLift, Q: ProjectivePoint, precision_bits: int | None 
         return log_int(g)
 
 
+def _block_size(d: int) -> int:
+    """Paterson-Stockmeyer block size for degree d: the k in 1..d+1 that needs
+    the fewest full-size products to evaluate a pair of forms (ties go to the
+    larger k, which has fewer blocks to reduce).
+
+    The count mirrors _form_evaluator: the powers x^2..x^k and y^2..y^k, the
+    k-2 inner baby monomials, the s-2 inner ones of a shorter leading block
+    of s coefficients, the B-2 shared powers Y^(b_j) and two products per
+    form per giant step.  A single block (k = d+1) needs the powers up to d
+    and the d-1 inner monomials only.
+    """
+
+    def products(k: int) -> int:
+        blocks = -(-(d + 1) // k)
+        if blocks == 1:
+            return 3 * (d - 1)
+        lead = d + 1 - (blocks - 1) * k
+        short = max(lead - 2, 0) if lead < k else 0
+        return 2 * (k - 1) + max(k - 2, 0) + short + (blocks - 2) + 4 * (blocks - 1)
+
+    return min(range(d + 1, 0, -1), key=products)
+
+
+def _form_evaluator(forms: tuple[BinaryForm, ...]):
+    """ev(x, y, m, red) -> the values of all `forms` at (x, y), each reduced into [0, m), for m >= 1.
+
+    One homogeneous Paterson-Stockmeyer walk serves every form.  The d+1
+    coefficients split into a leading block of s <= k and blocks of k; with
+    the baby monomials x^(k-1-r)*y^r each block is a scalar dot product,
+    reduced once, and the giant steps run Horner in X^k,
+
+        acc = red(acc*X^k + (block_j % m)*Y^(b_j)),   b_j = s + (j-1)*k,
+
+    with the powers Y^(b_j) shared by every form.  A single block (k = d+1)
+    leaves its top powers and monomials unreduced, each below m^2, and
+    reduces each form's sum once.
+
+    red(v) must return v % m.  It gets every full-size value: products of
+    two residues, sums of two such products, and the single block's sums,
+    which stay below (d+1) * max|c| * m^2 in absolute value and may be
+    negative.  Small-quotient reductions use `%` directly.
+
+    The forms must share one degree d, and k = _block_size(d).  The plan (k
+    and the coefficient slices) is built here, once, so callers that
+    evaluate at many points build the evaluator once too.
+    """
+    d = forms[0].degree
+    if any(f.degree != d for f in forms):
+        raise ValueError("forms evaluated together must share one degree")
+    k = _block_size(d)
+    nblocks = -(-(d + 1) // k)
+    s = d + 1 - (nblocks - 1) * k
+    leads = [f.coefficients[:s] for f in forms]
+    blocks = [
+        [f.coefficients[i : i + k] for i in range(s, d + 1, k)] for f in forms
+    ]
+    lazy = nblocks == 1
+    top = k - lazy  # highest power of x and y the walk needs
+    mul = operator.mul
+
+    def ev(x: int, y: int, m: int, red) -> list[int]:
+        x %= m
+        y %= m
+        xp, yp = [1, x], [1, y]
+        for _ in range(top - 1 - lazy):
+            xp.append(red(xp[-1] * x))
+            yp.append(red(yp[-1] * y))
+        if lazy:
+            if d > 1:
+                xp.append(xp[-1] * x)
+                yp.append(yp[-1] * y)
+            mono = [xp[d - r] * yp[r] for r in range(d + 1)]
+            return [red(sum(map(mul, cs, mono))) for cs in leads]
+        baby = [red(xp[k - 1 - r] * yp[r]) for r in range(k)]
+        short = baby if s == k else [red(xp[s - 1 - r] * yp[r]) for r in range(s)]
+        accs = [sum(map(mul, cs, short)) % m for cs in leads]
+        for j in range(nblocks - 1):
+            yb = red(yb * yp[k]) if j else yp[s]
+            for i, fb in enumerate(blocks):
+                block = sum(map(mul, fb[j], baby))
+                accs[i] = red(accs[i] * xp[k] + block % m * yb)
+        return accs
+
+    return ev
+
+
 # Moduli of at least this many bits reduce by Barrett's method (one product
 # by a carried reciprocal and one by the modulus) instead of `%`, whose
 # schoolbook division is quadratic where Karatsuba multiplication is not.
@@ -244,33 +333,6 @@ def _gcd_loop(ev, extra: int, P: ProjectivePoint, modulus: int, top_power: int, 
     return out
 
 
-def _assemble(
-    lift: MapLift,
-    gs: list[int],
-    terms: int,
-    modulus_bits: int,
-    precision_bits: int,
-) -> NonArchResult:
-    d = lift.degree
-    R = abs(lift.resultant)
-    with mp.workprec(precision_bits):
-        total = mp.mpf(0)
-        denom = d
-        for g in gs:
-            if g > 1:
-                total += log_int(g) / denom
-            denom *= d
-        tail = log_int(R) / ((d - 1) * d**terms)
-    return NonArchResult(
-        value=total,
-        gcd_sequence=tuple(gs),
-        tail_bound=tail,
-        terms=terms,
-        modulus_bits=modulus_bits,
-        precision_bits=precision_bits,
-    )
-
-
 def nonarch_height(
     lift: MapLift,
     P: ProjectivePoint,
@@ -286,25 +348,31 @@ def nonarch_height(
     per-part gcds multiply back into exactly the g-sequence of the
     single-modulus run; modulus_bits reports the largest per-part working
     modulus.  The full infinite sum differs from the returned value by at
-    most tail_bound.  A unit resultant short-circuits: every orbit gcd is 1
-    and the series vanishes identically, with zero tail.
+    most tail_bound.  A unit resultant needs no special case: every gcd is
+    gcd(1, 0, 0) = 1, and the value and the tail are 0.
     """
-    bits = resolve_precision_bits(precision_bits, lift.degree, terms, lift.coeff_norm)
+    d = lift.degree
+    bits = resolve_precision_bits(precision_bits, d, terms, lift.coeff_norm)
     R = abs(lift.resultant)
     if parts is not None:
         parts.validate_for(R)
-    if R == 1:
-        zero = mp.mpf(0)
-        return NonArchResult(zero, (1,) * terms, zero, terms, 1, bits)
     ev, extra = _form_evaluator((lift.F, lift.G)), _headroom((lift.F, lift.G))
     gs = [1] * terms
-    max_bits = 0
+    max_bits = 1
     for part in parts.coprime_parts if parts is not None else (R,):
         top = part**terms
         max_bits = max(max_bits, top.bit_length())
         for i, g in enumerate(_gcd_loop(ev, extra, P, part, top, terms)):
             gs[i] *= g
-    return _assemble(lift, gs, terms, max_bits, bits)
+    with mp.workprec(bits):
+        total = mp.mpf(0)
+        denom = d
+        for g in gs:
+            if g > 1:
+                total += log_int(g) / denom
+            denom *= d
+        tail = log_int(R) / ((d - 1) * d**terms)
+    return NonArchResult(total, tuple(gs), tail, terms, max_bits, bits)
 
 
 def nonarch_height_factored(

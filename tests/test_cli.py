@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,6 +13,8 @@ import pytest
 import p1height
 import p1height.cli as cli
 from p1height.cli import main
+from p1height.fixtures import load_fixture
+from p1height.height import canonical_height_oracle
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +139,19 @@ def test_oracle_report(capsys):
     assert len(doc["oracle"]) == 6
 
 
+def test_oracle_values_carry_the_run_precision(capsys):
+    # ex3 runs at 781 bits; every printed oracle digit must be computed
+    code, out, _ = run_cli(capsys, "--fixture", "ex3", "--oracle", "2", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["precision_bits"] > 700
+    fx = load_fixture("ex3")
+    want = canonical_height_oracle(fx.lift(), fx.point(), 2, precision_bits=3000)
+    with mp.workprec(3000):
+        for got, ref in zip(doc["oracle"], want, strict=True):
+            assert abs(mp.mpf(got) - ref) <= abs(ref) * mp.mpf("1e-200")
+
+
 # ---------------------------------------------------------------------------
 # fixtures through the CLI
 
@@ -219,6 +235,18 @@ def test_too_low_precision_exits_2(capsys):
     code, out, err = run_cli(capsys, *_NEAR_ROOT)
     assert code == 0
     assert err == ""
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_invalid_oracle_exits_2_before_any_series(capsys, monkeypatch, n):
+    def fail(*args, **kwargs):
+        raise AssertionError("canonical_height ran before --oracle was checked")
+
+    monkeypatch.setattr(cli, "canonical_height", fail)
+    code, out, err = run_cli(capsys, "--fixture", "ex3", "--oracle", n)
+    assert code == 2
+    assert out == ""
+    assert "--oracle" in err
 
 
 @pytest.fixture
@@ -315,3 +343,19 @@ def test_module_invocation():
     )
     assert proc.returncode == 0
     assert "ex4" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's trace targets
+
+
+def test_every_trace_target_resolves():
+    # perfbench/run.py --trace 1 wraps each (module, attribute) of
+    # perfbench/spans.py TARGETS; a moved or renamed target would break it
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for modname, attr, _ in spans.TARGETS:
+        assert callable(getattr(importlib.import_module(modname), attr, None)), (modname, attr)

@@ -21,15 +21,13 @@ from p1height.forms import (
     cofactors,
     evaluate,
     _PolyParser,
-    _block_size,
-    _form_evaluator,
     _tokenize,
-    evaluate_mod,
     normalize_point,
     parse_map,
     parse_point,
     resultant,
 )
+from p1height.nonarch import _block_size, _form_evaluator
 
 from helpers import (
     brute_det,
@@ -84,25 +82,13 @@ def test_evaluate_homogeneity():
         assert evaluate(f, c * x, c * y) == c**d * evaluate(f, x, y)
 
 
-def test_evaluate_mod_examples():
+def test_form_evaluator_examples():
     f = BinaryForm((1, 1, 1))
-    assert evaluate_mod(f, 1, 1, 5) == 3
+    assert _form_evaluator((f,))(1, 1, 5, (5).__rmod__) == [3]
     for a in (2, 5, 11, 10**30 + 7):
         g = BinaryForm((a, 0, 1))
-        assert evaluate_mod(g, a, 1, a * a) == 1  # a^3 + 1 mod a^2
-    assert evaluate_mod(f, 12345, -678, 1) == 0
-    with pytest.raises(ValueError):
-        evaluate_mod(f, 1, 1, 0)
-
-
-def test_evaluate_mod_matches_evaluate():
-    rng = random.Random(202)
-    for _ in range(1000):
-        d = rng.randint(1, 4)
-        f = random_form(rng, d, -50, 50)
-        x, y = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
-        m = rng.randint(1, 10**12)
-        assert evaluate_mod(f, x, y, m) == evaluate(f, x, y) % m
+        assert _form_evaluator((g,))(a, 1, a * a, (a * a).__rmod__) == [1]  # a^3 + 1 mod a^2
+    assert _form_evaluator((f,))(12345, -678, 1, (1).__rmod__) == [0]
 
 
 @st.composite
@@ -150,7 +136,7 @@ def test_form_evaluator_matches_evaluate_for_every_block_size(case):
     barrett = nonarch._reducer(m, mu, extra)
     assert _form_evaluator(fs)(x, y, m, barrett) == want
     for k in range(1, d + 2):
-        with mock.patch.object(forms, "_block_size", lambda _: k):
+        with mock.patch.object(nonarch, "_block_size", lambda _: k):
             ev = _form_evaluator(fs)
         assert ev(x, y, m, m.__rmod__) == want
     assert ev(x, y, m, barrett) == want
@@ -472,6 +458,8 @@ def test_parse_map_pair_form():
     assert lift.F.coefficients == (1, 1, 1)
     assert lift.G.coefficients == (1, 7, 2)
     assert lift.resultant == 7 * 7 - 21 + 3
+    # -X*Y + Y*X cancels inside the product
+    assert parse_map("F = (X+Y)*(X-Y); G = X*Y").F.coefficients == (1, 0, -1)
 
 
 def test_parse_map_syntax_variants():
@@ -525,6 +513,26 @@ def test_parse_map_errors():
         parse_map("F = X^2; G = X^2")
     with pytest.raises(NotAMorphismError):
         parse_map("phi(z) = (z^2 + z) / (z + 1)")  # common root z = -1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("F = X^2 & Y; G = Y^2", "unexpected character '&' at position 4"),
+        ("F = X^2 ); G = Y^2", "unexpected ')' after a complete expression"),
+        ("F = X^Y; G = Y^2", "exponent must be a nonnegative integer literal"),
+        ("F = X^5000; G = Y^2", "exponent 5000 exceeds the supported maximum 4096"),
+        ("F = (X+Y; G = Y^2", "missing closing parenthesis"),
+        ("F = /X; G = Y^2", "'/' is not allowed here; only integer coefficients are supported"),
+        ("F = *X; G = Y^2", "unexpected '*' in expression"),
+        ("H = X^2; G = Y^2", "each statement must assign to F or G, as in F = X^2 + Y^2"),
+        ("phi(z) = 0", "the numerator must not be the zero polynomial"),
+    ],
+)
+def test_parse_map_error_messages(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_map(text)
+    assert str(exc.value) == message
 
 
 def test_parse_map_bounds_nested_powers_before_expanding(monkeypatch):

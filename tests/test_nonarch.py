@@ -17,12 +17,12 @@ from p1height.forms import (
     MapLift,
     NotAMorphismError,
     ProjectivePoint,
-    _form_evaluator,
     evaluate,
     normalize_point,
 )
 from p1height.nonarch import (
     PartialFactorization,
+    _form_evaluator,
     _gcd_loop,
     _headroom,
     _reciprocals,
