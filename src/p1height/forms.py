@@ -468,7 +468,12 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
         if m is None:
             if text[pos:].strip() == "":
                 break
-            raise ParseError(f"unexpected character {text[pos:].strip()[0]!r} at position {pos}")
+            expr = text.strip()
+            at = len(expr) - len(text[pos:].strip())
+            lo = max(0, min(at - 20, len(expr) - 40))
+            hi = lo + 40
+            shown = ("..." if lo else "") + expr[lo:hi] + ("..." if hi < len(expr) else "")
+            raise ParseError(f"unexpected character {expr[at]!r} at position {at} of {shown!r}")
         pos = m.end()
         if m.group("int") is not None:
             tokens.append(("int", _check_literal(m.group("int"))))

@@ -92,11 +92,9 @@ def canonical_height(
     the same g-sequence and value.
     """
     bits = resolve_precision_bits(precision_bits, lift.degree, terms, lift.coeff_norm)
-    R = abs(lift.resultant)
-    parts = None if R == 1 else factoring
-    if parts is not None and not isinstance(parts, PartialFactorization):
-        parts = trial_division(R, int(parts))
-    na = nonarch_height(lift, P, terms, precision_bits=bits, parts=parts)
+    if factoring is not None and not isinstance(factoring, PartialFactorization):
+        factoring = trial_division(abs(lift.resultant), int(factoring))
+    na = nonarch_height(lift, P, terms, precision_bits=bits, parts=factoring)
     ar = arch_height(lift, P, terms, precision_bits=bits)
     naive = naive_height(P, bits)
     with mp.workprec(bits):

@@ -6,8 +6,8 @@ pair with R = |Res(F, G)|.  The key point is that the g_i survive reduction:
 running the orbit modulo R^(N-i) and dividing each step's gcd out of the
 reduced pair recovers exactly the g_i of the exact orbit, while keeping
 every working integer below R^N.  R is never factored.  Each step
-evaluates F and G by one Paterson-Stockmeyer walk, reduced by Barrett's
-method on large moduli; this module holds the walk, the reducer and the loop.
+evaluates F and G by exact Horner when small, else by one Paterson-Stockmeyer
+walk reduced by Barrett's method on large moduli; this module holds them all.
 
 When some coprime splitting of R is known anyway (say, small prime powers
 from trial division), the same loop runs once per part on much smaller
@@ -111,13 +111,13 @@ def _block_product(bound: int, start: int) -> int:
 def trial_division(R: int, bound: int = 100_000) -> PartialFactorization:
     """Split R into prime powers p^e for p <= bound plus one unfactored cofactor.
 
-    The parts are pairwise coprime and multiply to R.  If the remainder
-    after stripping small primes is 1 there is no cofactor part.  The
-    primes go in blocks of _BLOCK, and a block is scanned prime by prime
-    only when the gcd of the remainder with its product exceeds 1.
+    The parts are pairwise coprime and multiply to R (none at all for R = 1).
+    If the remainder after stripping small primes is 1 there is no cofactor
+    part.  The primes go in blocks of _BLOCK, and a block is scanned prime by
+    prime only when the gcd of the remainder with its product exceeds 1.
     """
-    if R < 2:
-        raise ValueError("trial division needs an integer >= 2")
+    if R < 1:
+        raise ValueError("trial division needs an integer >= 1")
     if bound < 2:
         raise ValueError("bound must be at least 2")
     if bound > _SIEVE_CAP:
@@ -255,6 +255,9 @@ def _form_evaluator(forms: tuple[BinaryForm, ...]):
 # 326 against 310 us at 12000, 2.36 against 1.56 ms at 32674.
 _BARRETT_MIN_BITS = 12_000
 
+# largest d * bits(top modulus) stepped by exact Horner (crossover table in CHANGES.md)
+_HORNER_MAX_BITS = 2048
+
 
 def _headroom(forms) -> int:
     """E with every value _form_evaluator(forms) reduces mod M below 2^(2n+E)
@@ -309,22 +312,35 @@ def _reducer(M: int, mu: int | None, extra: int):
     return red
 
 
-def _gcd_loop(ev, extra: int, P: ProjectivePoint, modulus: int, top_power: int, terms: int) -> list[int]:
+def _gcd_loop(ev, extra: int, coeffs, P: ProjectivePoint, modulus: int, top_power: int, terms: int) -> list[int]:
     """Reduced-orbit gcd extraction against one modulus.
 
-    ev is _form_evaluator((F, G)) and extra is _headroom((F, G)); both
-    depend on the map alone, so one pair serves every modulus.  Step i
+    ev, extra and coeffs are _form_evaluator((F, G)), _headroom((F, G)) and
+    (F.coefficients, G.coefficients); they depend on the map alone.  Step i
     works modulo modulus^(terms-i); the shrinking powers come from exact
     division of the precomputed top power, so only one big power is ever
     held.  gcd(m, 0, 0) = m is correct here: the true orbit gcd always
     divides the modulus, so a doubly-vanishing residue pair means the gcd
-    is the whole current part.  Large moduli reduce by Barrett's method
-    with the reciprocal carried down the chain; every residue is exact.
+    is the whole current part.  Every residue is exact.  While d * bits(top_power)
+    <= _HORNER_MAX_BITS, where interpreter overhead dominates, a step is exact
+    Horner on F and G sharing powers of y, then one `%` each; larger ones call ev.
     """
-    x, y = P.x, P.y
+    x, y, live = P.x % top_power, P.y % top_power, top_power
+    (f0, g0), *pairs = zip(*coeffs)
+    horner = len(pairs) * top_power.bit_length() <= _HORNER_MAX_BITS
+    chain = None if horner else _reciprocals(top_power, modulus, terms, extra)
     out: list[int] = []
-    for live, mu in _reciprocals(top_power, modulus, terms, extra):
-        fx, gy = ev(x, y, live, _reducer(live, mu, extra))
+    for _ in range(terms):
+        if horner:
+            fx, gy, yp = f0, g0, 1
+            for a, b in pairs:
+                yp *= y
+                fx, gy = fx * x + a * yp, gy * x + b * yp
+            fx, gy = fx % live, gy % live
+            live //= modulus
+        else:
+            live, mu = next(chain)
+            fx, gy = ev(x, y, live, _reducer(live, mu, extra))
         # modulus first: math.gcd folds left to right, and reducing each
         # full-size residue against the modulus is the cheap first step
         g = math.gcd(modulus, fx, gy)
@@ -357,12 +373,13 @@ def nonarch_height(
     if parts is not None:
         parts.validate_for(R)
     ev, extra = _form_evaluator((lift.F, lift.G)), _headroom((lift.F, lift.G))
+    coeffs = (lift.F.coefficients, lift.G.coefficients)
     gs = [1] * terms
     max_bits = 1
     for part in parts.coprime_parts if parts is not None else (R,):
         top = part**terms
         max_bits = max(max_bits, top.bit_length())
-        for i, g in enumerate(_gcd_loop(ev, extra, P, part, top, terms)):
+        for i, g in enumerate(_gcd_loop(ev, extra, coeffs, P, part, top, terms)):
             gs[i] *= g
     with mp.workprec(bits):
         total = mp.mpf(0)

@@ -101,6 +101,19 @@ def test_point_at_infinity_through_the_split_loop(capsys):
         assert abs(mp.mpf(doc["canonical_height"])) <= mp.mpf(doc["error_bound"])
 
 
+def test_unit_resultant_job_reports_no_split_and_unit_gcds(capsys):
+    code, out, _ = run_cli(
+        capsys, "--map", "phi(z) = z^2", "--point", "[3, 2]", "--format", "json",
+        "--emit-g-sequence",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["map"]["resultant_bits"] == 1
+    assert doc["factoring"] is None
+    assert doc["nonarch"]["modulus_bits"] == 1
+    assert doc["nonarch"]["gcd_sequence"] == ["1"] * 50
+
+
 def test_map_file_input(capsys, tmp_path):
     path = tmp_path / "map.txt"
     path.write_text("F = X^2 + X*Y + Y^2; G = X^2 + 7*X*Y + 2*Y^2\n")

@@ -518,7 +518,12 @@ def test_parse_map_errors():
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("F = X^2 & Y; G = Y^2", "unexpected character '&' at position 4"),
+        ("F = X^2 & Y; G = Y^2", "unexpected character '&' at position 4 of 'X^2 & Y'"),
+        ("F =   X*Y + $; G = Y^2", "unexpected character '$' at position 6 of 'X*Y + $'"),
+        (
+            "F = " + "X^2 + " * 10 + "X*Y # Y^2 + " + "Y^2 + " * 5 + "Y^2; G = Y^2",
+            "unexpected character '#' at position 64 of '...2 + X^2 + X^2 + X*Y # Y^2 + Y^2 + Y^2 + ...'",
+        ),
         ("F = X^2 ); G = Y^2", "unexpected ')' after a complete expression"),
         ("F = X^Y; G = Y^2", "exponent must be a nonnegative integer literal"),
         ("F = X^5000; G = Y^2", "exponent 5000 exceeds the supported maximum 4096"),

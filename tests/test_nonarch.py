@@ -202,8 +202,9 @@ def test_trial_division_prime_within_bound_is_recognized():
 
 
 def test_trial_division_validation():
+    assert trial_division(1) == PartialFactorization((), ())
     with pytest.raises(ValueError):
-        trial_division(1)
+        trial_division(0)
     with pytest.raises(ValueError):
         trial_division(360, bound=1)
     with pytest.raises(ValueError):
@@ -319,9 +320,69 @@ def test_barrett_loop_gives_the_plain_loop_g_sequence(fixture_id):
     assert top.bit_length() > 2 * nonarch._BARRETT_MIN_BITS
     forms = (lift.F, lift.G)
     ev, extra = _form_evaluator(forms), _headroom(forms)
-    barrett = _gcd_loop(ev, extra, P, R, top, 50)
+    coeffs = (lift.F.coefficients, lift.G.coefficients)
+    barrett = _gcd_loop(ev, extra, coeffs, P, R, top, 50)
     with mock.patch.object(nonarch, "_BARRETT_MIN_BITS", math.inf):
-        assert _gcd_loop(ev, extra, P, R, top, 50) == barrett
+        assert _gcd_loop(ev, extra, coeffs, P, R, top, 50) == barrett
+
+
+# ---------------------------------------------------------------------------
+# the small-size Horner body against the Paterson-Stockmeyer body
+
+
+def _exact_modulus_gcds(forms, P, modulus, n):
+    """gcd(modulus, F, G) along the exact orbit that divides each step by it."""
+    x, y = P.x, P.y
+    out = []
+    for _ in range(n):
+        a, b = (evaluate(f, x, y) for f in forms)
+        g = math.gcd(modulus, a, b)
+        out.append(g)
+        x, y = a // g, b // g
+    return out
+
+
+@st.composite
+def _loop_case(draw):
+    """Two forms of one degree 1..6, a point, a modulus and a term count."""
+    d = draw(st.integers(1, 6))
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-(2**64), 2**64))
+    forms = tuple(
+        BinaryForm(tuple(draw(st.lists(coeff, min_size=d + 1, max_size=d + 1))))
+        for _ in range(2)
+    )
+    x, y = draw(
+        st.one_of(
+            st.sampled_from(((1, 0), (0, 1), (-1, 0))),
+            st.tuples(st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6)),
+        )
+    )
+    assume(x or y)
+    modulus = draw(
+        st.one_of(
+            st.just(1),
+            st.sampled_from((2, 3, 4, 8, 9, 25, 27, 49, 121)),  # prime powers
+            st.sampled_from((6, 12, 30, 36, 360, 1001)),  # composites
+            st.integers(2, 2**40),
+        )
+    )
+    return forms, normalize_point(x, y), modulus, draw(st.integers(1, 30))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_loop_case())
+def test_horner_and_walk_bodies_give_one_g_sequence(case):
+    forms, P, modulus, terms = case
+    ev, extra = _form_evaluator(forms), _headroom(forms)
+    coeffs = tuple(f.coefficients for f in forms)
+    top = modulus**terms
+    runs = []
+    for cap in (math.inf, -1):  # every step by Horner, then every step by the walk
+        with mock.patch.object(nonarch, "_HORNER_MAX_BITS", cap):
+            runs.append(_gcd_loop(ev, extra, coeffs, P, modulus, top, terms))
+    assert runs[0] == runs[1]
+    if forms[0].degree**terms <= 10_000:  # the exact orbit stays cheap
+        assert runs[0] == _exact_modulus_gcds(forms, P, modulus, terms)
 
 
 # ---------------------------------------------------------------------------
