@@ -432,9 +432,15 @@ class MapLift:
 # parsing
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>\*\*|[-+*^()/=;\[\],]))"
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>\*\*|[-+*^()/=;\[\],])"
+    r"|(?P<bad>\S))"
 )
 
+# the error for any '/' but the phi(z) form's one top-level '/'
+_SLASH_INSIDE = (
+    "'/' inside a polynomial is not supported; coefficients must be "
+    "integers, and only the phi(z) form takes one top-level '/'"
+)
 _MAX_EXPONENT = 4096
 # deepest parenthesis nesting the recursive-descent parser accepts; each
 # level costs it four stack frames
@@ -461,27 +467,19 @@ def _check_degree(projected: int, what: str) -> None:
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
+    expr = text.strip()
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            expr = text.strip()
-            at = len(expr) - len(text[pos:].strip())
+    for m in _TOKEN_RE.finditer(expr):
+        kind, val = m.lastgroup, m[m.lastgroup]
+        if kind == "bad":
+            at = m.start(kind)
             lo = max(0, min(at - 20, len(expr) - 40))
             hi = lo + 40
             shown = ("..." if lo else "") + expr[lo:hi] + ("..." if hi < len(expr) else "")
-            raise ParseError(f"unexpected character {expr[at]!r} at position {at} of {shown!r}")
-        pos = m.end()
-        if m.group("int") is not None:
-            tokens.append(("int", _check_literal(m.group("int"))))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
-        else:
-            op = m.group("op")
-            tokens.append(("op", "^" if op == "**" else op))
+            raise ParseError(f"unexpected character {val!r} at position {at} of {shown!r}")
+        if kind == "int":
+            _check_literal(val)
+        tokens.append((kind, "^" if val == "**" else val))
     return tokens
 
 
@@ -491,7 +489,7 @@ class _PolyParser:
     Produces a dict mapping exponent tuples (one slot per variable) to
     integer coefficients.  '*' between factors is optional; '^' and '**'
     both exponentiate; only '+', '-', '*', '^', parentheses, integers, and
-    the allowed variable names may appear.
+    the allowed variable names may appear, plus the phi(z) form's one '/'.
     """
 
     def __init__(self, tokens: list[tuple[str, str]], variables: tuple[str, ...]):
@@ -533,15 +531,32 @@ class _PolyParser:
         self.pos += 1
         return tok
 
-    def parse(self) -> dict[tuple[int, ...], int]:
-        poly = self.expr()
+    def parse(self, ratio: bool = False):
+        """The whole token list as one polynomial, or with `ratio` as the phi(z)
+        form's (numerator, denominator): a term, then optionally one '/' and a
+        second term (else the denominator is 1).  '/' binds tighter than '+'
+        and '-', so a sum beside it needs parentheses."""
+        num = self.term()
+        split = ratio and self.peek() == ("op", "/")
+        if split:
+            self.next()
+            den = self.term()
+        else:
+            num, den = self.expr(num), {(0,) * len(self.variables): 1}
         kind, val = self.peek()
+        if ratio and kind == "op" and val in ("+-" if split else "/"):
+            raise ParseError(
+                "the phi(z) form takes one term on each side of its '/'; put a sum "
+                "in parentheses, as in (z^2 + 1)/(2z)"
+            )
+        if (kind, val) == ("op", "/"):
+            raise ParseError(_SLASH_INSIDE)
         if kind is not None:
             raise ParseError(f"unexpected {val!r} after a complete expression")
-        return poly
+        return (num, den) if ratio else num
 
-    def expr(self):
-        poly = self.term()
+    def expr(self, poly=None):
+        poly = self.term() if poly is None else poly
         while True:
             kind, val = self.peek()
             if kind == "op" and val in "+-":
@@ -561,11 +576,6 @@ class _PolyParser:
             elif kind in ("int", "name") or (kind == "op" and val == "("):
                 # implicit multiplication, as in 3X^2Y
                 poly = self.times(poly, self.factor())
-            elif kind == "op" and val == "/":
-                raise ParseError(
-                    "'/' inside a polynomial is not supported; coefficients must be "
-                    "integers, and only the phi(z) form takes one top-level '/'"
-                )
             else:
                 return poly
 
@@ -620,7 +630,7 @@ class _PolyParser:
             poly = self.expr()
             kind, val = self.next()
             if (kind, val) != ("op", ")"):
-                raise ParseError("missing closing parenthesis")
+                raise ParseError(_SLASH_INSIDE if val == "/" else "missing closing parenthesis")
             return poly
         if kind == "op" and val == "/":
             raise ParseError("'/' is not allowed here; only integer coefficients are supported")
@@ -689,20 +699,6 @@ def _form_from_xy_poly(poly: dict[tuple[int, ...], int], label: str) -> BinaryFo
     return BinaryForm(tuple(coeffs))
 
 
-def _split_toplevel_slash(text: str) -> tuple[str, str | None]:
-    # split at the first '/' outside parentheses; any further '/' is left in
-    # the denominator text for the polynomial parser to reject
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            return text[:i], text[i + 1 :]
-    return text, None
-
-
 _PHI_RE = re.compile(r"^\s*phi\s*\(\s*([A-Za-z_][A-Za-z_0-9]*)\s*\)\s*=\s*(.+)$", re.DOTALL)
 
 
@@ -715,7 +711,9 @@ def parse_map(text: str) -> MapLift:
       both polynomials must be homogeneous of one common degree d >= 2;
     * a rational function, ``phi(z) = (<poly in z>) / (<poly in z>)``, whose
       numerator and denominator are homogenized to the larger of their
-      degrees (the denominator ``1`` may be omitted).
+      degrees (the denominator ``1`` may be omitted).  The one top-level '/'
+      divides a term by a term, as in ``z^3/2`` or ``-z^2/(z + 1)``; a sum on
+      either side needs parentheses.
 
     Integer literals may be as long as Python's int<->str digit limit
     (sys.get_int_max_str_digits(), 4300 by default) allows; ``*`` between a coefficient
@@ -744,13 +742,7 @@ def parse_map(text: str) -> MapLift:
                 "or 'phi(z) = (...)/(...)'"
             )
         var, rhs = m.group(1), m.group(2)
-        num_text, den_text = _split_toplevel_slash(rhs)
-        num = _PolyParser(_tokenize(num_text), (var,)).parse()
-        den = (
-            _PolyParser(_tokenize(den_text), (var,)).parse()
-            if den_text is not None
-            else {(0,): 1}
-        )
+        num, den = _PolyParser(_tokenize(rhs), (var,)).parse(ratio=True)
         if not num:
             raise ParseError("the numerator must not be the zero polynomial")
         if not den:

@@ -312,23 +312,24 @@ def _reducer(M: int, mu: int | None, extra: int):
     return red
 
 
-def _gcd_loop(ev, extra: int, coeffs, P: ProjectivePoint, modulus: int, top_power: int, terms: int) -> list[int]:
-    """Reduced-orbit gcd extraction against one modulus.
+def _gcd_loop(forms, P: ProjectivePoint, modulus: int, top_power: int, terms: int) -> list[int]:
+    """Reduced-orbit gcd extraction of the pair forms = (F, G) against one modulus.
 
-    ev, extra and coeffs are _form_evaluator((F, G)), _headroom((F, G)) and
-    (F.coefficients, G.coefficients); they depend on the map alone.  Step i
-    works modulo modulus^(terms-i); the shrinking powers come from exact
-    division of the precomputed top power, so only one big power is ever
-    held.  gcd(m, 0, 0) = m is correct here: the true orbit gcd always
+    Step i works modulo modulus^(terms-i); the shrinking powers come from
+    exact division of the precomputed top power, so only one big power is
+    ever held.  gcd(m, 0, 0) = m is correct here: the true orbit gcd always
     divides the modulus, so a doubly-vanishing residue pair means the gcd
     is the whole current part.  Every residue is exact.  While d * bits(top_power)
     <= _HORNER_MAX_BITS, where interpreter overhead dominates, a step is exact
-    Horner on F and G sharing powers of y, then one `%` each; larger ones call ev.
+    Horner on F and G sharing powers of y, then one `%` each; larger ones run
+    the Paterson-Stockmeyer walk, whose plan is built only then.
     """
     x, y, live = P.x % top_power, P.y % top_power, top_power
-    (f0, g0), *pairs = zip(*coeffs)
+    (f0, g0), *pairs = zip(*(f.coefficients for f in forms))
     horner = len(pairs) * top_power.bit_length() <= _HORNER_MAX_BITS
-    chain = None if horner else _reciprocals(top_power, modulus, terms, extra)
+    if not horner:
+        ev, extra = _form_evaluator(forms), _headroom(forms)
+        chain = _reciprocals(top_power, modulus, terms, extra)
     out: list[int] = []
     for _ in range(terms):
         if horner:
@@ -372,14 +373,12 @@ def nonarch_height(
     R = abs(lift.resultant)
     if parts is not None:
         parts.validate_for(R)
-    ev, extra = _form_evaluator((lift.F, lift.G)), _headroom((lift.F, lift.G))
-    coeffs = (lift.F.coefficients, lift.G.coefficients)
     gs = [1] * terms
     max_bits = 1
     for part in parts.coprime_parts if parts is not None else (R,):
         top = part**terms
         max_bits = max(max_bits, top.bit_length())
-        for i, g in enumerate(_gcd_loop(ev, extra, coeffs, P, part, top, terms)):
+        for i, g in enumerate(_gcd_loop((lift.F, lift.G), P, part, top, terms)):
             gs[i] *= g
     with mp.workprec(bits):
         total = mp.mpf(0)

@@ -487,6 +487,16 @@ def test_parse_map_phi_form():
     lift3 = parse_map("phi(w) = (w^3 + 2) / (3w^2 - w)")
     assert lift3.F.coefficients == (1, 0, 0, 2)
     assert lift3.G.coefficients == (0, 3, -1, 0)
+    # one term on each side of the '/'
+    lift4 = parse_map("phi(z) = z^3/2")
+    assert lift4.F.coefficients == (1, 0, 0, 0)
+    assert lift4.G.coefficients == (0, 0, 0, 2)
+    lift5 = parse_map("phi(z) = -z^2/(z+1)")
+    assert lift5.F.coefficients == (-1, 0, 0)
+    assert lift5.G.coefficients == (0, 1, 1)
+    lift6 = parse_map("phi(z) = (3*z^2 + 1)/(2*z)")
+    assert lift6.F.coefficients == (3, 0, 1)
+    assert lift6.G.coefficients == (0, 2, 0)
 
 
 def test_parse_map_errors():
@@ -515,6 +525,16 @@ def test_parse_map_errors():
         parse_map("phi(z) = (z^2 + z) / (z + 1)")  # common root z = -1
 
 
+_SLASH_INSIDE = (
+    "'/' inside a polynomial is not supported; coefficients must be integers, "
+    "and only the phi(z) form takes one top-level '/'"
+)
+_PHI_SUM = (
+    "the phi(z) form takes one term on each side of its '/'; put a sum in parentheses, "
+    "as in (z^2 + 1)/(2z)"
+)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -529,9 +549,18 @@ def test_parse_map_errors():
         ("F = X^5000; G = Y^2", "exponent 5000 exceeds the supported maximum 4096"),
         ("F = (X+Y; G = Y^2", "missing closing parenthesis"),
         ("F = /X; G = Y^2", "'/' is not allowed here; only integer coefficients are supported"),
+        ("F = X^2/2; G = Y^2", _SLASH_INSIDE),
         ("F = *X; G = Y^2", "unexpected '*' in expression"),
         ("H = X^2; G = Y^2", "each statement must assign to F or G, as in F = X^2 + Y^2"),
         ("phi(z) = 0", "the numerator must not be the zero polynomial"),
+        # the phi form's right-hand side is tokenized and parsed as one expression
+        ("phi(z) = (z^2 & 1)/z", "unexpected character '&' at position 5 of '(z^2 & 1)/z'"),
+        ("phi(z) = / z", "'/' is not allowed here; only integer coefficients are supported"),
+        # '/' binds tighter than a sum beside it, so the sum needs parentheses
+        *((f"phi(z) = {rhs}", _PHI_SUM)
+          for rhs in ("z^2 + 1/z", "z^3/2 - 1", "z^2/z + 1", "1/z^2 + z")),
+        ("phi(z) = (z^2+1)/z/2", _SLASH_INSIDE),
+        ("phi(z) = (z/2)", _SLASH_INSIDE),
     ],
 )
 def test_parse_map_error_messages(text, message):
@@ -574,6 +603,37 @@ def test_parse_map_roundtrip_str():
             again = parse_map(f"F = {lift.F}; G = {lift.G}")
         assert again.F.coefficients == lift.F.coefficients
         assert again.G.coefficients == lift.G.coefficients
+
+
+# the grammar's characters and '**', three whitespaces, and '&', which no token takes
+_GRAMMAR_PIECES = (
+    *"0123456789", *"XYxyzZa_", *"+-*^()/;=,[]", "**", " ", "\t", "\n", "&",
+)
+
+
+@st.composite
+def _grammar_texts(draw):
+    """Text over the grammar's alphabet, as an F/G pair, a phi form or bare."""
+    pieces = st.lists(st.sampled_from(_GRAMMAR_PIECES), max_size=24).map("".join)
+    s, t = draw(pieces), draw(pieces)
+    return s, draw(st.sampled_from((f"F = {s}; G = {t}", f"phi(z) = {s}", s)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_grammar_texts())
+def test_parsers_return_or_raise_their_own_errors(case):
+    s, text = case
+    # a low exponent cap keeps every accepted power cheap to expand
+    with mock.patch.object(forms, "_MAX_EXPONENT", 64), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            assert isinstance(parse_map(text), MapLift)
+        except (ParseError, NotAMorphismError):
+            pass
+        try:
+            assert isinstance(parse_point(s), ProjectivePoint)
+        except ParseError:
+            pass
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from p1height.forms import (
 )
 from p1height.nonarch import (
     PartialFactorization,
-    _form_evaluator,
     _gcd_loop,
     _headroom,
     _reciprocals,
@@ -319,11 +318,9 @@ def test_barrett_loop_gives_the_plain_loop_g_sequence(fixture_id):
     # the first steps reduce by Barrett under the default crossover
     assert top.bit_length() > 2 * nonarch._BARRETT_MIN_BITS
     forms = (lift.F, lift.G)
-    ev, extra = _form_evaluator(forms), _headroom(forms)
-    coeffs = (lift.F.coefficients, lift.G.coefficients)
-    barrett = _gcd_loop(ev, extra, coeffs, P, R, top, 50)
+    barrett = _gcd_loop(forms, P, R, top, 50)
     with mock.patch.object(nonarch, "_BARRETT_MIN_BITS", math.inf):
-        assert _gcd_loop(ev, extra, coeffs, P, R, top, 50) == barrett
+        assert _gcd_loop(forms, P, R, top, 50) == barrett
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +370,11 @@ def _loop_case(draw):
 @given(_loop_case())
 def test_horner_and_walk_bodies_give_one_g_sequence(case):
     forms, P, modulus, terms = case
-    ev, extra = _form_evaluator(forms), _headroom(forms)
-    coeffs = tuple(f.coefficients for f in forms)
     top = modulus**terms
     runs = []
     for cap in (math.inf, -1):  # every step by Horner, then every step by the walk
         with mock.patch.object(nonarch, "_HORNER_MAX_BITS", cap):
-            runs.append(_gcd_loop(ev, extra, coeffs, P, modulus, top, terms))
+            runs.append(_gcd_loop(forms, P, modulus, top, terms))
     assert runs[0] == runs[1]
     if forms[0].degree**terms <= 10_000:  # the exact orbit stays cheap
         assert runs[0] == _exact_modulus_gcds(forms, P, modulus, terms)
