@@ -15,9 +15,11 @@ building blocks the height computations rest on:
       a1*F + b1*G = Res(F, G) * X^(2d-1)
       a2*F + b2*G = Res(F, G) * Y^(2d-1)
 
-  as exact polynomial identities.  These witness that every orbit gcd
-  divides the resultant and give the lower bound used for the archimedean
-  step estimates.
+  as exact polynomial identities.  One PRS run on F(x, 1), G(x, 1) gives
+  Res, a2 and b2; a1 and b1 follow from them by one pseudo-remainder and
+  exact divisions.  These witness that every orbit gcd divides the
+  resultant and give the lower bound used for the archimedean step
+  estimates.
 
 All coefficients are unbounded Python ints; nothing in this module rounds.
 """
@@ -25,6 +27,7 @@ All coefficients are unbounded Python ints; nothing in this module rounds.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -287,15 +290,13 @@ def _prs(a: list[int], b: list[int]) -> tuple[int, int, list[int]]:
     return -((-b[0]) ** e // c ** (e - 1)), b[0], u1
 
 
-def _bezout(
-    fc: tuple[int, ...], gc: tuple[int, ...], res: int | None = None
-) -> tuple[int, list[int], list[int]]:
+def _bezout(fc: tuple[int, ...], gc: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
     """Res and the Bezout pair at formal degree d = len(fc) - 1.
 
     fc and gc are the coefficients of f and g in descending powers.  Returns
-    (res, a, b), with a and b of length d and a*f + b*g = res; res defaults
-    to the Sylvester resultant of f and g at formal degree d.  Both lists are
-    empty when res = 0.
+    (res, a, b): res is the Sylvester resultant of f and g at formal degree
+    d, and a and b have length d with a*f + b*g = res.  Both lists are empty
+    when res = 0.
     """
     d = len(fc) - 1
     f, g = _strip(fc), _strip(gc)
@@ -305,11 +306,10 @@ def _bezout(
     swap = len(f) < len(g)
     a, b = (g, f) if swap else (f, g)
     res_ab, r, u = _prs(a, b)
-    if res is None:
-        # swapping costs (-1)^(deg a * deg b); e leading zeros of f cost
-        # (-1)^(d*e) * lc(g)^e, and e leading zeros of g cost lc(f)^e
-        sign = (-1) ** (swap * (len(a) - 1) * (len(b) - 1) + d * ef)
-        res = sign * res_ab * gc[0] ** ef * fc[0] ** eg
+    # swapping costs (-1)^(deg a * deg b); e leading zeros of f cost
+    # (-1)^(d*e) * lc(g)^e, and e leading zeros of g cost lc(f)^e
+    sign = (-1) ** (swap * (len(a) - 1) * (len(b) - 1) + d * ef)
+    res = sign * res_ab * gc[0] ** ef * fc[0] ** eg
     if res == 0:
         return 0, [], []
     ua = _divide_exact([x * res for x in u], [r])
@@ -323,22 +323,32 @@ def _eliminate(F: BinaryForm, G: BinaryForm) -> tuple[int, list[int], list[int]]
 
     The columns are the coefficient lists a1 + b1 and a2 + b2 of the unique
     degree-(d-1) solutions of a1*F + b1*G = Res * X^(2d-1) and
-    a2*F + b2*G = Res * Y^(2d-1).  Setting Y = 1 turns the second identity
-    into a2(x, 1)*F(x, 1) + b2(x, 1)*G(x, 1) = Res, so one subresultant PRS
-    on F(x, 1) and G(x, 1) gives Res and (a2, b2); a second on F(1, y) and
-    G(1, y), the reversed coefficient lists, gives (a1, b1) scaled to that
-    Res.  In each run the cofactor of the first polynomial is u * Res / r,
-    for the last remainder r = u*a + v*b of its PRS, and the other cofactor
-    is an exact polynomial quotient; a nonzero remainder in either division
-    raises ArithmeticError.  When Res = 0 both columns come back empty.
+    a2*F + b2*G = Res * Y^(2d-1).  Setting Y = 1 turns both into identities
+    of f = F(x, 1) and g = G(x, 1).  One subresultant PRS on f and g gives
+    Res and a2*f + b2*g = Res (see _bezout).  Multiplied by x^(2d-1), that
+    identity gives a1 = x^(2d-1)*a2 (mod g) when g keeps degree d: a1 is the
+    pseudo-remainder of x^(2d-1)*a2 by g divided by lc(g)^(e+1), and
+    b1 = (Res*x^(2d-1) - a1*f)/g.  When lc(g) = 0, f keeps degree d (else
+    Res = 0), so b1 = x^(2d-1)*b2 (mod f) and a1 = (Res*x^(2d-1) - b1*g)/f.
+    Every division is exact; a remainder in any of them raises
+    ArithmeticError.  When Res = 0 both columns come back empty.
     """
     if F.degree != G.degree or F.degree < 1:
         raise ValueError("F and G must be forms of one degree d >= 1")
-    res, a2, b2 = _bezout(F.coefficients, G.coefficients)
+    fc, gc = F.coefficients, G.coefficients
+    res, a2, b2 = _bezout(fc, gc)
     if res == 0:
         return 0, [], []
-    _, a1, b1 = _bezout(F.coefficients[::-1], G.coefficients[::-1], res)
-    return res, a1[::-1] + b1[::-1], a2 + b2
+    d = F.degree
+    # u*p + (the other cofactor)*q = Res, and q keeps degree d
+    swap = gc[0] == 0
+    u, p, q = (b2, gc, fc) if swap else (a2, fc, gc)
+    # the pseudo-division takes e + 1 = 2d - 1 steps
+    _, r = _prem(u + [0] * (2 * d - 1), q)
+    v = _divide_exact(r, [q[0] ** (2 * d - 1)])
+    w = _divide_exact(_mul_sub(1, [res] + [0] * (2 * d - 1), v, p), q)
+    a1, b1 = (w, v) if swap else (v, w)
+    return res, a1 + b1, a2 + b2
 
 
 def resultant(F: BinaryForm, G: BinaryForm) -> int:
@@ -556,13 +566,14 @@ class _PolyParser:
         return (num, den) if ratio else num
 
     def expr(self, poly=None):
+        # every parse method returns a dict that nothing else holds, so a sum
+        # accumulates into its first term
         poly = self.term() if poly is None else poly
         while True:
             kind, val = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
-                rhs = self.term()
-                poly = _padd(poly, rhs if val == "+" else _pneg(rhs))
+                _padd(poly, self.term(), 1 if val == "+" else -1)
             else:
                 return poly
 
@@ -643,15 +654,14 @@ def _degree(p) -> int:
     return max(map(sum, p), default=0)
 
 
-def _padd(p, q):
-    out = dict(p)
+def _padd(p, q, sign: int):
+    """p + sign*q, accumulated into p."""
     for k, v in q.items():
-        s = out.get(k, 0) + v
-        if s:
-            out[k] = s
+        t = p.get(k, 0) + sign * v
+        if t:
+            p[k] = t
         else:
-            out.pop(k, None)
-    return out
+            del p[k]
 
 
 def _pneg(p):
@@ -659,28 +669,60 @@ def _pneg(p):
 
 
 def _pmul(p, q):
-    out: dict = {}
-    for k1, v1 in p.items():
-        for k2, v2 in q.items():
-            k = tuple(a + b for a, b in zip(k1, k2))
-            s = out.get(k, 0) + v1 * v2
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
+    if len(p) > len(q):
+        p, q = q, p
+    if len(p) != 1:
+        out: dict = {}
+        for m, c in p.items():
+            _padd(out, _pmul({m: c}, q), 1)
+        return out
+    # a single term shifts every key of q and scales every coefficient
+    ((m, c),) = p.items()
+    return {tuple(map(operator.add, k, m)): c * v for k, v in q.items()}
 
 
 def _ppow(p, e, nvars):
-    acc = {(0,) * nvars: 1}
-    base = p
-    while e:
-        if e & 1:
-            acc = _pmul(acc, base)
-        e >>= 1
-        if e:
-            base = _pmul(base, base)
-    return acc
+    """p^e: a single term scales its key; a polynomial in one variable, or one
+    binary form, expands by Miller's recurrence (see _power_coefficients)
+    on its dense coefficient list; any other base by square-and-multiply."""
+    if not e:
+        return {(0,) * nvars: 1}
+    if len(p) < 2:
+        return {tuple(x * e for x in k): c**e for k, c in p.items()}
+    degrees = {sum(k) for k in p}
+    if len(degrees) > 1 and nvars > 1:
+        # a sum of forms of several degrees needs both exponents packed into one
+        # index, and that dense list can be far longer than the result
+        half = _ppow(p, e // 2, nvars)
+        return _pmul(_pmul(half, half), p) if e & 1 else _pmul(half, half)
+    # index each term by its last exponent: the one variable's, or Y's in a form
+    lo = min(k[-1] for k in p)
+    a = [0] * (max(k[-1] for k in p) - lo + 1)
+    for k, c in p.items():
+        a[k[-1] - lo] = c
+    q = enumerate(_power_coefficients(a, e), e * lo)
+    if nvars == 1:
+        return {(n,): c for n, c in q if c}
+    top = e * degrees.pop()
+    return {(top - n, n): c for n, c in q if c}
+
+
+def _power_coefficients(a: list[int], e: int) -> list[int]:
+    """The coefficient list of a(x)^e, for a(x) = sum a[k] x^k with a[0] != 0.
+
+    J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, section 4.6.1): from
+    a*(a^e)' = e*a'*a^e, n*a[0]*q[n] = sum over k = 1..n of
+    ((e+1)*k - n)*a[k]*q[n-k].  q[n] is an integer, so each division is exact;
+    the work is O(e*deg a) coefficients times the terms of a.
+    """
+    a0 = a[0]
+    terms = [(k, (e + 1) * k, c) for k, c in enumerate(a) if k and c]
+    q = [a0**e]
+    for n in range(1, e * (len(a) - 1) + 1):
+        q.append(
+            sum((ek - n) * c * q[n - k] for k, ek, c in terms if k <= n) // (n * a0)
+        )
+    return q
 
 
 def _form_from_xy_poly(poly: dict[tuple[int, ...], int], label: str) -> BinaryForm:

@@ -305,6 +305,13 @@ _PINNED_ELIMINATIONS = {
         (1, 0, 1, -1, -1), (-1, 1, 0, 1, 1),
         2, ((1, 0, 2, 1), (-1, -1, 2, 1), (-5, 8, -4, 7), (-5, 3, -6, 9)),
     ),
+    # the same pair with X and Y swapped, whose PRS on F(x, 1), G(x, 1) has
+    # the gap: (a1, b1) and (a2, b2) trade places, reversed, and Res keeps its
+    # sign because d^2 is even
+    "degree gap, X and Y swapped": (
+        (-1, -1, 1, 0, 1), (1, 1, 0, 1, -1),
+        2, ((7, -4, 8, -5), (9, -6, 3, -5), (1, 2, 0, 1), (1, 2, -1, -1)),
+    ),
     "F without X^d": (
         (0, 2, -1, 3), (1, 1, 0, -2),
         -164, ((27, 38, -106), (-164, 110, -159), (3, -14, -30), (0, -6, 37)),
@@ -335,11 +342,15 @@ def test_pinned_eliminations(case):
 
 def test_pinned_degree_gap_occurs():
     # every end coefficient is nonzero, so a gap of 2 or more between a
-    # dividend and its divisor is an abnormal step of the PRS
-    f, g, *_ = _PINNED_ELIMINATIONS["degree gap"]
+    # dividend and its divisor is an abnormal step of the PRS; the PRS the
+    # elimination runs is replayed alone, because the elimination's own
+    # reduction of x^(2d-1)*a2 has a wide gap too
+    f, g, *_ = _PINNED_ELIMINATIONS["degree gap, X and Y swapped"]
     assert f[0] and f[-1] and g[0] and g[-1]
-    with mock.patch.object(forms, "_prem", wraps=forms._prem) as prem:
+    with mock.patch.object(forms, "_prs", wraps=forms._prs) as prs:
         resultant(BinaryForm(f), BinaryForm(g))
+    with mock.patch.object(forms, "_prem", wraps=forms._prem) as prem:
+        forms._prs(*prs.call_args.args)
     assert max(len(a) - len(b) for (a, b), _ in prem.call_args_list) >= 2
 
 
@@ -460,6 +471,8 @@ def test_parse_map_pair_form():
     assert lift.resultant == 7 * 7 - 21 + 3
     # -X*Y + Y*X cancels inside the product
     assert parse_map("F = (X+Y)*(X-Y); G = X*Y").F.coefficients == (1, 0, -1)
+    # a power of a form with a gap between its terms
+    assert parse_map("F = (X^2 - Y^2)^2; G = X^2*Y^2").F.coefficients == (1, 0, -2, 0, 1)
 
 
 def test_parse_map_syntax_variants():
@@ -468,6 +481,8 @@ def test_parse_map_syntax_variants():
     assert parse_map("f = 3 X**2 + 2 X Y + Y**2; g = X Y").F.coefficients == reference
     assert parse_map("F = Y^2 + 2XY + 3X^2; G = XY").F.coefficients == reference
     assert parse_map("F = 4X^2 - (X^2 + Y^2) + 2XY + 2Y^2; G = XY").F.coefficients == reference
+    # a power of a sum of several degrees, homogeneous once the rest cancels
+    assert parse_map("F = (X+Y+1)^2 + 2X^2 - 2X - 2Y - 1; G = XY").F.coefficients == reference
 
 
 def test_parse_map_large_coefficients():
@@ -583,15 +598,29 @@ def test_parse_map_bounds_nested_powers_before_expanding(monkeypatch):
     assert lift.F.coefficients == tuple(math.comb(9, i) for i in range(10))
 
 
-def test_parse_map_bounds_products_before_multiplying():
+def test_parse_map_bounds_products_before_multiplying(monkeypatch):
     def parse(text):
         return _PolyParser(_tokenize(text), ("X", "Y")).parse()
 
+    def multiply(*args):
+        raise AssertionError("a product was formed before its projected degree was checked")
+
+    monkeypatch.setattr(forms, "_pmul", multiply)
     with pytest.raises(ParseError, match="degree 8192"):
         parse("X^4096*Y^4096")
     with pytest.raises(ParseError, match="degree 8192"):
         parse("X^4096 Y^4096")  # implicit multiplication
+    monkeypatch.undo()
     assert parse("X^2048*Y^2048") == {(2048, 2048): 1}
+
+
+@pytest.mark.parametrize(
+    "text, a, b, e", [("(X+Y)^4096", 1, 1, 4096), ("(2*X-3*Y)^2048", 2, -3, 2048)]
+)
+def test_parser_expands_large_binomial_powers(text, a, b, e):
+    # binomial powers up to the largest degree the parser accepts
+    got = _PolyParser(_tokenize(text), ("X", "Y")).parse()
+    assert got == {(e - j, j): math.comb(e, j) * a ** (e - j) * b**j for j in range(e + 1)}
 
 
 def test_parse_map_roundtrip_str():
