@@ -27,7 +27,6 @@ All coefficients are unbounded Python ints; nothing in this module rounds.
 from __future__ import annotations
 
 import math
-import operator
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -252,8 +251,11 @@ def _prem(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
         t, rest = r[0], r[1:]
         ts.append(t)
         r = [lc * x - t * y for x, y in zip(rest, tail)] + [lc * x for x in rest[n:]]
-    e = len(ts) - 1
-    return [t * lc ** (e - k) for k, t in enumerate(ts)], r
+    q, power = [], 1
+    for t in reversed(ts):
+        q.append(t * power)
+        power *= lc
+    return q[::-1], r
 
 
 def _prs(a: list[int], b: list[int]) -> tuple[int, int, list[int]]:
@@ -318,27 +320,29 @@ def _bezout(fc: tuple[int, ...], gc: tuple[int, ...]) -> tuple[int, list[int], l
     return res, [0] * (d - len(cf)) + cf, [0] * (d - len(cg)) + cg
 
 
-def _eliminate(F: BinaryForm, G: BinaryForm) -> tuple[int, list[int], list[int]]:
-    """Res(F, G) and the two adjugate columns of the transposed Sylvester matrix.
+def _eliminate(
+    F: BinaryForm, G: BinaryForm
+) -> tuple[int, list[int], list[int], list[int], list[int]]:
+    """(Res, a1, b1, a2, b2) for two forms of one degree d >= 1.
 
-    The columns are the coefficient lists a1 + b1 and a2 + b2 of the unique
-    degree-(d-1) solutions of a1*F + b1*G = Res * X^(2d-1) and
-    a2*F + b2*G = Res * Y^(2d-1).  Setting Y = 1 turns both into identities
-    of f = F(x, 1) and g = G(x, 1).  One subresultant PRS on f and g gives
-    Res and a2*f + b2*g = Res (see _bezout).  Multiplied by x^(2d-1), that
-    identity gives a1 = x^(2d-1)*a2 (mod g) when g keeps degree d: a1 is the
+    a1, b1, a2 and b2 are the coefficient lists of the unique degree-(d-1)
+    solutions of a1*F + b1*G = Res * X^(2d-1) and a2*F + b2*G = Res * Y^(2d-1).
+    Setting Y = 1 turns both into identities of f = F(x, 1) and g = G(x, 1).
+    One subresultant PRS on f and g gives Res and a2*f + b2*g = Res (see
+    _bezout).  Multiplied by x^(2d-1), that identity gives
+    a1 = x^(2d-1)*a2 (mod g) when g keeps degree d: a1 is the
     pseudo-remainder of x^(2d-1)*a2 by g divided by lc(g)^(e+1), and
     b1 = (Res*x^(2d-1) - a1*f)/g.  When lc(g) = 0, f keeps degree d (else
     Res = 0), so b1 = x^(2d-1)*b2 (mod f) and a1 = (Res*x^(2d-1) - b1*g)/f.
     Every division is exact; a remainder in any of them raises
-    ArithmeticError.  When Res = 0 both columns come back empty.
+    ArithmeticError.  When Res = 0 all four lists come back empty.
     """
     if F.degree != G.degree or F.degree < 1:
         raise ValueError("F and G must be forms of one degree d >= 1")
     fc, gc = F.coefficients, G.coefficients
     res, a2, b2 = _bezout(fc, gc)
     if res == 0:
-        return 0, [], []
+        return 0, [], [], [], []
     d = F.degree
     # u*p + (the other cofactor)*q = Res, and q keeps degree d
     swap = gc[0] == 0
@@ -348,7 +352,7 @@ def _eliminate(F: BinaryForm, G: BinaryForm) -> tuple[int, list[int], list[int]]
     v = _divide_exact(r, [q[0] ** (2 * d - 1)])
     w = _divide_exact(_mul_sub(1, [res] + [0] * (2 * d - 1), v, p), q)
     a1, b1 = (w, v) if swap else (v, w)
-    return res, a1 + b1, a2 + b2
+    return res, a1, b1, a2, b2
 
 
 def resultant(F: BinaryForm, G: BinaryForm) -> int:
@@ -365,20 +369,13 @@ def resultant(F: BinaryForm, G: BinaryForm) -> int:
 def cofactors(F: BinaryForm, G: BinaryForm) -> CofactorIdentity:
     """Integer cofactor forms of degree d-1 for the two resultant identities.
 
-    The coefficients of (a1, b1) and (a2, b2) are the two adjugate columns
-    that the resultant's elimination yields alongside Res.
+    The four forms come from the resultant's elimination, alongside Res.
     """
-    det, v1, v2 = _eliminate(F, G)
+    det, *forms = _eliminate(F, G)
     if det == 0:
         raise NotAMorphismError("zero resultant: F and G share a projective root")
-    d = F.degree
-    return CofactorIdentity(
-        a1=BinaryForm(tuple(v1[:d])),
-        b1=BinaryForm(tuple(v1[d:])),
-        a2=BinaryForm(tuple(v2[:d])),
-        b2=BinaryForm(tuple(v2[d:])),
-        resultant=det,
-    )
+    a1, b1, a2, b2 = (BinaryForm(tuple(c)) for c in forms)
+    return CofactorIdentity(a1=a1, b1=b1, a2=a2, b2=b2, resultant=det)
 
 
 @dataclass(frozen=True)
@@ -452,6 +449,14 @@ _SLASH_INSIDE = (
     "integers, and only the phi(z) form takes one top-level '/'"
 )
 _MAX_EXPONENT = 4096
+# a monomial of total degree t with Y^j (j = 0 in the phi form) has the key
+# t*_KEY_BASE + j, so a product adds keys; the degree checks keep every t, and
+# so every j, at most _MAX_EXPONENT before it is formed, so j < _KEY_BASE
+_KEY_BASE = _MAX_EXPONENT + 1
+# most products Miller's recurrence may take for one power: its dense list's
+# length times the base's terms; a two-term base's list has e + 1 entries,
+# so no list is longer than a third of this
+_MAX_POWER_WORK = 3 << 20
 # deepest parenthesis nesting the recursive-descent parser accepts; each
 # level costs it four stack frames
 _MAX_NESTING = 100
@@ -496,8 +501,8 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 class _PolyParser:
     """Recursive-descent parser for polynomial expressions over named variables.
 
-    Produces a dict mapping exponent tuples (one slot per variable) to
-    integer coefficients.  '*' between factors is optional; '^' and '**'
+    Produces a dict mapping int monomial keys (see _KEY_BASE) to integer
+    coefficients.  '*' between factors is optional; '^' and '**'
     both exponentiate; only '+', '-', '*', '^', parentheses, integers, and
     the allowed variable names may appear, plus the phi(z) form's one '/'.
     """
@@ -552,7 +557,7 @@ class _PolyParser:
             self.next()
             den = self.term()
         else:
-            num, den = self.expr(num), {(0,) * len(self.variables): 1}
+            num, den = self.expr(num), {0: 1}
         kind, val = self.peek()
         if ratio and kind == "op" and val in ("+-" if split else "/"):
             raise ParseError(
@@ -593,7 +598,8 @@ class _PolyParser:
     def times(self, p, q):
         # the degree the product reaches once the enclosing powers apply,
         # checked before multiplying
-        _check_degree((_degree(p) + _degree(q)) * self.scale, "a product projects")
+        top = max(p, default=0) // _KEY_BASE + max(q, default=0) // _KEY_BASE
+        _check_degree(top * self.scale, "a product projects")
         return _pmul(p, q)
 
     def factor(self):
@@ -621,20 +627,19 @@ class _PolyParser:
                 raise ParseError(f"exponent {e} exceeds the supported maximum {_MAX_EXPONENT}")
             # the degree this power reaches once the enclosing powers apply too,
             # checked before any expansion so nested powers cannot blow up
-            _check_degree(_degree(poly) * e * self.scale, "nested powers project")
-            poly = _ppow(poly, e, len(self.variables))
+            top = max(poly, default=0) // _KEY_BASE
+            _check_degree(top * e * self.scale, "nested powers project")
+            poly = _ppow(poly, e)
         return poly if sign == 1 else _pneg(poly)
 
     def base(self):
         kind, val = self.next()
         if kind == "int":
-            return {(0,) * len(self.variables): int(val)} if int(val) else {}
+            return {0: int(val)} if int(val) else {}
         if kind == "name":
             for i, var in enumerate(self.variables):
                 if val == var or (len(val) == 1 == len(var) and val.upper() == var.upper()):
-                    expo = [0] * len(self.variables)
-                    expo[i] = 1
-                    return {tuple(expo): 1}
+                    return {_KEY_BASE + i: 1}
             allowed = ", ".join(self.variables)
             raise ParseError(f"unknown variable {val!r}; expected one of: {allowed}")
         if kind == "op" and val == "(":
@@ -648,10 +653,6 @@ class _PolyParser:
         if kind is None:
             raise ParseError("expression ended unexpectedly")
         raise ParseError(f"unexpected {val!r} in expression")
-
-
-def _degree(p) -> int:
-    return max(map(sum, p), default=0)
 
 
 def _padd(p, q, sign: int):
@@ -678,33 +679,34 @@ def _pmul(p, q):
         return out
     # a single term shifts every key of q and scales every coefficient
     ((m, c),) = p.items()
-    return {tuple(map(operator.add, k, m)): c * v for k, v in q.items()}
+    return {k + m: c * v for k, v in q.items()}
 
 
-def _ppow(p, e, nvars):
-    """p^e: a single term scales its key; a polynomial in one variable, or one
-    binary form, expands by Miller's recurrence (see _power_coefficients)
-    on its dense coefficient list; any other base by square-and-multiply."""
+def _ppow(p, e):
+    """p^e: a single term scales its key; any other base expands by Miller's
+    recurrence (see _power_coefficients) on one dense list a, by Kronecker
+    substitution (von zur Gathen and Gerhard, Modern Computer Algebra, 8.4):
+    the key t*_KEY_BASE + j becomes the exponent t*s + j of x, where
+    s = e*max(j) + 1 exceeds every j of p^e, and p = x^lo * a(x^g), g maximal."""
     if not e:
-        return {(0,) * nvars: 1}
+        return {0: 1}
     if len(p) < 2:
-        return {tuple(x * e for x in k): c**e for k, c in p.items()}
-    degrees = {sum(k) for k in p}
-    if len(degrees) > 1 and nvars > 1:
-        # a sum of forms of several degrees needs both exponents packed into one
-        # index, and that dense list can be far longer than the result
-        half = _ppow(p, e // 2, nvars)
-        return _pmul(_pmul(half, half), p) if e & 1 else _pmul(half, half)
-    # index each term by its last exponent: the one variable's, or Y's in a form
-    lo = min(k[-1] for k in p)
-    a = [0] * (max(k[-1] for k in p) - lo + 1)
-    for k, c in p.items():
-        a[k[-1] - lo] = c
-    q = enumerate(_power_coefficients(a, e), e * lo)
-    if nvars == 1:
-        return {(n,): c for n, c in q if c}
-    top = e * degrees.pop()
-    return {(top - n, n): c for n, c in q if c}
+        return {k * e: c**e for k, c in p.items()}
+    s = e * max(k % _KEY_BASE for k in p) + 1
+    packed = {k // _KEY_BASE * s + k % _KEY_BASE: c for k, c in p.items()}
+    lo, hi = min(packed), max(packed)
+    g = math.gcd(*(k - lo for k in packed))
+    size = e * (hi - lo) // g + 1
+    if size * len(p) > _MAX_POWER_WORK:
+        raise ParseError(
+            f"a power projects {size * len(p)} coefficient products ({size} coefficients "
+            f"times {len(p)} terms), over the supported maximum {_MAX_POWER_WORK}"
+        )
+    a = [0] * ((hi - lo) // g + 1)
+    for k, c in packed.items():
+        a[(k - lo) // g] = c
+    q = _power_coefficients(a, e)
+    return {v // s * _KEY_BASE + v % s: c for v, c in zip(range(e * lo, e * hi + 1, g), q) if c}
 
 
 def _power_coefficients(a: list[int], e: int) -> list[int]:
@@ -725,20 +727,17 @@ def _power_coefficients(a: list[int], e: int) -> list[int]:
     return q
 
 
-def _form_from_xy_poly(poly: dict[tuple[int, ...], int], label: str) -> BinaryForm:
+def _form_from_xy_poly(poly: dict[int, int], label: str) -> BinaryForm:
     if not poly:
         raise ParseError(f"{label} must not be the zero polynomial")
-    degrees = {i + j for (i, j) in poly}
+    degrees = {k // _KEY_BASE for k in poly}
     if len(degrees) != 1:
         lo, hi = min(degrees), max(degrees)
         raise ParseError(
             f"{label} is not homogeneous: it mixes total degrees {lo} and {hi}"
         )
     d = degrees.pop()
-    coeffs = [0] * (d + 1)
-    for (i, j), c in poly.items():
-        coeffs[j] = c
-    return BinaryForm(tuple(coeffs))
+    return BinaryForm(tuple(poly.get(d * _KEY_BASE + j, 0) for j in range(d + 1)))
 
 
 _PHI_RE = re.compile(r"^\s*phi\s*\(\s*([A-Za-z_][A-Za-z_0-9]*)\s*\)\s*=\s*(.+)$", re.DOTALL)
@@ -789,9 +788,9 @@ def parse_map(text: str) -> MapLift:
             raise ParseError("the numerator must not be the zero polynomial")
         if not den:
             raise ParseError("the denominator must not be the zero polynomial")
-        d = max(max(k[0] for k in num), max(k[0] for k in den))
-        F = BinaryForm(tuple(num.get((d - i,), 0) for i in range(d + 1)))
-        G = BinaryForm(tuple(den.get((d - i,), 0) for i in range(d + 1)))
+        d = max(max(num), max(den)) // _KEY_BASE
+        F = BinaryForm(tuple(num.get((d - i) * _KEY_BASE, 0) for i in range(d + 1)))
+        G = BinaryForm(tuple(den.get((d - i) * _KEY_BASE, 0) for i in range(d + 1)))
     try:
         return MapLift.from_forms(F, G)
     except NotAMorphismError:

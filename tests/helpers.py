@@ -4,9 +4,11 @@ Everything here recomputes quantities by a route deliberately different
 from the implementation under test: determinants by cofactor expansion or
 by Gaussian elimination over Fraction instead of fraction-free elimination,
 gcd sequences from full-size exact orbits instead of reduced ones,
-polynomial identities by coefficient convolution, the archimedean series by
-mpf operators instead of raw libmp calls, trial division one prime at a
-time instead of by block gcds.
+polynomial identities by coefficient convolution, polynomial powers by
+repeated multiplication of exponent-tuple dicts instead of Miller's
+recurrence on a packed list, the archimedean series by mpf operators
+instead of raw libmp calls, trial division one prime at a time instead of
+by block gcds.
 """
 
 from __future__ import annotations
@@ -17,7 +19,14 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from p1height.forms import BinaryForm, MapLift, ProjectivePoint, evaluate, normalize_point
+from p1height.forms import (
+    _KEY_BASE,
+    BinaryForm,
+    MapLift,
+    ProjectivePoint,
+    evaluate,
+    normalize_point,
+)
 from p1height.nonarch import PartialFactorization, _primes_upto
 
 
@@ -96,6 +105,33 @@ def cofactor_identities_hold(F: BinaryForm, G: BinaryForm, ident) -> bool:
     want1 = [ident.resultant] + [0] * (2 * d - 1)
     want2 = [0] * (2 * d - 1) + [ident.resultant]
     return lhs1 == want1 and lhs2 == want2
+
+
+def monomial_key(exponents: tuple[int, ...]) -> int:
+    """The parser's int key of an exponent tuple (X, Y), or (z,) in the phi form."""
+    return sum(exponents) * _KEY_BASE + sum(exponents[1:])
+
+
+def exponent_keyed(poly: dict[int, int], nvars: int = 2) -> dict[tuple[int, ...], int]:
+    """A parser dict re-keyed by exponent tuples, (X, Y) or (z,)."""
+    out = {}
+    for key, c in poly.items():
+        t, j = divmod(key, _KEY_BASE)
+        out[(t - j, j) if nvars == 2 else (t,)] = c
+    return out
+
+
+def tuple_power(p: dict[tuple[int, ...], int], e: int, nvars: int) -> dict:
+    """p^e by e schoolbook multiplications of exponent-tuple dicts."""
+    out = {(0,) * nvars: 1}
+    for _ in range(e):
+        prod: dict[tuple[int, ...], int] = {}
+        for m, c in out.items():
+            for n, v in p.items():
+                k = tuple(a + b for a, b in zip(m, n))
+                prod[k] = prod.get(k, 0) + c * v
+        out = {k: v for k, v in prod.items() if v}
+    return out
 
 
 def random_form(rng, degree: int, lo: int = -20, hi: int = 20) -> BinaryForm:

@@ -222,6 +222,7 @@ def test_list_fixtures_json(capsys):
         ("--map", "phi(z) = z^2", "--point", "1", "--terms", "0"),
         ("--map", "phi(z) = z^2", "--point", "1", "--precision", "32"),
         ("--map", "phi(z) = z^2", "--point", "1", "--trial-bound", "5", "--no-factor"),
+        ("--map", "F = (X+Y+1)^4096; G = Y^4096", "--point", "1"),  # a power over the work cap
     ],
 )
 def test_parse_failures_exit_2(capsys, argv):

@@ -7,7 +7,7 @@ import warnings
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from p1height import forms, nonarch
@@ -33,10 +33,13 @@ from helpers import (
     brute_det,
     cofactor_identities_hold,
     convolve,
+    exponent_keyed,
     fraction_det,
+    monomial_key,
     random_form,
     random_lift,
     sylvester_rows,
+    tuple_power,
 )
 
 
@@ -611,7 +614,7 @@ def test_parse_map_bounds_products_before_multiplying(monkeypatch):
     with pytest.raises(ParseError, match="degree 8192"):
         parse("X^4096 Y^4096")  # implicit multiplication
     monkeypatch.undo()
-    assert parse("X^2048*Y^2048") == {(2048, 2048): 1}
+    assert exponent_keyed(parse("X^2048*Y^2048")) == {(2048, 2048): 1}
 
 
 @pytest.mark.parametrize(
@@ -619,8 +622,69 @@ def test_parse_map_bounds_products_before_multiplying(monkeypatch):
 )
 def test_parser_expands_large_binomial_powers(text, a, b, e):
     # binomial powers up to the largest degree the parser accepts
-    got = _PolyParser(_tokenize(text), ("X", "Y")).parse()
+    got = exponent_keyed(_PolyParser(_tokenize(text), ("X", "Y")).parse())
     assert got == {(e - j, j): math.comb(e, j) * a ** (e - j) * b**j for j in range(e + 1)}
+
+
+def test_parser_expands_powers_of_sums_of_several_degrees():
+    def parse(text):
+        return exponent_keyed(_PolyParser(_tokenize(text), ("X", "Y")).parse())
+
+    f, e = math.factorial, 256
+    trinomial = {
+        (i, j): f(e) // (f(i) * f(j) * f(e - i - j)) for i in range(e + 1) for j in range(e + 1 - i)
+    }
+    assert parse("(X+Y+1)^256") == trinomial
+    assert parse("(X+1)^2048") == {(i, 0): math.comb(2048, i) for i in range(2049)}
+
+
+@st.composite
+def _power_bases(draw):
+    """(nvars, base): an exponent-tuple dict in one or two variables, with
+    exponents up to 4 each, so terms mix degrees and leave gaps."""
+    nvars = draw(st.sampled_from((1, 2)))
+    exponents = st.tuples(*[st.integers(0, 4)] * nvars)
+    coefficients = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70)).filter(bool)
+    return nvars, draw(st.dictionaries(exponents, coefficients, max_size=4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_power_bases(), st.integers(0, 16))
+@example((2, {(1, 0): 1, (0, 1): 1, (0, 0): 1}), 16)  # mixed degrees
+@example((2, {(3, 0): 2, (0, 3): -1, (1, 1): 5}), 7)  # gaps, no constant term
+@example((2, {(2, 2): -3, (0, 1): 4}), 9)  # every term has a Y
+@example((1, {(4,): -3, (1,): 5}), 16)  # the phi form's one variable, gaps
+@example((2, {}), 0)  # 0^0 = 1
+def test_ppow_matches_repeated_multiplication(base, e):
+    nvars, p = base
+    got = forms._ppow({monomial_key(m): c for m, c in p.items()}, e)
+    assert exponent_keyed(got, nvars) == tuple_power(p, e, nvars)
+
+
+def test_power_work_is_bounded_before_expanding(monkeypatch):
+    def parse(text):
+        return _PolyParser(_tokenize(text), ("X", "Y")).parse()
+
+    def expand(*args):
+        raise AssertionError("a power was expanded before its projected work was checked")
+
+    # (X+Y+1)^e packs X^i Y^j as x^(i*(e+1) + j*(e+2)), so its list has e*(e+2) + 1 entries
+    monkeypatch.setattr(forms, "_power_coefficients", expand)
+    with pytest.raises(ParseError, match=r"\(16785409 coefficients times 3 terms\)"):
+        parse_map("F = (X+Y+1)^4096; G = Y^4096")
+    monkeypatch.undo()
+    # the recurrence costs a product per term of the base: the outer power is
+    # a short list, but its base has 801 terms
+    with pytest.raises(ParseError, match=r"\(4001 coefficients times 801 terms\)"):
+        parse("((X+Y)^800)^5")
+    monkeypatch.setattr(forms, "_MAX_POWER_WORK", 3 * (11 * 13 + 1))
+    assert len(parse("(X+Y+1)^11")) == 78
+    with pytest.raises(ParseError, match="507 coefficient products"):
+        parse("(X+Y+1)^12")
+    # a sparse base expands on the gcd of its gaps, not on every exponent between
+    assert exponent_keyed(parse("(X^60*Y^60 + 1)^13")) == {
+        (60 * k, 60 * k): math.comb(13, k) for k in range(14)
+    }
 
 
 def test_parse_map_roundtrip_str():
