@@ -1,10 +1,12 @@
 """Archimedean height series by renormalized high-precision iteration.
 
-Scale the point to sup norm 1, apply the lift, read off the step value
--log ||Phi(u)||, rescale the image to sup norm 1, repeat.  The step values
-are divided by d^(n+1) and summed.  Renormalizing every step keeps all
+Scale the point to sup norm 1, apply the lift, read off the norm
+m_n = ||Phi(u_n)||, rescale the image to sup norm 1, repeat.  The series
+is sum_n -log(m_n)/d^(n+1).  Renormalizing every step keeps all
 magnitudes inside [||Phi||_min, 1], so nothing ever overflows or underflows,
-and it makes each step value available with no d*log||u|| correction.
+and it makes each step value available with no d*log||u|| correction.  The
+norms fold into one product B = prod_n m_n^(d^(terms-1-n)) by
+B <- B^d * m_n, so a run takes one logarithm: value = -log(B)/d^terms.
 
 Truncation is controlled by a uniform bound on the step values: the
 triangle inequality bounds ||Phi(u)|| from above by (d+1)*coeff_norm, and
@@ -13,13 +15,16 @@ evaluating the exact cofactor identities
     a1*F + b1*G = Res * X^(2d-1),   a2*F + b2*G = Res * Y^(2d-1)
 
 at a unit-norm pair bounds it from below by |Res|/(2d*cofactor_norm).  The
-resulting truncation bound is proved; the rounding budget of
-terms * 2^(8 - precision) is asserted, not proved (ROADMAP item 2).
+resulting truncation bound is proved, and so is the bound on the error of
+summing the norms (see arch_height); the rounding budget of
+terms * 2^(8 - precision) for the orbit itself is asserted, not proved
+(ROADMAP item 2).
 
 The step kernel calls mpmath's libmp primitives on raw values, so no mpf
 object is built per operation.  It makes the same correctly rounded
 operations in the same order as the mpf-operator loop it replaced, and
-skips only exact ones, so every value is bit-identical to that loop's.
+skips only exact ones, so every unit pair and norm of the orbit is
+bit-identical to that loop's.
 """
 
 from __future__ import annotations
@@ -28,12 +33,12 @@ from dataclasses import dataclass
 
 import mpmath as mp
 from mpmath.libmp import (
-    fnone, fone, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_log, mpf_lt, mpf_mul, mpf_sub,
-    round_nearest,
+    fnone, fone, from_int, mpf_abs, mpf_add, mpf_div, mpf_log, mpf_lt, mpf_mul, mpf_neg,
+    mpf_pow_int, round_nearest,
 )
 
 from .forms import MapLift, ProjectivePoint
-from .numerics import log_int, resolve_precision_bits
+from .numerics import resolve_precision_bits
 
 __all__ = ["ArchResult", "arch_height", "arch_step", "arch_step_bound"]
 
@@ -42,8 +47,10 @@ __all__ = ["ArchResult", "arch_height", "arch_step", "arch_step_bound"]
 class ArchResult:
     """Truncated archimedean series with tail bound and precision bookkeeping.
 
-    value: sum_{n<terms} step_n / d^(n+1) with step_n = -log||Phi(u_n)||.
-    tail_bound: step_bound/((d-1) d^terms) plus the rounding budget.
+    value: sum_{n<terms} step_n / d^(n+1) with step_n = -log||Phi(u_n)||,
+        taken as -log(B)/d^terms with B = prod_n ||Phi(u_n)||^(d^(terms-1-n)).
+    tail_bound: step_bound/((d-1) d^terms), plus the orbit's rounding budget,
+        plus the error of summing the norms (see arch_height).
     step_bound: rigorous uniform bound on every |step_n| (arch_step_bound).
     """
 
@@ -56,6 +63,8 @@ class ArchResult:
 
 # +1 and -1, indexed by an mpf's sign bit
 _UNIT = (fone, fnone)
+# bits above the run's precision at which the norms are folded into one product
+_SUM_GUARD_BITS = 16
 
 
 def _raw_coefficients(lift: MapLift, prec: int):
@@ -117,14 +126,17 @@ def arch_step_bound(lift: MapLift) -> mp.mpf:
     Upper side: each form has at most d+1 monomials of size at most
     coeff_norm on unit inputs, so ||Phi(u)|| <= (d+1)*coeff_norm.  Lower
     side: the cofactor identity for the coordinate realizing the unit norm
-    gives |Res| <= 2d * cofactor_norm * ||Phi(u)||.  Both log bounds are
-    clamped below at 0.  Computed at the current working precision.
+    gives |Res| <= 2d * cofactor_norm * ||Phi(u)||.  The bound is the larger
+    of log((d+1)*coeff_norm) and log(2d*cofactor_norm/|Res|), picked by
+    comparing exact integers so only one logarithm is taken, clamped below
+    at 0.  Computed at the current working precision.
     """
     d = lift.degree
-    ident = lift.cofactor_identity
-    upper = log_int((d + 1) * lift.coeff_norm)
-    lower = log_int(2 * d * ident.coeff_norm) - log_int(abs(lift.resultant))
-    return max(upper, lower, mp.mpf(0))
+    R = abs(lift.resultant)
+    upper = (d + 1) * lift.coeff_norm
+    lower = 2 * d * lift.cofactor_identity.coeff_norm
+    side = mp.mpf(upper) if upper * R >= lower else mp.mpf(lower) / R
+    return max(mp.log(side), mp.mpf(0))
 
 
 def arch_height(
@@ -135,9 +147,28 @@ def arch_height(
 ) -> ArchResult:
     """Truncated archimedean series at P by renormalized iteration.
 
-    The full series differs from the returned value by at most tail_bound,
-    which combines the proved truncation bound with a rounding budget of
-    terms * 2^(8 - precision_bits) that is asserted, not proved.
+    The orbit's norms m_n fold into B <- B^d * m_n, each operation rounded
+    to nearest at wp = bits + _SUM_GUARD_BITS, and value = -log(B)/d^terms,
+    since log B = sum_n d^(terms-1-n) * log m_n.
+
+    Summation error, against the exact sum_n -log(m_n)/d^(n+1) of the
+    computed norms, with eps = 2^-wp: mpf_mul rounds once (relative error
+    at most eps) and mpf_pow_int rounds once after a guarded power (at most
+    2*eps), so step n moves log B by at most 4*eps.  Each later step raises
+    B to the power d, so in the value that error is
+    4*eps * d^(terms-1-n) / d^terms = 4*eps / d^(n+1); over all steps it
+    stays below 4*eps/(d-1) <= 4*eps, with no factor of terms.  mpf_log
+    works 20 bits above wp and rounds once; its relative error, charged at
+    2*eps, adds 2*eps*|value|.  The final division by the exact integer
+    d^terms rounds once at bits, adding 2^-bits * |value|.  With the 16-bit
+    guard the total is below (1 + |value|) * 2^-bits, and tail_bound
+    charges twice that.
+
+    The full series differs from the returned value by at most
+    tail_bound = step_bound/((d-1) d^terms) + terms * 2^(8 - bits)
+    + (1 + |value|) * 2^(1 - bits).  The truncation term and the summation
+    term are proved; the orbit's rounding budget terms * 2^(8 - bits) is
+    asserted, not proved.
     """
     bits = resolve_precision_bits(precision_bits, lift.degree, terms, lift.coeff_norm)
     d = lift.degree
@@ -145,18 +176,22 @@ def arch_height(
     fc, gc = _raw_coefficients(lift, bits)
     scale = from_int(max(abs(P.x), abs(P.y)), bits, rnd)
     ux, uy = (mpf_div(from_int(v, bits, rnd), scale, bits, rnd) for v in (P.x, P.y))
-    total = fzero
-    denom = d
+    wp = bits + _SUM_GUARD_BITS
+    B = fone
     for _ in range(terms):
         ux, uy, m = _step(fc, gc, ux, uy, bits)
-        step = mpf_div(mpf_log(m, bits, rnd), from_int(denom), bits, rnd)
-        total = mpf_sub(total, step, bits, rnd)
-        denom *= d
+        B = mpf_mul(mpf_pow_int(B, d, wp, rnd), m, wp, rnd)
+    dn = d**terms
+    value = mp.make_mpf(mpf_neg(mpf_div(mpf_log(B, wp, rnd), from_int(dn), bits, rnd)))
     with mp.workprec(bits):
         bound = arch_step_bound(lift)
-        tail = bound / ((d - 1) * d**terms) + terms * mp.mpf(2) ** (8 - bits)
+        tail = (
+            bound / ((d - 1) * dn)
+            + terms * mp.mpf(2) ** (8 - bits)
+            + (1 + abs(value)) * mp.mpf(2) ** (1 - bits)
+        )
     return ArchResult(
-        value=mp.make_mpf(total),
+        value=value,
         tail_bound=tail,
         step_bound=bound,
         precision_bits=bits,

@@ -453,10 +453,16 @@ _MAX_EXPONENT = 4096
 # t*_KEY_BASE + j, so a product adds keys; the degree checks keep every t, and
 # so every j, at most _MAX_EXPONENT before it is formed, so j < _KEY_BASE
 _KEY_BASE = _MAX_EXPONENT + 1
-# most products Miller's recurrence may take for one power: its dense list's
-# length times the base's terms; a two-term base's list has e + 1 entries,
-# so no list is longer than a third of this
-_MAX_POWER_WORK = 3 << 20
+# most coefficient products one power or one product may take: a power's
+# Miller recurrence takes its dense list's length times the base's terms (a
+# two-term base's list has e + 1 entries, so no list is longer than a third
+# of this), and a product of n by m terms takes n*m
+_MAX_WORK = 3 << 20
+# most coefficient bits one power may project, 2^32 (512 MiB): size*e*(bits of
+# the base's largest |c| + bits of its term count), since every coefficient
+# of p^e is at most (len(p)*max|c|)^e; the parser's own tests reach 5.1*10^7,
+# far below, and (X+Y+1)^1023 projects 3.2*10^9
+_MAX_POWER_BITS = 1 << 32
 # deepest parenthesis nesting the recursive-descent parser accepts; each
 # level costs it four stack frames
 _MAX_NESTING = 100
@@ -597,9 +603,14 @@ class _PolyParser:
 
     def times(self, p, q):
         # the degree the product reaches once the enclosing powers apply,
-        # checked before multiplying
+        # and its work, checked before multiplying
         top = max(p, default=0) // _KEY_BASE + max(q, default=0) // _KEY_BASE
         _check_degree(top * self.scale, "a product projects")
+        if len(p) * len(q) > _MAX_WORK:
+            raise ParseError(
+                f"a product projects {len(p) * len(q)} coefficient products ({len(p)} "
+                f"times {len(q)} terms), over the supported maximum {_MAX_WORK}"
+            )
         return _pmul(p, q)
 
     def factor(self):
@@ -687,26 +698,44 @@ def _ppow(p, e):
     recurrence (see _power_coefficients) on one dense list a, by Kronecker
     substitution (von zur Gathen and Gerhard, Modern Computer Algebra, 8.4):
     the key t*_KEY_BASE + j becomes the exponent t*s + j of x, where
-    s = e*max(j) + 1 exceeds every j of p^e, and p = x^lo * a(x^g), g maximal."""
+    s = e*max(j) + 1 exceeds every j of p^e, and p = x^lo * a(x^g), g maximal.
+    The work and the coefficient bits are bounded before anything expands."""
     if not e:
         return {0: 1}
     if len(p) < 2:
-        return {k * e: c**e for k, c in p.items()}
+        for k, c in p.items():  # the one term, if any
+            per = e * (c.bit_length() + 1)
+            if per > _MAX_POWER_BITS:
+                raise _power_bits_error(1, per)
+            return {k * e: c**e}
+        return {}
     s = e * max(k % _KEY_BASE for k in p) + 1
     packed = {k // _KEY_BASE * s + k % _KEY_BASE: c for k, c in p.items()}
     lo, hi = min(packed), max(packed)
     g = math.gcd(*(k - lo for k in packed))
     size = e * (hi - lo) // g + 1
-    if size * len(p) > _MAX_POWER_WORK:
+    if size * len(p) > _MAX_WORK:
         raise ParseError(
             f"a power projects {size * len(p)} coefficient products ({size} coefficients "
-            f"times {len(p)} terms), over the supported maximum {_MAX_POWER_WORK}"
+            f"times {len(p)} terms), over the supported maximum {_MAX_WORK}"
         )
+    # every coefficient of p^e is at most (len(p)*max|c|)^e
+    per = e * (max(c.bit_length() for c in p.values()) + len(p).bit_length())
+    if size * per > _MAX_POWER_BITS:
+        raise _power_bits_error(size, per)
     a = [0] * ((hi - lo) // g + 1)
     for k, c in packed.items():
         a[(k - lo) // g] = c
     q = _power_coefficients(a, e)
     return {v // s * _KEY_BASE + v % s: c for v, c in zip(range(e * lo, e * hi + 1, g), q) if c}
+
+
+def _power_bits_error(size: int, per: int) -> ParseError:
+    """The error for a power of `size` coefficients of up to `per` bits each."""
+    return ParseError(
+        f"a power projects {size * per} coefficient bits ({size} coefficients of up "
+        f"to {per} bits), over the supported maximum {_MAX_POWER_BITS}"
+    )
 
 
 def _power_coefficients(a: list[int], e: int) -> list[int]:

@@ -380,14 +380,18 @@ def nonarch_height(
         max_bits = max(max_bits, top.bit_length())
         for i, g in enumerate(_gcd_loop((lift.F, lift.G), P, part, top, terms)):
             gs[i] *= g
+    # one logarithm per distinct g, with the exact weight
+    # W_g = sum over the steps i with g_i = g of d^(terms-1-i)
+    dn = d**terms
+    weights: dict[int, int] = {}
+    w = dn
+    for g in gs:
+        w //= d
+        if g > 1:
+            weights[g] = weights.get(g, 0) + w
     with mp.workprec(bits):
-        total = mp.mpf(0)
-        denom = d
-        for g in gs:
-            if g > 1:
-                total += log_int(g) / denom
-            denom *= d
-        tail = log_int(R) / ((d - 1) * d**terms)
+        total = mp.fsum(log_int(g) * w for g, w in weights.items()) / dn
+        tail = log_int(R) / ((d - 1) * dn)
     return NonArchResult(total, tuple(gs), tail, terms, max_bits, bits)
 
 

@@ -1,12 +1,15 @@
 """Tests for the renormalized archimedean iteration and its step bound."""
 
+import inspect
 import random
+import textwrap
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p1height import arch
 from p1height.arch import _raw_coefficients, _step, arch_height, arch_step, arch_step_bound
 from p1height.fixtures import load_fixture
 from p1height.forms import BinaryForm, CofactorIdentity, MapLift, ProjectivePoint, normalize_point
@@ -179,7 +182,8 @@ def test_arch_series_tracks_large_coefficient_map():
 
 
 # ---------------------------------------------------------------------------
-# bit identity of the raw-libmp kernel with the mpf-operator loop
+# the raw-libmp kernel against the mpf-operator loop: the orbit bit for bit,
+# the one-logarithm sum to (1 + |value|) * 2^-prec
 
 
 def _unchecked_lift(F, G):
@@ -238,17 +242,24 @@ def _raw(pair):
     return tuple(v._mpf_ for v in pair)
 
 
-def _check_against_reference(lift, P, terms, prec):
-    """The series value and every step of the kernel (next unit pair and its
-    norm m) equal the mpf-operator loop's bit for bit.  A log compresses
-    last-bit differences of a large m, so the value alone would not show them."""
+def _check_against_reference(lift, P, terms, prec, series=arch_height):
+    """Every step of the kernel (next unit pair and its norm m) equals the
+    mpf-operator loop's bit for bit, and the series value is within
+    2*(1 + |S|)*2^-prec of S, the sum of -log(m_n)/d^(n+1) over the loop's
+    norms at 4*prec.  The bound is the summation term of arch_height's
+    tail_bound; the value alone would not show orbit differences, since a
+    log compresses last-bit differences of a large m."""
     try:
-        want, pairs, norms = reference_arch_orbit(lift, P, terms, prec)
+        _, pairs, norms = reference_arch_orbit(lift, P, terms, prec)
     except ValueError:
         with pytest.raises(ValueError, match="vanished"):
-            arch_height(lift, P, terms, precision_bits=prec)
+            series(lift, P, terms, precision_bits=prec)
         return
-    assert arch_height(lift, P, terms, precision_bits=prec).value._mpf_ == want._mpf_
+    value = series(lift, P, terms, precision_bits=prec).value
+    d = lift.degree
+    with mp.workprec(4 * prec):
+        S = -mp.fsum(mp.log(m) / d ** (n + 1) for n, m in enumerate(norms))
+        assert abs(value - S) <= 2 * (1 + abs(S)) * mp.mpf(2) ** -prec
     fc, gc = _raw_coefficients(lift, prec)
     for n, m in enumerate(norms):
         assert _step(fc, gc, *_raw(pairs[n]), prec) == (*_raw(pairs[n + 1]), m._mpf_)
@@ -280,3 +291,36 @@ def test_raw_kernel_is_bit_identical_on_the_fixtures(fixture_id):
     lift = fx.lift()
     bits = default_precision_bits(lift.degree, 50, lift.coeff_norm)
     _check_against_reference(lift, fx.point(), 50, bits)
+
+
+def _mutant(old, new):
+    """arch_height with `old` replaced by `new` in its source, compiled in a
+    copy of the arch module's namespace."""
+    src = textwrap.dedent(inspect.getsource(arch.arch_height))
+    assert src.count(old) == 1
+    namespace = dict(vars(arch))
+    exec(compile(src.replace(old, new), arch.__file__, "exec"), namespace)
+    return namespace["arch_height"]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # weight d^(terms-n) for m_n: multiply before raising to the power d
+        ("mpf_mul(mpf_pow_int(B, d, wp, rnd), m, wp, rnd)", "mpf_pow_int(mpf_mul(B, m, wp, rnd), d, wp, rnd)"),
+        ("mpf_pow_int(B, d, wp, rnd)", "mpf_pow_int(B, d - 1, wp, rnd)"),
+        ("from_int(dn)", "from_int(dn // d)"),
+    ],
+)
+@pytest.mark.parametrize("case", ["ex3", "points map"])
+def test_reference_check_rejects_wrong_weights(old, new, case):
+    if case == "ex3":
+        fx = load_fixture(case)
+        lift, P = fx.lift(), fx.point()
+    else:
+        lift, P = _lift((3, 0, 1), (0, 2, 0)), ProjectivePoint(5, 7)
+    bits = default_precision_bits(lift.degree, 50, lift.coeff_norm)
+    mutant = _mutant(old, new)
+    _check_against_reference(lift, P, 50, bits)
+    with pytest.raises(AssertionError):
+        _check_against_reference(lift, P, 50, bits, series=mutant)

@@ -677,7 +677,7 @@ def test_power_work_is_bounded_before_expanding(monkeypatch):
     # a short list, but its base has 801 terms
     with pytest.raises(ParseError, match=r"\(4001 coefficients times 801 terms\)"):
         parse("((X+Y)^800)^5")
-    monkeypatch.setattr(forms, "_MAX_POWER_WORK", 3 * (11 * 13 + 1))
+    monkeypatch.setattr(forms, "_MAX_WORK", 3 * (11 * 13 + 1))
     assert len(parse("(X+Y+1)^11")) == 78
     with pytest.raises(ParseError, match="507 coefficient products"):
         parse("(X+Y+1)^12")
@@ -685,6 +685,55 @@ def test_power_work_is_bounded_before_expanding(monkeypatch):
     assert exponent_keyed(parse("(X^60*Y^60 + 1)^13")) == {
         (60 * k, 60 * k): math.comb(13, k) for k in range(14)
     }
+
+
+def test_product_work_is_bounded_before_multiplying(monkeypatch):
+    def parse(text):
+        return _PolyParser(_tokenize(text), ("X", "Y")).parse()
+
+    formed, original = [], forms._pmul
+
+    def multiply(p, q):
+        # the large products are counted, not formed
+        if len(p) * len(q) < 1000:
+            return original(p, q)
+        formed.append(len(p) * len(q))
+        return {}
+
+    monkeypatch.setattr(forms, "_pmul", multiply)
+    parse("(X+Y)^1024*(X-Y)^1024")
+    assert formed == [1025 * 1025]
+    with pytest.raises(ParseError, match=r"4198401 coefficient products \(2049 times 2049 terms\)"):
+        parse("(X+2*Y)^2048*(X-Y)^2048")
+    assert formed == [1025 * 1025]
+    monkeypatch.undo()
+    monkeypatch.setattr(forms, "_MAX_WORK", 12)
+    assert exponent_keyed(parse("(X+Y)^3*(X-Y)^2")) == {(5, 0): 1, (4, 1): 1, (3, 2): -2, (2, 3): -2, (1, 4): 1, (0, 5): 1}
+    with pytest.raises(ParseError, match=r"\(4 times 4 terms\), over the supported maximum 12"):
+        parse("(X+Y)^3*(X-Y)^3")
+
+
+def test_power_coefficient_bits_are_bounded_before_expanding(monkeypatch):
+    def parse(text):
+        return _PolyParser(_tokenize(text), ("X", "Y")).parse()
+
+    def expand(*args):
+        raise AssertionError("a power was expanded before its coefficient bits were checked")
+
+    # every coefficient of (L*X + Y)^4096 has at most 4096*(bits(L) + bits(2)) bits
+    literal = "7" * 4000
+    per = 4096 * (int(literal).bit_length() + 2)
+    monkeypatch.setattr(forms, "_power_coefficients", expand)
+    with pytest.raises(ParseError, match=rf"\(4097 coefficients of up to {per} bits\)"):
+        parse_map(f"F = ({literal}*X + Y)^4096; G = Y^4096")
+    monkeypatch.undo()
+    # (X+Y)^8 projects 9 coefficients of 8*(1 + 2) bits, and (2X)^72 one of 72*(2 + 1)
+    monkeypatch.setattr(forms, "_MAX_POWER_BITS", 216)
+    assert exponent_keyed(parse("(X+Y)^8")) == {(8 - j, j): math.comb(8, j) for j in range(9)}
+    assert exponent_keyed(parse("(2*X)^72")) == {(72, 0): 2**72}
+    for text, bits in (("(X+Y)^9", 270), ("(2*X)^73", 219), ("((3)^2)^50", 250)):
+        with pytest.raises(ParseError, match=f"projects {bits} coefficient bits"):
+            parse(text)
 
 
 def test_parse_map_roundtrip_str():
