@@ -27,7 +27,7 @@ import mpmath as mp
 from .fixtures import fixture_ids, load_fixture
 from .forms import NotAMorphismError, ParseError, parse_map, parse_point
 from .height import BudgetExceededError, canonical_height, canonical_height_oracle
-from .nonarch import trial_division
+from .nonarch import check_trial_bound, trial_division
 from .numerics import (
     check_run_parameters, decimal_digits, int_str_digits_limit, to_decimal_string,
 )
@@ -85,6 +85,8 @@ def _execute(spec: JobSpec) -> str:
     if len(sources) != 1:
         raise ValueError("exactly one of --map, --map-file, or --fixture is required")
     check_run_parameters(spec.terms, spec.precision_bits)
+    if spec.trial_bound is not None:
+        check_trial_bound(spec.trial_bound)
     if spec.oracle_n is not None and spec.oracle_n < 1:
         raise ValueError(f"--oracle must be a positive integer, got {spec.oracle_n}")
     if spec.output_format not in ("text", "json"):
@@ -306,14 +308,11 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="TEXT",
         help="point as '[x, y]' or a single rational; fixtures provide a default",
     )
-    parser.add_argument(
-        "--terms", type=int, default=50, metavar="N", help="series terms (default 50)"
-    )
+    parser.add_argument("--terms", type=int, metavar="N", help="series terms (default %(default)s)")
     parser.add_argument(
         "--precision",
         dest="precision_bits",
         type=int,
-        default=None,
         metavar="BITS",
         help="working precision; the default grows with terms, degree, and coefficient size",
     )
@@ -321,9 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
     split.add_argument(
         "--trial-bound",
         type=int,
-        default=100_000,
         metavar="B",
-        help="trial-division bound for splitting the resultant (default 100000)",
+        help="trial-division bound for splitting the resultant (default %(default)s)",
     )
     split.add_argument(
         "--no-factor",
@@ -341,7 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--oracle",
         dest="oracle_n",
         type=int,
-        default=None,
         metavar="N",
         help="also compute N steps of the exact-orbit definition (slow; guarded by a digit budget)",
     )
@@ -349,12 +346,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format",
         dest="output_format",
         choices=("text", "json"),
-        default="text",
-        help="report format (default text; json uses decimal strings throughout)",
+        help="report format (default %(default)s; json uses decimal strings throughout)",
     )
     parser.add_argument(
         "--list-fixtures", action="store_true", help="print the fixture catalog and exit"
     )
+    # every job option's default is JobSpec's
+    parser.set_defaults(**vars(JobSpec()))
     return parser
 
 

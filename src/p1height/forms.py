@@ -453,16 +453,12 @@ _MAX_EXPONENT = 4096
 # t*_KEY_BASE + j, so a product adds keys; the degree checks keep every t, and
 # so every j, at most _MAX_EXPONENT before it is formed, so j < _KEY_BASE
 _KEY_BASE = _MAX_EXPONENT + 1
-# most coefficient products one power or one product may take: a power's
-# Miller recurrence takes its dense list's length times the base's terms (a
-# two-term base's list has e + 1 entries, so no list is longer than a third
-# of this), and a product of n by m terms takes n*m
-_MAX_WORK = 3 << 20
-# most coefficient bits one power may project, 2^32 (512 MiB): size*e*(bits of
-# the base's largest |c| + bits of its term count), since every coefficient
-# of p^e is at most (len(p)*max|c|)^e; the parser's own tests reach 5.1*10^7,
-# far below, and (X+Y+1)^1023 projects 3.2*10^9
-_MAX_POWER_BITS = 1 << 32
+# parse_map's work budget, charged before each product, power, negation and the elimination:
+# a product or exact division of an a-bit by a b-bit int costs ceil(a/64)*ceil(b/64), an upper
+# bound on CPython's 64-bit limb products, plus _PRODUCT_COST for the interpreter's overhead;
+# the work took 2 to 10 ns per unit on a 2-core x86_64 host, so the budget is at most about 3.5 s
+_MAX_COST = 350_000_000
+_PRODUCT_COST = 50
 # deepest parenthesis nesting the recursive-descent parser accepts; each
 # level costs it four stack frames
 _MAX_NESTING = 100
@@ -513,7 +509,7 @@ class _PolyParser:
     the allowed variable names may appear, plus the phi(z) form's one '/'.
     """
 
-    def __init__(self, tokens: list[tuple[str, str]], variables: tuple[str, ...]):
+    def __init__(self, tokens: list[tuple[str, str]], variables: tuple[str, ...], cost=0):
         # A bare run of single-letter variables ("XY", "xxy") splits into
         # separate factors, so XY^2 binds as X*(Y^2).
         single = {v.upper() for v in variables if len(v) == 1}
@@ -543,6 +539,15 @@ class _PolyParser:
                     self.group_exponent[start] = max(int(after[1][1]), 1)
         # product of the exponents that enclosing groups will apply
         self.scale = 1
+        self.cost = cost
+
+    def charge(self, n: int, a_bits: int, b_bits: int) -> None:
+        """Charge n products or exact divisions of an a-bit by a b-bit int (see _MAX_COST)
+        to the running cost: ParseError once it passes _MAX_COST."""
+        self.cost += n * (((a_bits + 63) >> 6) * ((b_bits + 63) >> 6) + _PRODUCT_COST)
+        if self.cost > _MAX_COST:
+            raise ParseError(f"the map projects a cost of at least {self.cost} (64-bit limb products, "
+                             f"plus {_PRODUCT_COST} per product), over the supported maximum {_MAX_COST}")
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -602,15 +607,14 @@ class _PolyParser:
                 return poly
 
     def times(self, p, q):
+        if not (p and q):
+            return {}
         # the degree the product reaches once the enclosing powers apply,
-        # and its work, checked before multiplying
-        top = max(p, default=0) // _KEY_BASE + max(q, default=0) // _KEY_BASE
+        # and its cost, checked before multiplying
+        top = max(p) // _KEY_BASE + max(q) // _KEY_BASE
         _check_degree(top * self.scale, "a product projects")
-        if len(p) * len(q) > _MAX_WORK:
-            raise ParseError(
-                f"a product projects {len(p) * len(q)} coefficient products ({len(p)} "
-                f"times {len(q)} terms), over the supported maximum {_MAX_WORK}"
-            )
+        a, b = max(map(int.bit_length, p.values())), max(map(int.bit_length, q.values()))
+        self.charge(len(p) * len(q), a, b)
         return _pmul(p, q)
 
     def factor(self):
@@ -640,8 +644,11 @@ class _PolyParser:
             # checked before any expansion so nested powers cannot blow up
             top = max(poly, default=0) // _KEY_BASE
             _check_degree(top * e * self.scale, "nested powers project")
-            poly = _ppow(poly, e)
-        return poly if sign == 1 else _pneg(poly)
+            poly = _ppow(poly, e, self.charge)
+        if sign == 1:
+            return poly
+        self.charge(len(poly), 0, 0)  # a negation copies every coefficient
+        return {k: -v for k, v in poly.items()}
 
     def base(self):
         kind, val = self.next()
@@ -676,10 +683,6 @@ def _padd(p, q, sign: int):
             del p[k]
 
 
-def _pneg(p):
-    return {k: -v for k, v in p.items()}
-
-
 def _pmul(p, q):
     if len(p) > len(q):
         p, q = q, p
@@ -693,20 +696,18 @@ def _pmul(p, q):
     return {k + m: c * v for k, v in q.items()}
 
 
-def _ppow(p, e):
+def _ppow(p, e, charge):
     """p^e: a single term scales its key; any other base expands by Miller's
     recurrence (see _power_coefficients) on one dense list a, by Kronecker
     substitution (von zur Gathen and Gerhard, Modern Computer Algebra, 8.4):
     the key t*_KEY_BASE + j becomes the exponent t*s + j of x, where
     s = e*max(j) + 1 exceeds every j of p^e, and p = x^lo * a(x^g), g maximal.
-    The work and the coefficient bits are bounded before anything expands."""
+    The expansion's cost is passed to charge before anything expands."""
     if not e:
         return {0: 1}
     if len(p) < 2:
         for k, c in p.items():  # the one term, if any
-            per = e * (c.bit_length() + 1)
-            if per > _MAX_POWER_BITS:
-                raise _power_bits_error(1, per)
+            charge(1, e * c.bit_length(), e * c.bit_length())
             return {k * e: c**e}
         return {}
     s = e * max(k % _KEY_BASE for k in p) + 1
@@ -714,28 +715,15 @@ def _ppow(p, e):
     lo, hi = min(packed), max(packed)
     g = math.gcd(*(k - lo for k in packed))
     size = e * (hi - lo) // g + 1
-    if size * len(p) > _MAX_WORK:
-        raise ParseError(
-            f"a power projects {size * len(p)} coefficient products ({size} coefficients "
-            f"times {len(p)} terms), over the supported maximum {_MAX_WORK}"
-        )
-    # every coefficient of p^e is at most (len(p)*max|c|)^e
-    per = e * (max(c.bit_length() for c in p.values()) + len(p).bit_length())
-    if size * per > _MAX_POWER_BITS:
-        raise _power_bits_error(size, per)
+    # each coefficient of p^e, at most (len(p)*max|c|)^e, takes len(p) - 1 products and
+    # one exact division by a coefficient of p times a factor below 2*size
+    bits = max(map(int.bit_length, p.values()))
+    charge(size * len(p), e * (bits + len(p).bit_length()), bits + size.bit_length() + 1)
     a = [0] * ((hi - lo) // g + 1)
     for k, c in packed.items():
         a[(k - lo) // g] = c
     q = _power_coefficients(a, e)
     return {v // s * _KEY_BASE + v % s: c for v, c in zip(range(e * lo, e * hi + 1, g), q) if c}
-
-
-def _power_bits_error(size: int, per: int) -> ParseError:
-    """The error for a power of `size` coefficients of up to `per` bits each."""
-    return ParseError(
-        f"a power projects {size * per} coefficient bits ({size} coefficients of up "
-        f"to {per} bits), over the supported maximum {_MAX_POWER_BITS}"
-    )
 
 
 def _power_coefficients(a: list[int], e: int) -> list[int]:
@@ -794,6 +782,7 @@ def parse_map(text: str) -> MapLift:
         if len(pieces) != 2:
             raise ParseError("expected exactly two statements: F = ...; G = ...")
         forms: dict[str, BinaryForm] = {}
+        cost = 0
         for piece in pieces:
             lhs, eq, rhs = piece.partition("=")
             name = lhs.strip().upper()
@@ -801,8 +790,9 @@ def parse_map(text: str) -> MapLift:
                 raise ParseError("each statement must assign to F or G, as in F = X^2 + Y^2")
             if name in forms:
                 raise ParseError(f"{name} is assigned twice")
-            poly = _PolyParser(_tokenize(rhs), ("X", "Y")).parse()
-            forms[name] = _form_from_xy_poly(poly, name)
+            parser = _PolyParser(_tokenize(rhs), ("X", "Y"), cost)
+            forms[name] = _form_from_xy_poly(parser.parse(), name)
+            cost = parser.cost
         F, G = forms["F"], forms["G"]
     else:
         m = _PHI_RE.match(text)
@@ -812,7 +802,7 @@ def parse_map(text: str) -> MapLift:
                 "or 'phi(z) = (...)/(...)'"
             )
         var, rhs = m.group(1), m.group(2)
-        num, den = _PolyParser(_tokenize(rhs), (var,)).parse(ratio=True)
+        num, den = (parser := _PolyParser(_tokenize(rhs), (var,))).parse(ratio=True)
         if not num:
             raise ParseError("the numerator must not be the zero polynomial")
         if not den:
@@ -820,6 +810,13 @@ def parse_map(text: str) -> MapLift:
         d = max(max(num), max(den)) // _KEY_BASE
         F = BinaryForm(tuple(num.get((d - i) * _KEY_BASE, 0) for i in range(d + 1)))
         G = BinaryForm(tuple(den.get((d - i) * _KEY_BASE, 0) for i in range(d + 1)))
+    # the elimination shares the statements' budget: every Sylvester minor has at most
+    # h = d*(log2|F|_2 + log2|G|_2) bits (Hadamard), and on every pair counted the PRS and the
+    # a1/b1 derivation took at most d*(4d + 3)*ceil(h/64)^2 limb products and 23*d^2 products
+    d = F.degree
+    h = (d * sum(sum(c * c for c in H.coefficients).bit_length() for H in (F, G)) + 1) // 2
+    parser.charge(d * (4 * d + 3), h, h)
+    parser.charge(20 * d * d, 0, 0)
     try:
         return MapLift.from_forms(F, G)
     except NotAMorphismError:

@@ -92,6 +92,12 @@ _SIEVE_CAP = 10_000_000
 _BLOCK = 256  # primes per gcd in trial_division
 
 
+def check_trial_bound(bound: int) -> None:
+    """Raise ValueError unless bound is a trial-division bound this module supports."""
+    if not 2 <= bound <= _SIEVE_CAP:
+        raise ValueError(f"the trial-division bound must be from 2 to {_SIEVE_CAP}, got {bound}")
+
+
 @lru_cache(maxsize=8)
 def _primes_upto(bound: int) -> tuple[int, ...]:
     sieve = bytearray([1]) * (bound + 1)
@@ -118,10 +124,7 @@ def trial_division(R: int, bound: int = 100_000) -> PartialFactorization:
     """
     if R < 1:
         raise ValueError("trial division needs an integer >= 1")
-    if bound < 2:
-        raise ValueError("bound must be at least 2")
-    if bound > _SIEVE_CAP:
-        raise ValueError(f"bound above {_SIEVE_CAP} is not supported")
+    check_trial_bound(bound)
     parts: list[int] = []
     prov: list[str] = []
     rest = R

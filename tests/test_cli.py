@@ -222,7 +222,7 @@ def test_list_fixtures_json(capsys):
         ("--map", "phi(z) = z^2", "--point", "1", "--terms", "0"),
         ("--map", "phi(z) = z^2", "--point", "1", "--precision", "32"),
         ("--map", "phi(z) = z^2", "--point", "1", "--trial-bound", "5", "--no-factor"),
-        ("--map", "F = (X+Y+1)^4096; G = Y^4096", "--point", "1"),  # a power over the work cap
+        ("--map", "F = (X+Y+1)^4096; G = Y^4096", "--point", "1"),  # a power over the budget
     ],
 )
 def test_parse_failures_exit_2(capsys, argv):
@@ -261,6 +261,30 @@ def test_invalid_oracle_exits_2_before_any_series(capsys, monkeypatch, n):
     assert code == 2
     assert out == ""
     assert "--oracle" in err
+
+
+@pytest.mark.parametrize("bound", ["1", "-3", "100000000"])
+@pytest.mark.parametrize("map_text", ["phi(z) = z^2", "phi(z) = (3*z^2 + 1)/(2*z)"])
+def test_invalid_trial_bound_exits_2_before_parsing(capsys, monkeypatch, map_text, bound):
+    # |Res| is 1 for z^2, which trial division never sees, and 12 for the other
+    def fail(*args, **kwargs):
+        raise AssertionError("parse_map ran before --trial-bound was checked")
+
+    monkeypatch.setattr(cli, "parse_map", fail)
+    code, out, err = run_cli(capsys, "--map", map_text, "--point", "2", "--trial-bound", bound)
+    assert code == 2
+    assert out == ""
+    assert "trial-division bound" in err
+
+
+def test_hostile_sum_exits_2(capsys):
+    # each (3^4096)^180 alone fits the parser's budget, the second term's does not
+    code, out, err = run_cli(
+        capsys, "--map", "F = (3^4096)^180*X^2 + (3^4096)^180*Y^2; G = X*Y", "--point", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "over the supported maximum" in err
 
 
 @pytest.fixture

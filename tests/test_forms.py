@@ -657,40 +657,45 @@ def _power_bases(draw):
 @example((2, {}), 0)  # 0^0 = 1
 def test_ppow_matches_repeated_multiplication(base, e):
     nvars, p = base
-    got = forms._ppow({monomial_key(m): c for m, c in p.items()}, e)
+    # the budget is the parser's; this test checks the expansion alone
+    got = forms._ppow({monomial_key(m): c for m, c in p.items()}, e, lambda *work: None)
     assert exponent_keyed(got, nvars) == tuple_power(p, e, nvars)
 
 
+def _parse_xy(text):
+    return _PolyParser(_tokenize(text), ("X", "Y")).parse()
+
+
+# the cost of one product of two one-limb coefficients
+_ONE_LIMB = 1 + forms._PRODUCT_COST
+
+
 def test_power_work_is_bounded_before_expanding(monkeypatch):
-    def parse(text):
-        return _PolyParser(_tokenize(text), ("X", "Y")).parse()
-
     def expand(*args):
-        raise AssertionError("a power was expanded before its projected work was checked")
+        raise AssertionError("a power was expanded before its cost was charged")
 
-    # (X+Y+1)^e packs X^i Y^j as x^(i*(e+1) + j*(e+2)), so its list has e*(e+2) + 1 entries
+    # (X+Y+1)^e packs X^i Y^j as x^(i*(e+1) + j*(e+2)), so its list has
+    # e*(e+2) + 1 entries, and each takes one product per term of the base,
+    # of a coefficient of up to 4096*(1 + 2) bits (192 limbs) by one limb
     monkeypatch.setattr(forms, "_power_coefficients", expand)
-    with pytest.raises(ParseError, match=r"\(16785409 coefficients times 3 terms\)"):
+    with pytest.raises(ParseError, match=f"at least {3 * 16785409 * (192 + forms._PRODUCT_COST)} "):
         parse_map("F = (X+Y+1)^4096; G = Y^4096")
     monkeypatch.undo()
-    # the recurrence costs a product per term of the base: the outer power is
-    # a short list, but its base has 801 terms
-    with pytest.raises(ParseError, match=r"\(4001 coefficients times 801 terms\)"):
-        parse("((X+Y)^800)^5")
-    monkeypatch.setattr(forms, "_MAX_WORK", 3 * (11 * 13 + 1))
-    assert len(parse("(X+Y+1)^11")) == 78
-    with pytest.raises(ParseError, match="507 coefficient products"):
-        parse("(X+Y+1)^12")
+    # the outer power is a short list, but its base has 801 terms
+    with pytest.raises(ParseError, match="over the supported maximum"):
+        _parse_xy("((X+Y)^800)^5")
+    # (X+Y+1)^11 takes 3*(11*13 + 1) products of one limb by one
+    monkeypatch.setattr(forms, "_MAX_COST", 432 * _ONE_LIMB)
+    assert len(_parse_xy("(X+Y+1)^11")) == 78
+    with pytest.raises(ParseError, match=f"at least {507 * _ONE_LIMB} "):
+        _parse_xy("(X+Y+1)^12")
     # a sparse base expands on the gcd of its gaps, not on every exponent between
-    assert exponent_keyed(parse("(X^60*Y^60 + 1)^13")) == {
+    assert exponent_keyed(_parse_xy("(X^60*Y^60 + 1)^13")) == {
         (60 * k, 60 * k): math.comb(13, k) for k in range(14)
     }
 
 
 def test_product_work_is_bounded_before_multiplying(monkeypatch):
-    def parse(text):
-        return _PolyParser(_tokenize(text), ("X", "Y")).parse()
-
     formed, original = [], forms._pmul
 
     def multiply(p, q):
@@ -701,39 +706,116 @@ def test_product_work_is_bounded_before_multiplying(monkeypatch):
         return {}
 
     monkeypatch.setattr(forms, "_pmul", multiply)
-    parse("(X+Y)^1024*(X-Y)^1024")
+    _parse_xy("(X+Y)^1024*(X-Y)^1024")
     assert formed == [1025 * 1025]
-    with pytest.raises(ParseError, match=r"4198401 coefficient products \(2049 times 2049 terms\)"):
-        parse("(X+2*Y)^2048*(X-Y)^2048")
+    with pytest.raises(ParseError, match="over the supported maximum"):
+        _parse_xy("(X+2*Y)^2048*(X-Y)^2048")
     assert formed == [1025 * 1025]
     monkeypatch.undo()
-    monkeypatch.setattr(forms, "_MAX_WORK", 12)
-    assert exponent_keyed(parse("(X+Y)^3*(X-Y)^2")) == {(5, 0): 1, (4, 1): 1, (3, 2): -2, (2, 3): -2, (1, 4): 1, (0, 5): 1}
-    with pytest.raises(ParseError, match=r"\(4 times 4 terms\), over the supported maximum 12"):
-        parse("(X+Y)^3*(X-Y)^3")
+    # (X+Y)^3 takes 4*2 products, (X-Y)^2 3*2 and their product 4*3, all of one limb
+    monkeypatch.setattr(forms, "_MAX_COST", (8 + 6 + 12) * _ONE_LIMB)
+    assert exponent_keyed(_parse_xy("(X+Y)^3*(X-Y)^2")) == {(5, 0): 1, (4, 1): 1, (3, 2): -2, (2, 3): -2, (1, 4): 1, (0, 5): 1}
+    with pytest.raises(ParseError, match=f"at least {(8 + 8 + 16) * _ONE_LIMB} "):
+        _parse_xy("(X+Y)^3*(X-Y)^3")
 
 
 def test_power_coefficient_bits_are_bounded_before_expanding(monkeypatch):
-    def parse(text):
-        return _PolyParser(_tokenize(text), ("X", "Y")).parse()
-
     def expand(*args):
-        raise AssertionError("a power was expanded before its coefficient bits were checked")
+        raise AssertionError("a power was expanded before its coefficient bits were charged")
 
-    # every coefficient of (L*X + Y)^4096 has at most 4096*(bits(L) + bits(2)) bits
     literal = "7" * 4000
-    per = 4096 * (int(literal).bit_length() + 2)
     monkeypatch.setattr(forms, "_power_coefficients", expand)
-    with pytest.raises(ParseError, match=rf"\(4097 coefficients of up to {per} bits\)"):
+    with pytest.raises(ParseError, match="over the supported maximum"):
         parse_map(f"F = ({literal}*X + Y)^4096; G = Y^4096")
     monkeypatch.undo()
-    # (X+Y)^8 projects 9 coefficients of 8*(1 + 2) bits, and (2X)^72 one of 72*(2 + 1)
-    monkeypatch.setattr(forms, "_MAX_POWER_BITS", 216)
-    assert exponent_keyed(parse("(X+Y)^8")) == {(8 - j, j): math.comb(8, j) for j in range(9)}
-    assert exponent_keyed(parse("(2*X)^72")) == {(72, 0): 2**72}
-    for text, bits in (("(X+Y)^9", 270), ("(2*X)^73", 219), ("((3)^2)^50", 250)):
-        with pytest.raises(ParseError, match=f"projects {bits} coefficient bits"):
-            parse(text)
+    # (X+Y)^8 takes 9*2 products of one limb by one; the same shapes with a
+    # 65-bit coefficient multiply more limbs, and so cost more
+    monkeypatch.setattr(forms, "_MAX_COST", 18 * _ONE_LIMB)
+    assert exponent_keyed(_parse_xy("(X+Y)^8")) == {(8 - j, j): math.comb(8, j) for j in range(9)}
+    assert exponent_keyed(_parse_xy("(2*X)^72")) == {(72, 0): 2**72}
+    with pytest.raises(ParseError, match=f"at least {20 * _ONE_LIMB} "):
+        _parse_xy("(X+Y)^9")
+    for text in ("(18446744073709551616*X + Y)^8", "(18446744073709551616*X)^72", "((3)^2)^500"):
+        with pytest.raises(ParseError, match="over the supported maximum"):
+            _parse_xy(text)
+
+
+def test_sum_of_powers_is_refused_before_its_third_expansion(monkeypatch):
+    expanded, original = [], forms._power_coefficients
+
+    def expand(a, e):
+        expanded.append(e)
+        return original(a, e)
+
+    monkeypatch.setattr(forms, "_power_coefficients", expand)
+    # the budget charges the whole statement, and each term costs 432 products
+    monkeypatch.setattr(forms, "_MAX_COST", 432 * _ONE_LIMB * 5 // 2)
+    with pytest.raises(ParseError, match="over the supported maximum"):
+        _parse_xy(" + ".join(["(X+Y+1)^11"] * 8))
+    assert expanded == [11, 11]
+
+
+def test_product_of_constant_powers_is_refused_before_the_large_product(monkeypatch):
+    formed, original = [], forms._pmul
+
+    def multiply(p, q):
+        formed.append(1)
+        return original(p, q)
+
+    monkeypatch.setattr(forms, "_pmul", multiply)
+    # (3^4096)^16 has 1623 limbs, so the k-th product of the chain takes
+    # k*1623^2 limb products; fifteen factors fit the budget, sixteen do not
+    chain = " * ".join(["(3^4096)^16"] * 15)
+    assert _parse_xy(chain) == {0: 3 ** (4096 * 16 * 15)}
+    formed.clear()
+    with pytest.raises(ParseError, match="over the supported maximum"):
+        _parse_xy(chain + " * (3^4096)^16")
+    assert len(formed) == 14
+    with pytest.raises(ParseError, match="over the supported maximum"):
+        _parse_xy("(3^4096)^256")
+
+
+class _Eliminated(Exception):
+    """Raised by a spy in place of the elimination."""
+
+
+def _refuse_elimination(monkeypatch):
+    def eliminate(*args):
+        raise _Eliminated
+
+    monkeypatch.setattr(forms, "_eliminate", eliminate)
+
+
+def _random_pair_text(d, bits, seed):
+    rng = random.Random(seed)
+    F, G = (BinaryForm(tuple(rng.randint(-(2**bits), 2**bits) for _ in range(d + 1)))
+            for _ in range(2))
+    return f"F = {F}; G = {G}"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _random_pair_text(60, 700, 1),
+        "F = (X+Y)^150; G = (X-2*Y)^150 + X^150",
+    ],
+)
+def test_elimination_is_refused_before_it_runs(monkeypatch, text):
+    _refuse_elimination(monkeypatch)
+    with pytest.raises(ParseError, match="over the supported maximum"):
+        parse_map(text)
+
+
+@pytest.mark.parametrize("case", ["ex1", "ex2", "ex3", "ex4", "d = 20, 700 bits"])
+def test_elimination_budget_keeps_the_fixtures(monkeypatch, case):
+    if case.startswith("ex"):
+        lift = fixture_lift(case)
+        text = f"F = {lift.F}; G = {lift.G}"
+    else:
+        text = _random_pair_text(20, 700, 1)
+    _refuse_elimination(monkeypatch)
+    with pytest.raises(_Eliminated):
+        parse_map(text)
 
 
 def test_parse_map_roundtrip_str():
