@@ -113,11 +113,7 @@ def _execute(spec: JobSpec) -> str:
     if spec.trial_bound is not None and abs(lift.resultant) > 1:
         parts = trial_division(abs(lift.resultant), spec.trial_bound)
     breakdown = canonical_height(
-        lift,
-        point,
-        terms=spec.terms,
-        precision_bits=spec.precision_bits,
-        factoring=parts,
+        lift, point, terms=spec.terms, precision_bits=spec.precision_bits, factoring=parts
     )
     oracle_seq = None
     if spec.oracle_n is not None:
@@ -299,9 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="map as 'F = ...; G = ...' in X, Y or as 'phi(z) = (...)/(...)'",
     )
     source.add_argument("--map-file", metavar="PATH", help="read the map text from a file")
-    source.add_argument(
-        "--fixture", metavar="ID", help="run a built-in example (see --list-fixtures)"
-    )
+    source.add_argument("--fixture", metavar="ID", help="run a built-in example (see --list-fixtures)")
     parser.add_argument(
         "--point",
         dest="point_text",
@@ -331,9 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="skip trial division and run the single-modulus loop",
     )
     parser.add_argument(
-        "--emit-g-sequence",
-        action="store_true",
-        help="include the per-step gcd values in the report",
+        "--emit-g-sequence", action="store_true", help="include the per-step gcd values in the report"
     )
     parser.add_argument(
         "--oracle",
@@ -348,9 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("text", "json"),
         help="report format (default %(default)s; json uses decimal strings throughout)",
     )
-    parser.add_argument(
-        "--list-fixtures", action="store_true", help="print the fixture catalog and exit"
-    )
+    parser.add_argument("--list-fixtures", action="store_true", help="print the fixture catalog and exit")
     # every job option's default is JobSpec's
     parser.set_defaults(**vars(JobSpec()))
     return parser

@@ -355,6 +355,16 @@ def _eliminate(
     return res, a1, b1, a2, b2
 
 
+def _elimination_work(F: BinaryForm, G: BinaryForm) -> tuple[int, int, int, int]:
+    """_budget's charge (n, a_bits, b_bits, overhead) for _eliminate(F, G): every Sylvester minor
+    has at most h = d*(log2|F|_2 + log2|G|_2) bits (Hadamard), and on every pair counted the PRS
+    and the a1/b1 derivation took at most d*(4d + 3) products and exact divisions of h-bit ints.
+    Small coefficients took up to 700 ns per d^2 on a 2-core x86_64 host: 18 units per product."""
+    d = F.degree
+    h = math.ceil(d * sum(math.log2(sum(c * c for c in H.coefficients)) for H in (F, G)) / 2)
+    return d * (4 * d + 3), h, h, 18
+
+
 def resultant(F: BinaryForm, G: BinaryForm) -> int:
     """Exact Sylvester resultant of two degree-d forms, d >= 1.
 
@@ -455,8 +465,9 @@ _MAX_EXPONENT = 4096
 _KEY_BASE = _MAX_EXPONENT + 1
 # parse_map's work budget, charged before each product, power, negation and the elimination:
 # a product or exact division of an a-bit by a b-bit int costs ceil(a/64)*ceil(b/64), an upper
-# bound on CPython's 64-bit limb products, plus _PRODUCT_COST for the interpreter's overhead;
-# the work took 2 to 10 ns per unit on a 2-core x86_64 host, so the budget is at most about 3.5 s
+# bound on CPython's 64-bit limb products, plus a fixed cost for the interpreter's overhead,
+# _PRODUCT_COST for the parser's dict products; the work took 2 to 10 ns per unit on a 2-core
+# x86_64 host, so the budget is at most about 3.5 s
 _MAX_COST = 350_000_000
 _PRODUCT_COST = 50
 # deepest parenthesis nesting the recursive-descent parser accepts; each
@@ -509,7 +520,7 @@ class _PolyParser:
     the allowed variable names may appear, plus the phi(z) form's one '/'.
     """
 
-    def __init__(self, tokens: list[tuple[str, str]], variables: tuple[str, ...], cost=0):
+    def __init__(self, tokens: list[tuple[str, str]], variables: tuple[str, ...], charge=None):
         # A bare run of single-letter variables ("XY", "xxy") splits into
         # separate factors, so XY^2 binds as X*(Y^2).
         single = {v.upper() for v in variables if len(v) == 1}
@@ -539,15 +550,7 @@ class _PolyParser:
                     self.group_exponent[start] = max(int(after[1][1]), 1)
         # product of the exponents that enclosing groups will apply
         self.scale = 1
-        self.cost = cost
-
-    def charge(self, n: int, a_bits: int, b_bits: int) -> None:
-        """Charge n products or exact divisions of an a-bit by a b-bit int (see _MAX_COST)
-        to the running cost: ParseError once it passes _MAX_COST."""
-        self.cost += n * (((a_bits + 63) >> 6) * ((b_bits + 63) >> 6) + _PRODUCT_COST)
-        if self.cost > _MAX_COST:
-            raise ParseError(f"the map projects a cost of at least {self.cost} (64-bit limb products, "
-                             f"plus {_PRODUCT_COST} per product), over the supported maximum {_MAX_COST}")
+        self.charge = charge or _budget()  # called before each product, power and negation
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -673,6 +676,21 @@ class _PolyParser:
         raise ParseError(f"unexpected {val!r} in expression")
 
 
+def _budget():
+    """charge(n, a_bits, b_bits, overhead=_PRODUCT_COST) adds n products or exact divisions of an
+    a-bit by a b-bit int to one running cost (see _MAX_COST); ParseError once it passes _MAX_COST."""
+    cost = 0
+
+    def charge(n, a_bits, b_bits, overhead=_PRODUCT_COST):
+        nonlocal cost
+        cost += n * (((a_bits + 63) >> 6) * ((b_bits + 63) >> 6) + overhead)
+        if cost > _MAX_COST:
+            raise ParseError(f"the map projects a cost of at least {cost} (64-bit limb products, "
+                             f"plus a fixed cost per product), over the supported maximum {_MAX_COST}")
+
+    return charge
+
+
 def _padd(p, q, sign: int):
     """p + sign*q, accumulated into p."""
     for k, v in q.items():
@@ -777,12 +795,12 @@ def parse_map(text: str) -> MapLift:
     (sys.get_int_max_str_digits(), 4300 by default) allows; ``*`` between a coefficient
     and a monomial is optional; ``^`` and ``**`` both exponentiate.
     """
+    charge = _budget()  # one running cost for the statements and the elimination
     if ";" in text:
         pieces = [p for p in text.split(";") if p.strip()]
         if len(pieces) != 2:
             raise ParseError("expected exactly two statements: F = ...; G = ...")
         forms: dict[str, BinaryForm] = {}
-        cost = 0
         for piece in pieces:
             lhs, eq, rhs = piece.partition("=")
             name = lhs.strip().upper()
@@ -790,9 +808,7 @@ def parse_map(text: str) -> MapLift:
                 raise ParseError("each statement must assign to F or G, as in F = X^2 + Y^2")
             if name in forms:
                 raise ParseError(f"{name} is assigned twice")
-            parser = _PolyParser(_tokenize(rhs), ("X", "Y"), cost)
-            forms[name] = _form_from_xy_poly(parser.parse(), name)
-            cost = parser.cost
+            forms[name] = _form_from_xy_poly(_PolyParser(_tokenize(rhs), ("X", "Y"), charge).parse(), name)
         F, G = forms["F"], forms["G"]
     else:
         m = _PHI_RE.match(text)
@@ -802,7 +818,7 @@ def parse_map(text: str) -> MapLift:
                 "or 'phi(z) = (...)/(...)'"
             )
         var, rhs = m.group(1), m.group(2)
-        num, den = (parser := _PolyParser(_tokenize(rhs), (var,))).parse(ratio=True)
+        num, den = _PolyParser(_tokenize(rhs), (var,), charge).parse(ratio=True)
         if not num:
             raise ParseError("the numerator must not be the zero polynomial")
         if not den:
@@ -810,13 +826,8 @@ def parse_map(text: str) -> MapLift:
         d = max(max(num), max(den)) // _KEY_BASE
         F = BinaryForm(tuple(num.get((d - i) * _KEY_BASE, 0) for i in range(d + 1)))
         G = BinaryForm(tuple(den.get((d - i) * _KEY_BASE, 0) for i in range(d + 1)))
-    # the elimination shares the statements' budget: every Sylvester minor has at most
-    # h = d*(log2|F|_2 + log2|G|_2) bits (Hadamard), and on every pair counted the PRS and the
-    # a1/b1 derivation took at most d*(4d + 3)*ceil(h/64)^2 limb products and 23*d^2 products
-    d = F.degree
-    h = (d * sum(sum(c * c for c in H.coefficients).bit_length() for H in (F, G)) + 1) // 2
-    parser.charge(d * (4 * d + 3), h, h)
-    parser.charge(20 * d * d, 0, 0)
+    if F.degree == G.degree:  # else MapLift.from_forms refuses the pair
+        charge(*_elimination_work(F, G))
     try:
         return MapLift.from_forms(F, G)
     except NotAMorphismError:

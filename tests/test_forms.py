@@ -565,6 +565,8 @@ _PHI_SUM = (
         ("F = X^2 ); G = Y^2", "unexpected ')' after a complete expression"),
         ("F = X^Y; G = Y^2", "exponent must be a nonnegative integer literal"),
         ("F = X^5000; G = Y^2", "exponent 5000 exceeds the supported maximum 4096"),
+        # a pair of unequal degrees is refused by the map check, not charged an elimination
+        ("F = X^4096; G = Y^2", "F and G must have the same degree (got 4096 and 2)"),
         ("F = (X+Y; G = Y^2", "missing closing parenthesis"),
         ("F = /X; G = Y^2", "'/' is not allowed here; only integer coefficients are supported"),
         ("F = X^2/2; G = Y^2", _SLASH_INSIDE),
@@ -681,9 +683,13 @@ def test_power_work_is_bounded_before_expanding(monkeypatch):
     with pytest.raises(ParseError, match=f"at least {3 * 16785409 * (192 + forms._PRODUCT_COST)} "):
         parse_map("F = (X+Y+1)^4096; G = Y^4096")
     monkeypatch.undo()
-    # the outer power is a short list, but its base has 801 terms
+    # the outer power is a short list, but its base has 801 terms; only the inner one expands
+    expanded, original = [], forms._power_coefficients
+    monkeypatch.setattr(forms, "_power_coefficients", lambda a, e: expanded.append(e) or original(a, e))
     with pytest.raises(ParseError, match="over the supported maximum"):
         _parse_xy("((X+Y)^800)^5")
+    assert expanded == [800]
+    monkeypatch.undo()
     # (X+Y+1)^11 takes 3*(11*13 + 1) products of one limb by one
     monkeypatch.setattr(forms, "_MAX_COST", 432 * _ONE_LIMB)
     assert len(_parse_xy("(X+Y+1)^11")) == 78
@@ -798,6 +804,8 @@ def _random_pair_text(d, bits, seed):
     [
         _random_pair_text(60, 700, 1),
         "F = (X+Y)^150; G = (X-2*Y)^150 + X^150",
+        "phi(z) = z^4096",
+        "F = X^2048 + Y^2048; G = X*Y^2047",
     ],
 )
 def test_elimination_is_refused_before_it_runs(monkeypatch, text):
@@ -806,13 +814,15 @@ def test_elimination_is_refused_before_it_runs(monkeypatch, text):
         parse_map(text)
 
 
-@pytest.mark.parametrize("case", ["ex1", "ex2", "ex3", "ex4", "d = 20, 700 bits"])
+@pytest.mark.parametrize(
+    "case", ["ex1", "ex2", "ex3", "ex4", "d = 20, 700 bits", "phi(z) = z^1024", "phi(z) = z^2048"]
+)
 def test_elimination_budget_keeps_the_fixtures(monkeypatch, case):
     if case.startswith("ex"):
         lift = fixture_lift(case)
         text = f"F = {lift.F}; G = {lift.G}"
     else:
-        text = _random_pair_text(20, 700, 1)
+        text = _random_pair_text(20, 700, 1) if case.startswith("d") else case
     _refuse_elimination(monkeypatch)
     with pytest.raises(_Eliminated):
         parse_map(text)
