@@ -10,13 +10,15 @@ routinely carry more digits than any fixed-width float holds.
 Exit codes: 0 success, 2 input could not be parsed or validated (a too-low
 --precision included), 3 the two forms share a projective root (not a
 morphism), 4 a resource budget was exceeded, Python's int<->str digit limit
-included.  Error paths print nothing to stdout.
+included, 5 stdout was closed before the report was written.  Error paths
+print nothing to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import textwrap
 import time
@@ -38,6 +40,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NOT_MORPHISM = 3
 EXIT_BUDGET = 4
+EXIT_CLOSED_STDOUT = 5
 
 _TEXT_DIGITS = 32
 
@@ -332,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="oracle_n",
         type=int,
         metavar="N",
-        help="also compute N steps of the exact-orbit definition (slow; guarded by a digit budget)",
+        help="also compute N steps of the exact-orbit definition (slow; guarded by the work budget)",
     )
     parser.add_argument(
         "--format",
@@ -354,10 +357,16 @@ def main(argv: list[str] | None = None) -> int:
         # argparse has already printed usage or help
         return int(exc.code) if exc.code else EXIT_OK
     if args.pop("list_fixtures"):
-        print(_render_catalog(args["output_format"]))
-        return EXIT_OK
-    code, report = run(JobSpec(**args))
-    print(report, file=sys.stdout if code == EXIT_OK else sys.stderr)
+        code, report = EXIT_OK, _render_catalog(args["output_format"])
+    else:
+        code, report = run(JobSpec(**args))
+    try:
+        print(report, file=sys.stdout if code == EXIT_OK else sys.stderr)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; stdout goes to devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     return code
 
 

@@ -463,11 +463,11 @@ _MAX_EXPONENT = 4096
 # t*_KEY_BASE + j, so a product adds keys; the degree checks keep every t, and
 # so every j, at most _MAX_EXPONENT before it is formed, so j < _KEY_BASE
 _KEY_BASE = _MAX_EXPONENT + 1
-# parse_map's work budget, charged before each product, power, negation and the elimination:
-# a product or exact division of an a-bit by a b-bit int costs ceil(a/64)*ceil(b/64), an upper
-# bound on CPython's 64-bit limb products, plus a fixed cost for the interpreter's overhead,
-# _PRODUCT_COST for the parser's dict products; the work took 2 to 10 ns per unit on a 2-core
-# x86_64 host, so the budget is at most about 3.5 s
+# the work budget of a parse_map call or an exact-orbit run, charged before each product, power,
+# negation, elimination and oracle iterate: a product or exact division of an a-bit by a b-bit int
+# costs ceil(a/64)*ceil(b/64), an upper bound on CPython's 64-bit limb products, plus a fixed cost
+# for the interpreter's overhead, _PRODUCT_COST for dict products; the work took 2 to 10 ns per
+# unit on a 2-core x86_64 host, so the budget is at most about 3.5 s
 _MAX_COST = 350_000_000
 _PRODUCT_COST = 50
 # deepest parenthesis nesting the recursive-descent parser accepts; each
@@ -676,17 +676,18 @@ class _PolyParser:
         raise ParseError(f"unexpected {val!r} in expression")
 
 
-def _budget():
+def _budget(error=ParseError):
     """charge(n, a_bits, b_bits, overhead=_PRODUCT_COST) adds n products or exact divisions of an
-    a-bit by a b-bit int to one running cost (see _MAX_COST); ParseError once it passes _MAX_COST."""
+    a-bit by a b-bit int to one running cost (see _MAX_COST); `error` once it passes _MAX_COST."""
     cost = 0
+    refused = "the map" if error is ParseError else "the next exact-orbit iterate"
 
     def charge(n, a_bits, b_bits, overhead=_PRODUCT_COST):
         nonlocal cost
         cost += n * (((a_bits + 63) >> 6) * ((b_bits + 63) >> 6) + overhead)
         if cost > _MAX_COST:
-            raise ParseError(f"the map projects a cost of at least {cost} (64-bit limb products, "
-                             f"plus a fixed cost per product), over the supported maximum {_MAX_COST}")
+            raise error(f"{refused} projects a cost of at least {cost} (64-bit limb products, plus a "
+                        f"fixed cost per product), over the supported maximum {_MAX_COST} of the work budget")
 
     return charge
 
@@ -704,14 +705,15 @@ def _padd(p, q, sign: int):
 def _pmul(p, q):
     if len(p) > len(q):
         p, q = q, p
-    if len(p) != 1:
-        out: dict = {}
-        for m, c in p.items():
-            _padd(out, _pmul({m: c}, q), 1)
-        return out
-    # a single term shifts every key of q and scales every coefficient
-    ((m, c),) = p.items()
-    return {k + m: c * v for k, v in q.items()}
+    if len(p) == 1:
+        # a single term shifts every key of q and scales every coefficient
+        ((m, c),) = p.items()
+        return {k + m: c * v for k, v in q.items()}
+    out: dict = {}
+    for m, c in p.items():
+        for k, v in q.items():
+            out[k + m] = out.get(k + m, 0) + c * v
+    return {k: v for k, v in out.items() if v}
 
 
 def _ppow(p, e, charge):

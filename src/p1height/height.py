@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .arch import ArchResult, arch_height, arch_step
-from .forms import MapLift, ProjectivePoint, normalize_point
+from .forms import MapLift, ProjectivePoint, _budget, normalize_point
 # nonarch_height_factored is unused here; perfbench/spans.py wraps it in this module
 from .nonarch import (  # noqa: F401
     NonArchResult,
@@ -33,7 +33,7 @@ from .nonarch import (  # noqa: F401
     nonarch_height_factored,
     trial_division,
 )
-from .numerics import decimal_digits, log_int, resolve_precision_bits
+from .numerics import log_int, resolve_precision_bits
 
 __all__ = [
     "BudgetExceededError",
@@ -44,11 +44,9 @@ __all__ = [
     "naive_height",
 ]
 
-ORACLE_DIGIT_BUDGET = 10_000_000
-
 
 class BudgetExceededError(RuntimeError):
-    """An exact-orbit computation would exceed its digit budget."""
+    """A computation would exceed its resource budget."""
 
 
 @dataclass(frozen=True)
@@ -118,7 +116,6 @@ def canonical_height_oracle(
     lift: MapLift,
     P: ProjectivePoint,
     n_max: int,
-    digit_budget: int = ORACLE_DIGIT_BUDGET,
     precision_bits: int = 256,
 ) -> list[mp.mpf]:
     """Exact-orbit height sequence [d^(-n) h(n-th normalized iterate)], n = 0..n_max.
@@ -126,8 +123,8 @@ def canonical_height_oracle(
     Successive entries converge to the canonical height; this is the
     definition made executable, entirely independent of the series route.
     Iterate coordinates are exact integers divided by their gcd each step,
-    so they grow like d^n digits; the digit budget aborts runs that would
-    not fit in memory.
+    so they grow like d^n digits; each iterate is charged to the parser's
+    work budget before it runs, and BudgetExceededError refuses it past that.
     """
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError("n_max must be a positive integer")
@@ -137,14 +134,16 @@ def canonical_height_oracle(
     with mp.workprec(precision_bits):
         out.append(log_int(max(abs(x), abs(y))))
     denom = 1
-    for n in range(1, n_max + 1):
-        cur = max(decimal_digits(x), decimal_digits(y))
-        projected = d * cur + decimal_digits(lift.coeff_norm) + len(str(d + 1))
-        if projected > digit_budget:
-            raise BudgetExceededError(
-                f"iterate {n} needs about {projected} decimal digits per "
-                f"coordinate, over the budget of {digit_budget}"
-            )
+    charge = _budget(BudgetExceededError)
+    for _ in range(n_max):
+        # Horner step i of lift.apply, for both forms: y-power and accumulator (i-1)*b + h bits by
+        # b, coefficient by the i*b-bit y-power; then the images' gcd and two divisions by it (<= |Res|)
+        b, h = max(abs(x), abs(y)).bit_length(), lift.coeff_norm.bit_length() + (d + 1).bit_length()
+        for i in range(1, d + 1):
+            charge(4, (i - 1) * b + h, b)
+            charge(2, h, i * b)
+        charge(1, d * b + h, d * b + h)
+        charge(2, d * b + h, lift.resultant.bit_length())
         fx, gy = lift.apply(x, y)
         g = math.gcd(fx, gy)
         x, y = fx // g, gy // g

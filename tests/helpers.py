@@ -8,7 +8,7 @@ polynomial identities by coefficient convolution, polynomial powers by
 repeated multiplication of exponent-tuple dicts instead of Miller's
 recurrence on a packed list, the archimedean series by mpf operators
 instead of raw libmp calls, trial division one prime at a time instead of
-by block gcds.
+by block gcds.  It also holds the text strategy that fuzzes the parsers.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import warnings
 from fractions import Fraction
 
 import mpmath as mp
+from hypothesis import strategies as st
 
 from p1height.forms import (
     _KEY_BASE,
@@ -248,3 +249,17 @@ def reference_trial_division(R: int, bound: int):
         parts.append(rest)
         prov.append("prime-power" if rest <= bound else "cofactor")
     return PartialFactorization(tuple(parts), tuple(prov))
+
+
+# the grammar's characters and '**', three whitespaces, and '&', which no token takes
+_GRAMMAR_PIECES = (
+    *"0123456789", *"XYxyzZa_", *"+-*^()/;=,[]", "**", " ", "\t", "\n", "&",
+)
+
+
+@st.composite
+def grammar_texts(draw):
+    """(s, text): text over the grammar's alphabet, as an F/G pair, a phi form or s bare."""
+    pieces = st.lists(st.sampled_from(_GRAMMAR_PIECES), max_size=24).map("".join)
+    s, t = draw(pieces), draw(pieces)
+    return s, draw(st.sampled_from((f"F = {s}; G = {t}", f"phi(z) = {s}", s)))

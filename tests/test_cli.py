@@ -5,16 +5,24 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import p1height
 import p1height.cli as cli
-from p1height.cli import main
+from p1height import forms
+from p1height.cli import JobSpec, main
 from p1height.fixtures import load_fixture
+from p1height.forms import MapLift
 from p1height.height import canonical_height_oracle
+
+from helpers import grammar_texts
 
 
 def run_cli(capsys, *argv):
@@ -357,30 +365,98 @@ def test_degenerate_map_exit_3(capsys):
 
 
 def test_oracle_budget_exit_4(capsys):
-    # degree 80 blows through the exact-orbit digit budget by iterate 4
+    # degree 80 passes the work budget at iterate 3, which is refused before it runs
     code, out, err = run_cli(capsys, "--fixture", "ex1", "--terms", "8", "--oracle", "6")
     assert code == 4
     assert out == ""
     assert "budget" in err
 
 
+@pytest.mark.parametrize("fixture, n, kept", [("ex1", "6", 2), ("ex2", "8", 6)])
+def test_oracle_refuses_an_iterate_before_evaluating_it(capsys, monkeypatch, fixture, n, kept):
+    applied, original = [], MapLift.apply
+    monkeypatch.setattr(MapLift, "apply", lambda lift, x, y: applied.append(1) or original(lift, x, y))
+    code, out, err = run_cli(capsys, "--fixture", fixture, "--terms", "8", "--oracle", n)
+    assert (code, out) == (4, "")
+    assert "the next exact-orbit iterate" in err
+    # iterate kept + 1 passed the budget and was never evaluated
+    assert len(applied) == kept
+
+
+_FUZZ_MAPS = (
+    "phi(z) = z^2",
+    "phi(z) = (3*z^2 + 1)/(2*z)",
+    "F = X^3 - 2*Y^3; G = X*Y^2",
+    "F = X^2 - Y^2; G = X*Y - Y^2",  # a common root, exit 3
+    "F = 2*X^2 + 2*Y^2; G = 4*X*Y",  # content 2
+)
+_FUZZ_POINTS = (
+    "1", "-2/3", "[5, 0]", "[12, 7]", "1000001", "[3/4, -5]", "P = 2", "[0, 0]", "[1, 2", "2/0", "",
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    map_text=st.one_of(grammar_texts().map(lambda case: case[1]), st.sampled_from(_FUZZ_MAPS)),
+    point_text=st.sampled_from(_FUZZ_POINTS),
+    # small terms keep each job fast: a huge --terms is still unbounded
+    terms=st.integers(0, 8),
+    precision_bits=st.one_of(st.sampled_from((None, 10)), st.integers(64, 300)),
+    oracle_n=st.one_of(st.none(), st.integers(0, 8)),
+    trial_bound=st.sampled_from((None, 1, 2, 50, 10**5)),
+    output_format=st.sampled_from(("text", "json", "json", "xml")),
+)
+def test_run_returns_a_known_exit_code_for_any_job(**options):
+    # the parser fuzz's low exponent cap keeps every accepted power cheap to expand
+    with mock.patch.object(forms, "_MAX_EXPONENT", 64), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, report = cli.run(JobSpec(**options))
+    assert code in (0, 2, 3, 4)
+    if code == 0 and options["output_format"] == "json":
+        doc = json.loads(report)
+        with mp.workprec(doc["precision_bits"]):
+            assert mp.mpf(doc["canonical_height"]) >= -mp.mpf(doc["error_bound"])
+
+
 # ---------------------------------------------------------------------------
 # the installed entry point
 
 
-def test_module_invocation():
+def _run_module(*argv, **kwargs):
     # the child imports the package under test, installed or not
     src = str(Path(p1height.__file__).parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "p1height", "--list-fixtures"],
-        capture_output=True,
+    return subprocess.run(
+        [sys.executable, "-m", "p1height", *argv],
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": path},
+        **kwargs,
     )
+
+
+def test_module_invocation():
+    proc = _run_module("--list-fixtures", capture_output=True)
     assert proc.returncode == 0
     assert "ex4" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--fixture", "ex4", "--format", "json", "--emit-g-sequence"),  # past the stdout buffer
+        ("--map", "phi(z) = z^2", "--point", "2", "--terms", "5"),  # inside it, flushed at exit
+    ],
+)
+def test_closed_stdout_exits_5_without_a_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_module(*argv, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_CLOSED_STDOUT == 5
+    assert proc.stderr == ""
 
 
 # ---------------------------------------------------------------------------

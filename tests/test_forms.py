@@ -35,6 +35,7 @@ from helpers import (
     convolve,
     exponent_keyed,
     fraction_det,
+    grammar_texts,
     monomial_key,
     random_form,
     random_lift,
@@ -839,22 +840,8 @@ def test_parse_map_roundtrip_str():
         assert again.G.coefficients == lift.G.coefficients
 
 
-# the grammar's characters and '**', three whitespaces, and '&', which no token takes
-_GRAMMAR_PIECES = (
-    *"0123456789", *"XYxyzZa_", *"+-*^()/;=,[]", "**", " ", "\t", "\n", "&",
-)
-
-
-@st.composite
-def _grammar_texts(draw):
-    """Text over the grammar's alphabet, as an F/G pair, a phi form or bare."""
-    pieces = st.lists(st.sampled_from(_GRAMMAR_PIECES), max_size=24).map("".join)
-    s, t = draw(pieces), draw(pieces)
-    return s, draw(st.sampled_from((f"F = {s}; G = {t}", f"phi(z) = {s}", s)))
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_grammar_texts())
+@given(grammar_texts())
 def test_parsers_return_or_raise_their_own_errors(case):
     s, text = case
     # a low exponent cap keeps every accepted power cheap to expand

@@ -5,7 +5,7 @@ import random
 import mpmath as mp
 import pytest
 
-from p1height import nonarch
+from p1height import forms, height, nonarch
 from p1height.arch import arch_height
 from p1height.forms import BinaryForm, MapLift, ProjectivePoint, normalize_point
 from p1height.height import (
@@ -108,13 +108,45 @@ def test_oracle_converges_to_series_value():
         assert abs(seq[-1] - bd.canonical) < mp.mpf("1e-2")
 
 
-def test_oracle_respects_digit_budget():
+def test_oracle_respects_work_budget(monkeypatch):
     lift = random_lift(random.Random(1503), 3)
     P = ProjectivePoint(10**40, 1)
-    with pytest.raises(BudgetExceededError):
-        canonical_height_oracle(lift, P, 50, digit_budget=100)
+    monkeypatch.setattr(forms, "_MAX_COST", 100_000)
+    with pytest.raises(BudgetExceededError, match="exact-orbit iterate .* work budget"):
+        canonical_height_oracle(lift, P, 50)
     with pytest.raises(ValueError):
         canonical_height_oracle(lift, P, 0)
+
+
+class _LimbTally(int):
+    """An int whose products add their 64-bit limb products to _LimbTally.limbs."""
+
+    limbs = 0
+
+    def __mul__(self, other):
+        _LimbTally.limbs += -(-self.bit_length() // 64) * -(-other.bit_length() // 64)
+        return _LimbTally(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+
+def test_oracle_charge_bounds_the_limb_products_of_its_iterate(monkeypatch):
+    # the limb part of each charge, recorded in place of the budget
+    charged = []
+    monkeypatch.setattr(height, "_budget", lambda error: (
+        lambda n, a_bits, b_bits, overhead=0: charged.append(n * -(-a_bits // 64) * -(-b_bits // 64))
+    ))
+    rng = random.Random(1505)
+    for _ in range(80):
+        c = 2 ** rng.randint(1, 400)
+        lift = random_lift(rng, rng.randint(2, 12), -c, c)
+        P = random_point(rng, 2 ** rng.randint(1, 3000))
+        charged.clear()
+        _LimbTally.limbs = 0
+        # coordinates that tally lift.apply's products; its result is plain
+        canonical_height_oracle(lift, ProjectivePoint(_LimbTally(P.x), _LimbTally(P.y)), 1)
+        # the last two charges price the gcd of the images and the divisions by it
+        assert 0 < _LimbTally.limbs <= sum(charged[:-2])
 
 
 def test_oracle_tail_consistency_band():
