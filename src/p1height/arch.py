@@ -22,9 +22,11 @@ terms * 2^(8 - precision) for the orbit itself is asserted, not proved
 
 The step kernel calls mpmath's libmp primitives on raw values, so no mpf
 object is built per operation.  It makes the same correctly rounded
-operations in the same order as the mpf-operator loop it replaced, and
-skips only exact ones, so every unit pair and norm of the orbit is
-bit-identical to that loop's.
+operations in the same order as the mpf-operator loop it replaced, but
+calls libmp only for the inexact ones and writes each exact one (a product
+by +-2^e, such as a coordinate +-1 or a coefficient 1, 2, 4 or 8, an
+absolute value, a sum with zero) as the value libmp returns, so every unit
+pair and norm of the orbit is bit-identical to that loop's.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 from mpmath.libmp import (
-    fnone, fone, from_int, mpf_abs, mpf_add, mpf_div, mpf_log, mpf_lt, mpf_mul, mpf_neg,
+    fnone, fone, from_int, mpf_add, mpf_div, mpf_log, mpf_lt, mpf_mul, mpf_neg,
     mpf_pow_int, round_nearest,
 )
 
@@ -76,24 +78,50 @@ def _step(fc, gc, ux, uy, prec: int):
     """(Phi(u)/m, m) for the unit pair u = (ux, uy), m = max(|F(u)|, |G(u)|).
 
     Horner in x with the powers of y alongside, acc = acc*x + c*y^i, each
-    operation rounded to nearest at prec bits.  Exact shortcuts only: F and
-    G share the y-powers, y^1 is uy itself (uy has prec bits), a zero
-    coefficient adds nothing, and the coordinate whose absolute value is m
-    becomes +-1 (|F(u)| on a tie, as max keeps its first argument).
+    inexact operation rounded to nearest at prec bits by libmp.  Each exact
+    one is written as the value libmp returns: F and G share the y-powers,
+    y^1 is uy itself (uy has prec bits), a zero coefficient or y-power adds
+    nothing, and a sum with a zero accumulator is the addend.  A factor
+    +-2^e (mantissa 1), such as ux or uy = +-1 or a coefficient 1, 2, 4 or 8
+    in absolute value, multiplies by moving an exponent and flipping a sign,
+    and so do the powers of such a uy.  |F(u)| and |G(u)| clear the sign
+    bit, and the coordinate whose absolute value is m becomes +-1 (|F(u)|
+    on a tie, as max keeps its first argument).  libmp's zero (0, 0, 0, 0)
+    passes every shortcut unchanged.
     """
     rnd = round_nearest
-    ys = [uy]
-    for _ in range(len(fc) - 2):
-        ys.append(mpf_mul(ys[-1], uy, prec, rnd))
+    if uy[1] == 1:
+        ys = [(uy[0] & i, uy[1], uy[2] * i, 1) for i in range(1, len(fc))]
+    else:
+        ys = [uy]
+        for _ in range(len(fc) - 2):
+            ys.append(mpf_mul(ys[-1], uy, prec, rnd))
+    xs, xm, xe, _ = ux
     fa, ga = fc[0], gc[0]
     for cf, cg, yp in zip(fc[1:], gc[1:], ys):
-        fa = mpf_mul(fa, ux, prec, rnd)
+        if xm == 1:
+            if fa[1]:
+                fa = (fa[0] ^ xs, fa[1], fa[2] + xe, fa[3])
+            if ga[1]:
+                ga = (ga[0] ^ xs, ga[1], ga[2] + xe, ga[3])
+        else:
+            fa = mpf_mul(fa, ux, prec, rnd)
+            ga = mpf_mul(ga, ux, prec, rnd)
+        if not yp[1]:
+            continue
         if cf[1]:
-            fa = mpf_add(fa, mpf_mul(cf, yp, prec, rnd), prec, rnd)
-        ga = mpf_mul(ga, ux, prec, rnd)
+            if cf[1] == 1 or yp[1] == 1:
+                t = (cf[0] ^ yp[0], cf[1] * yp[1], cf[2] + yp[2], cf[3] + yp[3] - 1)
+            else:
+                t = mpf_mul(cf, yp, prec, rnd)
+            fa = mpf_add(fa, t, prec, rnd) if fa[1] else t
         if cg[1]:
-            ga = mpf_add(ga, mpf_mul(cg, yp, prec, rnd), prec, rnd)
-    afa, aga = mpf_abs(fa), mpf_abs(ga)
+            if cg[1] == 1 or yp[1] == 1:
+                t = (cg[0] ^ yp[0], cg[1] * yp[1], cg[2] + yp[2], cg[3] + yp[3] - 1)
+            else:
+                t = mpf_mul(cg, yp, prec, rnd)
+            ga = mpf_add(ga, t, prec, rnd) if ga[1] else t
+    afa, aga = (0, fa[1], fa[2], fa[3]), (0, ga[1], ga[2], ga[3])
     if mpf_lt(afa, aga):
         return mpf_div(fa, aga, prec, rnd), _UNIT[ga[0]], aga
     if not afa[1]:

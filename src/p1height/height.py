@@ -133,9 +133,12 @@ def canonical_height_oracle(
     out = []
     with mp.workprec(precision_bits):
         out.append(log_int(max(abs(x), abs(y))))
+    # d^n = odd^n * 2^(k*n): divide by the odd part and shift, so no int with
+    # k*n trailing zero bits is converted (mpmath strips those bit by bit)
+    k = (d & -d).bit_length() - 1
     denom = 1
     charge = _budget(BudgetExceededError)
-    for _ in range(n_max):
+    for n in range(1, n_max + 1):
         # Horner step i of lift.apply, for both forms: y-power and accumulator (i-1)*b + h bits by
         # b, coefficient by the i*b-bit y-power; then the images' gcd and two divisions by it (<= |Res|)
         b, h = max(abs(x), abs(y)).bit_length(), lift.coeff_norm.bit_length() + (d + 1).bit_length()
@@ -147,9 +150,9 @@ def canonical_height_oracle(
         fx, gy = lift.apply(x, y)
         g = math.gcd(fx, gy)
         x, y = fx // g, gy // g
-        denom *= d
+        denom *= d >> k
         with mp.workprec(precision_bits):
-            out.append(log_int(max(abs(x), abs(y))) / denom)
+            out.append(mp.ldexp(log_int(max(abs(x), abs(y))) / denom, -k * n))
     return out
 
 

@@ -16,6 +16,7 @@ moduli, and the per-part gcds multiply back into the g_i.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -105,7 +106,7 @@ def _primes_upto(bound: int) -> tuple[int, ...]:
     for p in range(2, math.isqrt(bound) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, bound + 1, p)))
-    return tuple(i for i in range(bound + 1) if sieve[i])
+    return tuple(itertools.compress(range(bound + 1), sieve))
 
 
 @lru_cache(maxsize=4096)

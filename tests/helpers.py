@@ -229,6 +229,15 @@ def reference_arch_step(lift: MapLift, u) -> mp.mpf:
     return -mp.log(_reference_norm(fc, gc, mp.mpf(u[0]), mp.mpf(u[1]))[2])
 
 
+def reference_unit_step(lift: MapLift, u, bits: int):
+    """(F(u)/m, G(u)/m, m) by mpf operators at `bits`, for a raw unit pair u."""
+    with mp.workprec(bits):
+        fc = [mp.mpf(c) for c in lift.F.coefficients]
+        gc = [mp.mpf(c) for c in lift.G.coefficients]
+        fa, ga, m = _reference_norm(fc, gc, mp.make_mpf(u[0]), mp.make_mpf(u[1]))
+        return (fa / m)._mpf_, (ga / m)._mpf_, m._mpf_
+
+
 def reference_trial_division(R: int, bound: int):
     """trial_division as one remainder per sieve prime, in order, stopping
     at rest == 1 or p*p > rest; a remainder <= bound is a prime power."""

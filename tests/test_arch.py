@@ -3,6 +3,7 @@
 import inspect
 import random
 import textwrap
+from collections import Counter
 
 import mpmath as mp
 import pytest
@@ -15,7 +16,7 @@ from p1height.fixtures import load_fixture
 from p1height.forms import BinaryForm, CofactorIdentity, MapLift, ProjectivePoint, normalize_point
 from p1height.numerics import default_precision_bits
 
-from helpers import random_lift, random_point, reference_arch_orbit, reference_arch_step
+from helpers import random_lift, random_point, reference_arch_orbit, reference_arch_step, reference_unit_step
 
 
 def _lift(f_coeffs, g_coeffs):
@@ -209,6 +210,9 @@ _COEFF = st.one_of(
     st.just(0),
     st.integers(-9, 9),
     st.tuples(st.integers(1, 700), st.integers(0, 2**32)).map(_dense_int),
+    # +-2^k, which the kernel multiplies by moving an exponent, and
+    # +-(2^k - 1), which rounds to 2^k at fewer than k bits of precision
+    st.builds(lambda k, m, s: s * (2**k - m), st.integers(0, 1200), st.integers(0, 1), st.sampled_from((-1, 1))),
 )
 
 
@@ -324,3 +328,73 @@ def test_reference_check_rejects_wrong_weights(old, new, case):
     _check_against_reference(lift, P, 50, bits)
     with pytest.raises(AssertionError):
         _check_against_reference(lift, P, 50, bits, series=mutant)
+
+
+# ---------------------------------------------------------------------------
+# the exact shortcuts of the step kernel
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        ((3, 0, 1), (0, 2, 0)),  # the points map: a zero accumulator and coefficients 1 and 2
+        ((2, 4, 1), (0, 2, 0)),
+        ((-8, 3, 0, 5, 4), (1, -7, 2, 0, -9)),  # summands of one size, so a product left unrounded shows
+        ((2**600, -(2**700 - 1), 2**5 - 1, -6), (0, 2**64 - 1, -(2**1000), 1)),
+        ((1, 0, 1), (1, 0, -1)),  # |F| = |G| at u = (+-1, +-1): the tie goes to F
+        ((0, 0, 0, 1), (1, 0, 0, 0)),  # F = Y^3 stays libmp's zero through x = -1 at u = (-1, 0)
+        ((1, 0, -1), (1, 0, -1)),  # both forms vanish at u = (+-1, +-1)
+    ],
+)
+@pytest.mark.parametrize("prec", [64, 300])
+def test_step_shortcuts_are_bit_identical_to_the_mpf_operator_loop(f, g, prec):
+    # one coordinate +-1 and the other +-1, 0, +-2^-e or a prec-bit fraction,
+    # so every exact shortcut of _step runs and so does every rounded
+    # operation beside it; each result must be the loop's, bit for bit
+    lift = _unchecked_lift(BinaryForm(f), BinaryForm(g))
+    fc, gc = _raw_coefficients(lift, prec)
+    rng = random.Random(1702)
+    with mp.workprec(prec):
+        others = [mp.mpf(t) for t in (1, -1, 0, 0.5, -0.5, 2**-5, -(2**-5))]
+        others += [mp.mpf(rng.getrandbits(prec) - 2 ** (prec - 1)) / 2 ** (prec - 1) for _ in range(20)]
+    for t in others:
+        for x, y in ((1, t), (-1, t), (t, 1), (t, -1)):
+            with mp.workprec(prec):
+                u = (mp.mpf(x)._mpf_, mp.mpf(y)._mpf_)
+            try:
+                expected = reference_unit_step(lift, u, prec)
+            except ValueError:
+                with pytest.raises(ValueError, match="vanished"):
+                    _step(fc, gc, *u, prec)
+                continue
+            assert _step(fc, gc, *u, prec) == expected
+
+
+def test_step_makes_only_the_inexact_libmp_calls(monkeypatch):
+    # every libmp arithmetic call of arch_height, per series step; from_int,
+    # which converts the coefficients and the point once per run, is not
+    # counted.  Products by +-1, 0 and powers of two are written out, so on
+    # the points map only y^2, one sum, the comparison, the division and the
+    # fold's two operations are left (15.1 calls per step before), and maps
+    # with coefficients in [-9, 9] keep about 112 of their 195
+    calls = Counter()
+    for name in [n for n in vars(arch) if n.startswith("mpf_")]:
+        fn = getattr(arch, name)
+        monkeypatch.setattr(arch, name, lambda *a, _fn=fn, _name=name: (calls.update((_name,)), _fn(*a))[1])
+    rng = random.Random(1701)
+    lift = _unchecked_lift(BinaryForm((3, 0, 1)), BinaryForm((0, 2, 0)))
+    for _ in range(20):
+        arch_height(lift, normalize_point(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6)), 50)
+    assert sum(calls.values()) <= 8 * 20 * 50
+
+    def form(d):
+        while True:
+            c = [rng.randint(-9, 9) for _ in range(d + 1)]
+            if c[0]:
+                return BinaryForm(tuple(c))
+
+    calls.clear()
+    degrees = range(8, 49)
+    for d in degrees:
+        arch_height(_unchecked_lift(form(d), form(d)), normalize_point(rng.randint(-20, 20), rng.randint(1, 20)), 10)
+    assert sum(calls.values()) <= 115 * len(degrees) * 10

@@ -1,5 +1,6 @@
 """Tests for canonical height assembly, the exact-orbit oracle, and self-checks."""
 
+import math
 import random
 
 import mpmath as mp
@@ -7,6 +8,7 @@ import pytest
 
 from p1height import forms, height, nonarch
 from p1height.arch import arch_height
+from p1height.fixtures import load_fixture
 from p1height.forms import BinaryForm, MapLift, ProjectivePoint, normalize_point
 from p1height.height import (
     BudgetExceededError,
@@ -16,6 +18,7 @@ from p1height.height import (
     naive_height,
 )
 from p1height.nonarch import nonarch_height, trial_division
+from p1height.numerics import default_precision_bits, log_int
 
 from helpers import random_lift, random_point
 
@@ -116,6 +119,39 @@ def test_oracle_respects_work_budget(monkeypatch):
         canonical_height_oracle(lift, P, 50)
     with pytest.raises(ValueError):
         canonical_height_oracle(lift, P, 0)
+
+
+@pytest.mark.parametrize(
+    "case, n_max",
+    [("ex1", 2), ("ex2", 5), ("ex3", 8), ("ex4", 6), ("points map", 5), ("cubic map", 6),
+     ("sextic map", 6), ("fixed point of z^2 - 2", 300)],
+)
+def test_oracle_entries_equal_the_division_by_d_to_the_n(case, n_max):
+    # the oracle divides log h(iterate n) by the odd part of d^n and then
+    # shifts by its power of two; the shift is exact, so each entry must be
+    # the rounded quotient by the whole d^n, bit for bit
+    if case.startswith("ex"):
+        fx = load_fixture(case)
+        lift, P = fx.lift(), fx.point()
+    else:
+        lift, P = {
+            "points map": (_lift((3, 0, 1), (0, 2, 0)), ProjectivePoint(5, 7)),
+            "cubic map": (_lift((1, 0, -2, 1), (0, 3, 0, 1)), ProjectivePoint(2, 3)),
+            "sextic map": (_lift((1, 0, 0, 0, 0, 3, 1), (0, 0, 0, 2, 0, 0, 5)), ProjectivePoint(-3, 4)),
+            "fixed point of z^2 - 2": (_lift((1, 0, -2), (0, 0, 1)), ProjectivePoint(2, 1)),
+        }[case]
+    d = lift.degree
+    for prec in (256, default_precision_bits(d, 8, lift.coeff_norm) + 64):
+        seq = canonical_height_oracle(lift, P, n_max, precision_bits=prec)
+        assert len(seq) == n_max + 1
+        x, y = P.x, P.y
+        with mp.workprec(prec):
+            assert seq[0] == log_int(max(abs(x), abs(y)))
+            for n in range(1, n_max + 1):
+                fx_, gy = lift.apply(x, y)
+                g = math.gcd(fx_, gy)
+                x, y = fx_ // g, gy // g
+                assert seq[n] == log_int(max(abs(x), abs(y))) / d**n
 
 
 class _LimbTally(int):

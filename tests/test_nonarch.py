@@ -181,6 +181,18 @@ def test_trial_division_small_composite():
     parts.validate_for(360)
 
 
+def test_sieve_matches_trial_division_primality():
+    # an independent primality check: no divisor from 2 to isqrt(n)
+    def is_prime(n):
+        return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
+
+    expected = [n for n in range(2001) if is_prime(n)]
+    for bound in range(2, 2001):
+        assert nonarch._primes_upto(bound) == tuple(p for p in expected if p <= bound)
+    primes = nonarch._primes_upto(10**5)
+    assert len(primes) == 9592 and primes[-1] == 99991
+
+
 def test_trial_division_large_prime_tail_is_cofactor():
     parts = trial_division(2**5 * 100003)
     assert parts.coprime_parts == (32, 100003)
