@@ -20,13 +20,9 @@ summing the norms (see arch_height); the rounding budget of
 terms * 2^(8 - precision) for the orbit itself is asserted, not proved
 (ROADMAP item 2).
 
-The step kernel calls mpmath's libmp primitives on raw values, so no mpf
-object is built per operation.  It makes the same correctly rounded
-operations in the same order as the mpf-operator loop it replaced, but
-calls libmp only for the inexact ones and writes each exact one (a product
-by +-2^e, such as a coordinate +-1 or a coefficient 1, 2, 4 or 8, an
-absolute value, a sum with zero) as the value libmp returns, so every unit
-pair and norm of the orbit is bit-identical to that loop's.
+The orbit and the fold of its norms run on Python ints, with no libmp call:
+each operation on pairs (m, e) = m*2^e is exact and then rounded by _round
+to the value libmp returns, so the orbit is the mpf-operator loop's exactly.
 """
 
 from __future__ import annotations
@@ -34,10 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath.libmp import (
-    fnone, fone, from_int, mpf_add, mpf_div, mpf_log, mpf_lt, mpf_mul, mpf_neg,
-    mpf_pow_int, round_nearest,
-)
+from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_log, mpf_neg, round_nearest
 
 from .forms import MapLift, ProjectivePoint
 from .numerics import resolve_precision_bits
@@ -63,73 +56,107 @@ class ArchResult:
     terms: int
 
 
-# +1 and -1, indexed by an mpf's sign bit
-_UNIT = (fone, fnone)
 # bits above the run's precision at which the norms are folded into one product
 _SUM_GUARD_BITS = 16
 
 
+def _round(m: int, e: int, prec: int):
+    """m*2^e, m signed and 0 for zero, rounded to nearest, ties to even, to
+    prec bits.  >> floors, so it drops a remainder; a carry gives +-2^prec."""
+    n = m.bit_length() - prec
+    if n <= 0:
+        return m, e
+    t = m >> (n - 1)
+    if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
+        return (t >> 1) + 1, e + n
+    return t >> 1, e + n
+
+
+def _from_int(n: int, prec: int):
+    """n rounded to prec bits, as from_int; a power of two gets mantissa +-1."""
+    z = max((n & -n).bit_length() - 1, 0)
+    return _round(n >> z, z, prec)
+
+
+def _add(a, b, prec: int):
+    """a + b rounded to prec bits, for operands of prec bits.  With leading bits
+    over prec + 4 apart it is the larger one, as mpf_add's sticky bit rounds off."""
+    (am, ae), (bm, be) = a, b
+    if not am or not bm:
+        return b if am == 0 else a
+    if ae < be:
+        am, ae, bm, be = bm, be, am, ae
+    if ae - be + am.bit_length() - bm.bit_length() > prec + 4:
+        return am, ae
+    return _round((am << ae - be) + bm, be, prec)
+
+
+def _div(a, b, prec: int):
+    """a/b rounded to prec bits for operands of prec bits, b != 0, as in mpf_div:
+    a quotient of prec + 5 bits or more, and a sticky bit if r != 0 (r/b in (0, 1))."""
+    (am, ae), (bm, be) = a, b
+    extra = prec - am.bit_length() + bm.bit_length() + 5
+    q, r = divmod(am << extra, bm)
+    return _round(2 * q + 1, ae - be - extra - 1, prec) if r else _round(q, ae - be - extra, prec)
+
+
 def _raw_coefficients(lift: MapLift, prec: int):
-    """F's and G's coefficients as libmp values rounded to prec bits."""
-    return [[from_int(c, prec, round_nearest) for c in f.coefficients] for f in (lift.F, lift.G)]
+    """F's and G's coefficients as int pairs rounded to prec bits."""
+    return [[_from_int(c, prec) for c in f.coefficients] for f in (lift.F, lift.G)]
 
 
 def _step(fc, gc, ux, uy, prec: int):
     """(Phi(u)/m, m) for the unit pair u = (ux, uy), m = max(|F(u)|, |G(u)|).
 
-    Horner in x with the powers of y alongside, acc = acc*x + c*y^i, each
-    inexact operation rounded to nearest at prec bits by libmp.  Each exact
-    one is written as the value libmp returns: F and G share the y-powers,
-    y^1 is uy itself (uy has prec bits), a zero coefficient or y-power adds
-    nothing, and a sum with a zero accumulator is the addend.  A factor
-    +-2^e (mantissa 1), such as ux or uy = +-1 or a coefficient 1, 2, 4 or 8
-    in absolute value, multiplies by moving an exponent and flipping a sign,
-    and so do the powers of such a uy.  |F(u)| and |G(u)| clear the sign
-    bit, and the coordinate whose absolute value is m becomes +-1 (|F(u)|
-    on a tie, as max keeps its first argument).  libmp's zero (0, 0, 0, 0)
-    passes every shortcut unchanged.
+    Horner in x, yp = yp*y shared by F and G, acc = acc*x + c*yp, as the
+    mpf-operator loop; a result calls _round only if it outgrows prec bits.
+    The coordinate whose absolute value is m becomes +-1 (|F(u)|'s on a tie,
+    as max keeps its first argument) and the other is divided by m.
     """
-    rnd = round_nearest
-    if uy[1] == 1:
-        ys = [(uy[0] & i, uy[1], uy[2] * i, 1) for i in range(1, len(fc))]
-    else:
-        ys = [uy]
-        for _ in range(len(fc) - 2):
-            ys.append(mpf_mul(ys[-1], uy, prec, rnd))
-    xs, xm, xe, _ = ux
-    fa, ga = fc[0], gc[0]
-    for cf, cg, yp in zip(fc[1:], gc[1:], ys):
-        if xm == 1:
-            if fa[1]:
-                fa = (fa[0] ^ xs, fa[1], fa[2] + xe, fa[3])
-            if ga[1]:
-                ga = (ga[0] ^ xs, ga[1], ga[2] + xe, ga[3])
-        else:
-            fa = mpf_mul(fa, ux, prec, rnd)
-            ga = mpf_mul(ga, ux, prec, rnd)
-        if not yp[1]:
-            continue
-        if cf[1]:
-            if cf[1] == 1 or yp[1] == 1:
-                t = (cf[0] ^ yp[0], cf[1] * yp[1], cf[2] + yp[2], cf[3] + yp[3] - 1)
-            else:
-                t = mpf_mul(cf, yp, prec, rnd)
-            fa = mpf_add(fa, t, prec, rnd) if fa[1] else t
-        if cg[1]:
-            if cg[1] == 1 or yp[1] == 1:
-                t = (cg[0] ^ yp[0], cg[1] * yp[1], cg[2] + yp[2], cg[3] + yp[3] - 1)
-            else:
-                t = mpf_mul(cg, yp, prec, rnd)
-            ga = mpf_add(ga, t, prec, rnd) if ga[1] else t
-    afa, aga = (0, fa[1], fa[2], fa[3]), (0, ga[1], ga[2], ga[3])
-    if mpf_lt(afa, aga):
-        return mpf_div(fa, aga, prec, rnd), _UNIT[ga[0]], aga
-    if not afa[1]:
+    (xm, xe), (ym, ye), pm, pe = ux, uy, 1, 0
+    (fm, fe), (gm, ge) = fc[0], gc[0]
+    for (cm, ce), (km, ke) in zip(fc[1:], gc[1:]):
+        pm, pe = pm * ym, pe + ye
+        pm, pe = _round(pm, pe, prec) if pm.bit_length() > prec else (pm, pe)
+        fm, fe = fm * xm, fe + xe
+        fm, fe = _round(fm, fe, prec) if fm.bit_length() > prec else (fm, fe)
+        if cm:  # a zero coefficient adds nothing
+            tm, te = cm * pm, ce + pe
+            fm, fe = _add((fm, fe), _round(tm, te, prec) if tm.bit_length() > prec else (tm, te), prec)
+        gm, ge = gm * xm, ge + xe
+        gm, ge = _round(gm, ge, prec) if gm.bit_length() > prec else (gm, ge)
+        if km:
+            tm, te = km * pm, ke + pe
+            gm, ge = _add((gm, ge), _round(tm, te, prec) if tm.bit_length() > prec else (tm, te), prec)
+    af, ag = abs(fm), abs(gm)
+    lead = af.bit_length() + fe - ag.bit_length() - ge if af and ag else af - ag
+    if not lead and af:  # equal leading bits: the exponents lie < prec + 2 apart
+        lead = (af << fe - ge) - ag if fe >= ge else af - (ag << ge - fe)
+    if lead < 0:
+        return _div((fm, fe), (ag, ge), prec), (1 if gm > 0 else -1, 0), (ag, ge)
+    if not af:
         raise ValueError(
             f"both forms vanished at the {prec}-bit working precision, which a "
             "morphism does only when it is too low; raise precision_bits (--precision)"
         )
-    return _UNIT[fa[0]], mpf_div(ga, afa, prec, rnd), afa
+    return (1 if fm > 0 else -1, 0), _div((gm, ge), (af, fe), prec), (af, fe)
+
+
+def _sum_norms(norms, d: int, bits: int) -> mp.mpf:
+    """sum_n -log(m_n)/d^(n+1) over the N norms as -log(B)/d^N, B folded on
+    ints as arch_height derives, so that no int exceeds 2w + bits(m_n) bits."""
+    wp = bits + _SUM_GUARD_BITS
+    w, bm, be = wp + d.bit_length() + 2, 1, 0
+    for mm, me in norms:
+        pm, pe = bm, be
+        for bit in bin(d)[3:]:
+            pm, pe = _round(pm * pm, 2 * pe, w)
+            if bit == "1":
+                pm, pe = _round(pm * bm, pe + be, w)
+        bm, be = _round(pm * mm, pe + me, wp)
+    dn, rnd = d ** len(norms), round_nearest
+    log_b = mpf_log(from_man_exp(bm, be), wp, rnd)
+    return mp.make_mpf(mpf_neg(mpf_div(log_b, from_int(dn), bits, rnd)))
 
 
 def arch_step(lift: MapLift, u) -> mp.mpf:
@@ -144,8 +171,9 @@ def arch_step(lift: MapLift, u) -> mp.mpf:
     norm = max(abs(ux), abs(uy))
     if abs(norm - 1) > mp.mpf(2) ** (4 - prec):
         raise ValueError("arch_step needs sup norm 1; divide the pair by its sup norm first")
-    _, _, m = _step(*_raw_coefficients(lift, prec), ux._mpf_, uy._mpf_, prec)
-    return -mp.log(mp.make_mpf(m))
+    pairs = [(-man if sign else man, exp) for sign, man, exp, _ in (ux._mpf_, uy._mpf_)]
+    _, _, m = _step(*_raw_coefficients(lift, prec), *pairs, prec)
+    return -mp.log(mp.make_mpf(from_man_exp(*m)))
 
 
 def arch_step_bound(lift: MapLift) -> mp.mpf:
@@ -175,17 +203,21 @@ def arch_height(
 ) -> ArchResult:
     """Truncated archimedean series at P by renormalized iteration.
 
-    The orbit's norms m_n fold into B <- B^d * m_n, each operation rounded
-    to nearest at wp = bits + _SUM_GUARD_BITS, and value = -log(B)/d^terms,
-    since log B = sum_n d^(terms-1-n) * log m_n.
+    value = -log(B)/d^terms, as log B = sum_n d^(terms-1-n) * log m_n, with
+    B <- B^d * m_n on ints (_sum_norms): B^d by left-to-right
+    square-and-multiply, each product rounded to w = wp + bitlen(d) + 2
+    bits, then the product by m_n rounded to wp = bits + _SUM_GUARD_BITS.
 
     Summation error, against the exact sum_n -log(m_n)/d^(n+1) of the
-    computed norms, with eps = 2^-wp: mpf_mul rounds once (relative error
-    at most eps) and mpf_pow_int rounds once after a guarded power (at most
-    2*eps), so step n moves log B by at most 4*eps.  Each later step raises
-    B to the power d, so in the value that error is
-    4*eps * d^(terms-1-n) / d^terms = 4*eps / d^(n+1); over all steps it
-    stays below 4*eps/(d-1) <= 4*eps, with no factor of terms.  mpf_log
+    computed norms, with eps = 2^-wp: rounding to w bits moves a log by at
+    most tau = 2^-w * (1 + 2^(1-w)).  If the partial power for B^j is within
+    (2j - 1)*tau of j*log B (B^1 is exact), its square is within
+    (2*2j - 1)*tau and that times B within (2*(2j+1) - 1)*tau, so B^d is
+    within (2d - 1)*tau < eps/2, as d < 2^bitlen(d); the product by m_n
+    adds below eps*(1 + 2*eps), so step n moves log B by under 2*eps, and
+    in the value by 2*eps * d^(terms-1-n) / d^terms = 2*eps / d^(n+1), as
+    each later step raises B to the power d.  Over all steps that stays
+    below 2*eps/(d-1) <= 2*eps, with no factor of terms.  mpf_log
     works 20 bits above wp and rounds once; its relative error, charged at
     2*eps, adds 2*eps*|value|.  The final division by the exact integer
     d^terms rounds once at bits, adding 2^-bits * |value|.  With the 16-bit
@@ -200,17 +232,15 @@ def arch_height(
     """
     bits = resolve_precision_bits(precision_bits, lift.degree, terms, lift.coeff_norm)
     d = lift.degree
-    rnd = round_nearest
     fc, gc = _raw_coefficients(lift, bits)
-    scale = from_int(max(abs(P.x), abs(P.y)), bits, rnd)
-    ux, uy = (mpf_div(from_int(v, bits, rnd), scale, bits, rnd) for v in (P.x, P.y))
-    wp = bits + _SUM_GUARD_BITS
-    B = fone
+    scale = _from_int(max(abs(P.x), abs(P.y)), bits)
+    ux, uy = (_div(_from_int(v, bits), scale, bits) for v in (P.x, P.y))
+    norms = []
     for _ in range(terms):
         ux, uy, m = _step(fc, gc, ux, uy, bits)
-        B = mpf_mul(mpf_pow_int(B, d, wp, rnd), m, wp, rnd)
+        norms.append(m)
+    value = _sum_norms(norms, d, bits)
     dn = d**terms
-    value = mp.make_mpf(mpf_neg(mpf_div(mpf_log(B, wp, rnd), from_int(dn), bits, rnd)))
     with mp.workprec(bits):
         bound = arch_step_bound(lift)
         tail = (

@@ -2,16 +2,19 @@
 
 import inspect
 import random
+import sys
 import textwrap
-from collections import Counter
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_int, from_man_exp, mpf_add, mpf_div, normalize, round_nearest
 
 from p1height import arch
-from p1height.arch import _raw_coefficients, _step, arch_height, arch_step, arch_step_bound
+from p1height.arch import (
+    _add, _div, _from_int, _raw_coefficients, _round, _step, _sum_norms, arch_height, arch_step, arch_step_bound,
+)
 from p1height.fixtures import load_fixture
 from p1height.forms import BinaryForm, CofactorIdentity, MapLift, ProjectivePoint, normalize_point
 from p1height.numerics import default_precision_bits
@@ -183,8 +186,8 @@ def test_arch_series_tracks_large_coefficient_map():
 
 
 # ---------------------------------------------------------------------------
-# the raw-libmp kernel against the mpf-operator loop: the orbit bit for bit,
-# the one-logarithm sum to (1 + |value|) * 2^-prec
+# the int kernel against the mpf-operator loop: the orbit bit for bit, the
+# one-logarithm sum to (1 + |value|) * 2^-prec
 
 
 def _unchecked_lift(F, G):
@@ -210,7 +213,7 @@ _COEFF = st.one_of(
     st.just(0),
     st.integers(-9, 9),
     st.tuples(st.integers(1, 700), st.integers(0, 2**32)).map(_dense_int),
-    # +-2^k, which the kernel multiplies by moving an exponent, and
+    # +-2^k, a mantissa +-1 whose products fit and never round, and
     # +-(2^k - 1), which rounds to 2^k at fewer than k bits of precision
     st.builds(lambda k, m, s: s * (2**k - m), st.integers(0, 1200), st.integers(0, 1), st.sampled_from((-1, 1))),
 )
@@ -242,8 +245,15 @@ def _series_cases(draw):
     return f, g, normalize_point(x, y), prec, terms, t
 
 
-def _raw(pair):
-    return tuple(v._mpf_ for v in pair)
+def _pair(raw):
+    """A libmp tuple as the kernel's (signed mantissa, exponent) pair."""
+    sign, man, exp, _ = raw
+    return -man if sign else man, exp
+
+
+def _raw(pairs):
+    """The kernel's pairs as normalized libmp tuples."""
+    return tuple(from_man_exp(*p) for p in pairs)
 
 
 def _check_against_reference(lift, P, terms, prec, series=arch_height):
@@ -266,7 +276,8 @@ def _check_against_reference(lift, P, terms, prec, series=arch_height):
         assert abs(value - S) <= 2 * (1 + abs(S)) * mp.mpf(2) ** -prec
     fc, gc = _raw_coefficients(lift, prec)
     for n, m in enumerate(norms):
-        assert _step(fc, gc, *_raw(pairs[n]), prec) == (*_raw(pairs[n + 1]), m._mpf_)
+        u = [_pair(v._mpf_) for v in pairs[n]]
+        assert _raw(_step(fc, gc, *u, prec)) == (*(v._mpf_ for v in pairs[n + 1]), m._mpf_)
 
 
 def _outcome(fn):
@@ -276,7 +287,8 @@ def _outcome(fn):
         return "both forms vanished"
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+# no shrinking: a broken kernel fails in seconds, not minutes of minimizing
+@settings(max_examples=200, deadline=None, derandomize=True, database=None, phases=[Phase.explicit, Phase.generate])
 @given(_series_cases())
 def test_raw_kernel_is_bit_identical_to_the_mpf_operator_loop(case):
     f, g, P, prec, terms, t = case
@@ -298,21 +310,24 @@ def test_raw_kernel_is_bit_identical_on_the_fixtures(fixture_id):
 
 
 def _mutant(old, new):
-    """arch_height with `old` replaced by `new` in its source, compiled in a
-    copy of the arch module's namespace."""
-    src = textwrap.dedent(inspect.getsource(arch.arch_height))
-    assert src.count(old) == 1
+    """arch_height with `old` replaced by `new` in its source or in
+    _sum_norms', both compiled in a copy of the arch module's namespace."""
+    sources = [textwrap.dedent(inspect.getsource(fn)) for fn in (arch._sum_norms, arch.arch_height)]
+    assert sum(src.count(old) for src in sources) == 1
     namespace = dict(vars(arch))
-    exec(compile(src.replace(old, new), arch.__file__, "exec"), namespace)
+    for src in sources:
+        exec(compile(src.replace(old, new), arch.__file__, "exec"), namespace)
     return namespace["arch_height"]
 
 
 @pytest.mark.parametrize(
     "old, new",
     [
-        # weight d^(terms-n) for m_n: multiply before raising to the power d
-        ("mpf_mul(mpf_pow_int(B, d, wp, rnd), m, wp, rnd)", "mpf_pow_int(mpf_mul(B, m, wp, rnd), d, wp, rnd)"),
-        ("mpf_pow_int(B, d, wp, rnd)", "mpf_pow_int(B, d - 1, wp, rnd)"),
+        # weight d^(terms-n) for m_n: B <- (B*m_n)^d
+        pytest.param(
+            "pm, pe = bm, be", "pm, pe = bm, be = _round(bm * mm, be + me, wp); mm, me = 1, 0", id="m_n-before-the-power"
+        ),
+        pytest.param("bin(d)[3:]", "bin(d - 1)[3:]", id="power-d-1"),  # B <- B^(d-1) * m_n
         ("from_int(dn)", "from_int(dn // d)"),
     ],
 )
@@ -331,7 +346,7 @@ def test_reference_check_rejects_wrong_weights(old, new, case):
 
 
 # ---------------------------------------------------------------------------
-# the exact shortcuts of the step kernel
+# single steps of the int kernel at exact unit coordinates
 
 
 @pytest.mark.parametrize(
@@ -342,15 +357,15 @@ def test_reference_check_rejects_wrong_weights(old, new, case):
         ((-8, 3, 0, 5, 4), (1, -7, 2, 0, -9)),  # summands of one size, so a product left unrounded shows
         ((2**600, -(2**700 - 1), 2**5 - 1, -6), (0, 2**64 - 1, -(2**1000), 1)),
         ((1, 0, 1), (1, 0, -1)),  # |F| = |G| at u = (+-1, +-1): the tie goes to F
-        ((0, 0, 0, 1), (1, 0, 0, 0)),  # F = Y^3 stays libmp's zero through x = -1 at u = (-1, 0)
+        ((0, 0, 0, 1), (1, 0, 0, 0)),  # F = Y^3 stays zero through x = -1 at u = (-1, 0)
         ((1, 0, -1), (1, 0, -1)),  # both forms vanish at u = (+-1, +-1)
     ],
 )
 @pytest.mark.parametrize("prec", [64, 300])
 def test_step_shortcuts_are_bit_identical_to_the_mpf_operator_loop(f, g, prec):
     # one coordinate +-1 and the other +-1, 0, +-2^-e or a prec-bit fraction,
-    # so every exact shortcut of _step runs and so does every rounded
-    # operation beside it; each result must be the loop's, bit for bit
+    # so products by +-1, 0 and powers of two, which fit in prec bits and do
+    # not round, run beside rounded ones; each result must be the loop's
     lift = _unchecked_lift(BinaryForm(f), BinaryForm(g))
     fc, gc = _raw_coefficients(lift, prec)
     rng = random.Random(1702)
@@ -365,27 +380,127 @@ def test_step_shortcuts_are_bit_identical_to_the_mpf_operator_loop(f, g, prec):
                 expected = reference_unit_step(lift, u, prec)
             except ValueError:
                 with pytest.raises(ValueError, match="vanished"):
-                    _step(fc, gc, *u, prec)
+                    _step(fc, gc, *map(_pair, u), prec)
                 continue
-            assert _step(fc, gc, *u, prec) == expected
+            assert _raw(_step(fc, gc, *map(_pair, u), prec)) == expected
 
 
-def test_step_makes_only_the_inexact_libmp_calls(monkeypatch):
-    # every libmp arithmetic call of arch_height, per series step; from_int,
-    # which converts the coefficients and the point once per run, is not
-    # counted.  Products by +-1, 0 and powers of two are written out, so on
-    # the points map only y^2, one sum, the comparison, the division and the
-    # fold's two operations are left (15.1 calls per step before), and maps
-    # with coefficients in [-9, 9] keep about 112 of their 195
-    calls = Counter()
-    for name in [n for n in vars(arch) if n.startswith("mpf_")]:
-        fn = getattr(arch, name)
-        monkeypatch.setattr(arch, name, lambda *a, _fn=fn, _name=name: (calls.update((_name,)), _fn(*a))[1])
+def _libmp_round(m, e, prec):
+    return normalize(int(m < 0), abs(m), e, abs(m).bit_length(), prec, round_nearest)
+
+
+def _random_value(rng, prec):
+    """A nonzero pair of at most prec bits, as libmp keeps it."""
+    m = rng.choice((-1, 1)) * (rng.getrandbits(rng.randint(1, prec)) | 1)
+    return _pair(_libmp_round(m, rng.randint(-3 * prec, 3 * prec), prec))
+
+
+@pytest.mark.parametrize("prec", [53, 64, 256, 1200])
+def test_int_rounding_matches_libmp_normalize(prec):
+    rng = random.Random(1800 + prec)
+    cases = [(0, 5), (0, -(2**40))]
+    for s in (1, -1):
+        cases.append((s * (2 ** (prec + 1) - 1), 3))  # rounds up with a carry to 2^prec
+        for n in (1, 2, 9, prec):
+            q = rng.getrandbits(prec - 1) | 1 << (prec - 1)
+            for low in (0, 1):  # half an ulp exactly, to even q and to odd q
+                cases.append((s * ((q + low) << n | 1 << (n - 1)), -n))
+            cases.append((s * ((q << n) + (1 << (n - 1)) + 1), 0))  # just above half
+            cases.append((s * ((q << n) + (1 << (n - 1)) - 1), 0))  # just below half
+    cases += [(rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 3 * prec)), rng.randint(-prec, prec)) for _ in range(300)]
+    for m, e in cases:
+        assert from_man_exp(*_round(m, e, prec)) == _libmp_round(m, e, prec)
+    for n in [0, 1, -1, 2**prec, -(2 ** (prec + 3)), 2 ** (prec + 1) - 1, 3 << 2 * prec]:
+        assert from_man_exp(*_from_int(n, prec)) == from_int(n, prec, round_nearest)
+    for _ in range(100):
+        n = rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 3 * prec)) << rng.randint(0, 64)
+        assert from_man_exp(*_from_int(n, prec)) == from_int(n, prec, round_nearest)
+
+
+@pytest.mark.parametrize("prec", [53, 64, 256, 1200])
+def test_int_sum_and_quotient_match_mpf_add_and_mpf_div(prec):
+    rng = random.Random(1810 + prec)
+    values = [_random_value(rng, prec) for _ in range(300)]
+    a0 = values[0]
+    cases = list(zip(values[::2], values[1::2]))
+    cases += [((0, 0), a0), (a0, (0, 0)), ((0, 0), (0, 0)), (a0, (-a0[0], a0[1]))]
+    for gap in (prec + 3, prec + 4, prec + 5, 2**40):
+        # leading bits `gap` apart, the larger operand first and second
+        for am, ae in values[:20]:
+            bm = rng.choice((-1, 1)) * (rng.getrandbits(prec) | 1)
+            b = (bm, ae + am.bit_length() - bm.bit_length() - gap)
+            cases += [((am, ae), b), (b, (am, ae))]
+    for a, b in cases:
+        ta, tb = from_man_exp(*a), from_man_exp(*b)
+        assert from_man_exp(*_add(a, b, prec)) == mpf_add(ta, tb, prec, round_nearest)
+        if b[0]:
+            assert from_man_exp(*_div(a, b, prec)) == mpf_div(ta, tb, prec, round_nearest)
+    for a in values[:50]:  # divisors +-2^k, which libmp divides without divmod
+        for b in ((1, 0), (-1, 7), (1, -(2**40))):
+            assert from_man_exp(*_div(a, b, prec)) == mpf_div(from_man_exp(*a), from_man_exp(*b), prec, round_nearest)
+
+
+@pytest.mark.parametrize("d", [2, 3, 48, 80, 2204])
+def test_truncated_fold_stays_within_the_charged_summation_term(d):
+    # seeded norms in [2^-20, 2^20]; the value must be within the summation
+    # term (1 + |S|) * 2^(1 - bits) of tail_bound of the term-by-term sum S
+    # and of the same fold at four times the precision, and the fold may form
+    # no int wider than 2w + bits(m_n), w = wp + bitlen(d) + 2, which forming
+    # the exact d*wp-bit power of B would
+    rng = random.Random(1820 + d)
+    bits, terms = 256, 20
+    wp = bits + arch._SUM_GUARD_BITS
+    widths = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is arch._round.__code__:
+            widths.append(frame.f_locals["m"].bit_length())
+
+    for _ in range(3):
+        norms = [(rng.getrandbits(bits) | 1 << (bits - 1), rng.randint(-bits - 20, 20 - bits)) for _ in range(terms)]
+        sys.setprofile(profile)
+        try:
+            value = _sum_norms(norms, d, bits)
+        finally:
+            sys.setprofile(None)
+        with mp.workprec(4 * wp):
+            S = -mp.fsum(mp.log(mp.make_mpf(from_man_exp(*m))) / mp.mpf(d) ** (n + 1) for n, m in enumerate(norms))
+            charged = (1 + abs(S)) * mp.mpf(2) ** (1 - bits)
+            assert abs(value - S) <= charged
+            assert abs(value - _sum_norms(norms, d, 4 * wp)) <= charged
+    assert widths and max(widths) < 2 * (wp + d.bit_length() + 2) + bits
+
+
+def test_raw_kernel_is_bit_identical_where_an_exponent_doubles_every_step():
+    # F = X^2 + Y^2, G = Y^2 at [2, 1]: u_n = (1, y_n) with y_(n+1) about
+    # y_n^2, so the exponent of y_50 is about -2^50 and every sum 1 + y^2
+    # returns its larger operand, with no shift by the exponent gap
+    lift = _unchecked_lift(BinaryForm((1, 0, 1)), BinaryForm((0, 0, 1)))
+    _check_against_reference(lift, ProjectivePoint(2, 1), 50, 256)
+
+
+def test_arch_height_makes_no_libmp_call_per_step(monkeypatch):
+    # every libmp function arch imports, counted over whole arch_height runs:
+    # a run at 50 terms makes as many calls as one at 10 (the final log and
+    # division), where a kernel with libmp in its loop makes more per step
+    calls = []
+    for name, fn in list(vars(arch).items()):
+        if callable(fn) and getattr(fn, "__module__", "").startswith("mpmath.libmp"):
+            monkeypatch.setattr(arch, name, lambda *a, _fn=fn: (calls.append(_fn), _fn(*a))[1])
+
+    def counts(lift, P):
+        out = []
+        for terms in (10, 50):
+            calls.clear()
+            arch_height(lift, P, terms)
+            out.append(len(calls))
+        return out
+
     rng = random.Random(1701)
     lift = _unchecked_lift(BinaryForm((3, 0, 1)), BinaryForm((0, 2, 0)))
     for _ in range(20):
-        arch_height(lift, normalize_point(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6)), 50)
-    assert sum(calls.values()) <= 8 * 20 * 50
+        short, long = counts(lift, normalize_point(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6)))
+        assert 0 < short == long
 
     def form(d):
         while True:
@@ -393,8 +508,7 @@ def test_step_makes_only_the_inexact_libmp_calls(monkeypatch):
             if c[0]:
                 return BinaryForm(tuple(c))
 
-    calls.clear()
-    degrees = range(8, 49)
-    for d in degrees:
-        arch_height(_unchecked_lift(form(d), form(d)), normalize_point(rng.randint(-20, 20), rng.randint(1, 20)), 10)
-    assert sum(calls.values()) <= 115 * len(degrees) * 10
+    for d in range(8, 49):
+        lift = _unchecked_lift(form(d), form(d))
+        short, long = counts(lift, normalize_point(rng.randint(-20, 20), rng.randint(1, 20)))
+        assert 0 < short == long
