@@ -174,8 +174,9 @@ def evaluate(f: BinaryForm, x: int, y: int) -> int:
 def normalize_point(x, y) -> ProjectivePoint:
     """Normalize rational coordinates to the canonical coprime-integer form.
 
-    Accepts ints, Fractions, or strings such as "3/4".  Clears denominators,
-    divides out the gcd, and flips signs so that y > 0, or y = 0 and x > 0.
+    Accepts ints, Fractions, or strings such as "3/4" in parse_point's grammar of
+    integer literals and ratios.  Clears denominators, divides out the gcd, and
+    flips signs so that y > 0, or y = 0 and x > 0.
     """
     fx, fy = _as_fraction(x), _as_fraction(y)
     if fx == 0 and fy == 0:
@@ -192,6 +193,8 @@ def normalize_point(x, y) -> ProjectivePoint:
 def _as_fraction(v) -> Fraction:
     if isinstance(v, float):
         raise TypeError("float coordinates are ambiguous; pass int, Fraction, or string")
+    if isinstance(v, str):
+        return _parse_rational(v)
     try:
         return Fraction(v)
     except (ValueError, TypeError) as exc:
@@ -460,8 +463,9 @@ _SLASH_INSIDE = (
 )
 _MAX_EXPONENT = 4096
 # a monomial of total degree t with Y^j (j = 0 in the phi form) has the key
-# t*_KEY_BASE + j, so a product adds keys; the degree checks keep every t, and
-# so every j, at most _MAX_EXPONENT before it is formed, so j < _KEY_BASE
+# t*_KEY_BASE + j, so a product adds keys; every product and power checks its
+# own degree before it is formed, so every t, and so every j, stays at most
+# _MAX_EXPONENT, and j < _KEY_BASE
 _KEY_BASE = _MAX_EXPONENT + 1
 # the work budget of a parse_map call or an exact-orbit run, charged before each product, power,
 # negation, elimination and oracle iterate: a product or exact division of an a-bit by a b-bit int
@@ -486,12 +490,11 @@ def _check_literal(text: str) -> str:
     return text
 
 
-def _check_degree(projected: int, what: str) -> None:
-    """ParseError if the degree `what` projects once enclosing powers apply is too high."""
-    if projected > _MAX_EXPONENT:
-        raise ParseError(
-            f"{what} degree {projected}, over the supported maximum {_MAX_EXPONENT}"
-        )
+def _check_degree(degree: int, what: str) -> None:
+    """ParseError if `what`, a product or power about to be formed, would have a degree too high
+    for the monomial key; terms may cancel later, so only the degree formed here counts."""
+    if degree > _MAX_EXPONENT:
+        raise ParseError(f"{what} of degree {degree}, over the supported maximum {_MAX_EXPONENT}")
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -532,24 +535,7 @@ class _PolyParser:
                 self.tokens.append((kind, val))
         self.pos = 0
         self.variables = variables
-        # the exponent literal applied to each parenthesised group, keyed by
-        # its '(' token, so a factor knows it before expanding the group
-        self.group_exponent: dict[int, int] = {}
-        opened: list[int] = []
-        for i, tok in enumerate(self.tokens):
-            if tok == ("op", "("):
-                opened.append(i)
-                if len(opened) > _MAX_NESTING:
-                    raise ParseError(
-                        f"parentheses nest deeper than the supported maximum {_MAX_NESTING}"
-                    )
-            elif tok == ("op", ")") and opened:
-                start = opened.pop()
-                after = self.tokens[i + 1 : i + 3]
-                if len(after) == 2 and after[0] == ("op", "^") and after[1][0] == "int":
-                    self.group_exponent[start] = max(int(after[1][1]), 1)
-        # product of the exponents that enclosing groups will apply
-        self.scale = 1
+        self.depth = 0  # parentheses open around the current position
         self.charge = charge or _budget()  # called before each product, power and negation
 
     def peek(self):
@@ -612,10 +598,8 @@ class _PolyParser:
     def times(self, p, q):
         if not (p and q):
             return {}
-        # the degree the product reaches once the enclosing powers apply,
-        # and its cost, checked before multiplying
-        top = max(p) // _KEY_BASE + max(q) // _KEY_BASE
-        _check_degree(top * self.scale, "a product projects")
+        # the product's degree and cost, checked before multiplying
+        _check_degree(max(p) // _KEY_BASE + max(q) // _KEY_BASE, "a product")
         a, b = max(map(int.bit_length, p.values())), max(map(int.bit_length, q.values()))
         self.charge(len(p) * len(q), a, b)
         return _pmul(p, q)
@@ -630,10 +614,7 @@ class _PolyParser:
                     sign = -sign
             else:
                 break
-        ahead = self.group_exponent.get(self.pos, 1)
-        self.scale *= ahead
         poly = self.base()
-        self.scale //= ahead
         kind, val = self.peek()
         if kind == "op" and val == "^":
             self.next()
@@ -643,10 +624,7 @@ class _PolyParser:
             e = int(val)
             if e > _MAX_EXPONENT:
                 raise ParseError(f"exponent {e} exceeds the supported maximum {_MAX_EXPONENT}")
-            # the degree this power reaches once the enclosing powers apply too,
-            # checked before any expansion so nested powers cannot blow up
-            top = max(poly, default=0) // _KEY_BASE
-            _check_degree(top * e * self.scale, "nested powers project")
+            _check_degree(max(poly, default=0) // _KEY_BASE * e, "a power")
             poly = _ppow(poly, e, self.charge)
         if sign == 1:
             return poly
@@ -664,7 +642,11 @@ class _PolyParser:
             allowed = ", ".join(self.variables)
             raise ParseError(f"unknown variable {val!r}; expected one of: {allowed}")
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than the supported maximum {_MAX_NESTING}")
             poly = self.expr()
+            self.depth -= 1
             kind, val = self.next()
             if (kind, val) != ("op", ")"):
                 raise ParseError(_SLASH_INSIDE if val == "/" else "missing closing parenthesis")

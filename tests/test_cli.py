@@ -343,6 +343,10 @@ def test_deep_nesting_exits_2_and_shallower_nesting_parses(capsys):
     assert "100" in err
     code, out, err = run_cli(capsys, "--map", nested(50), "--point", "[1,1]", "--terms", "5")
     assert code == 0
+    # the limit is on depth, not on the number of groups
+    siblings = "F = " + " + ".join(["(X^2)"] * 150) + "; G = Y^2"
+    code, out, err = run_cli(capsys, "--map", siblings, "--point", "[1,1]", "--terms", "5")
+    assert code == 0
 
 
 def test_conflicting_sources_exit_2(capsys):

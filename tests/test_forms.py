@@ -3,6 +3,7 @@
 import math
 import operator
 import random
+import time
 import warnings
 from unittest import mock
 
@@ -168,6 +169,8 @@ def test_normalize_point_examples():
     assert normalize_point(-4, -6) == ProjectivePoint(2, 3)
     assert normalize_point(5, -1) == ProjectivePoint(-5, 1)
     assert normalize_point("1/2", "3/4") == ProjectivePoint(2, 3)
+    assert normalize_point("1/2", " 3/4 ") == ProjectivePoint(2, 3)
+    assert normalize_point(7, Fraction(1, 2)) == ProjectivePoint(14, 1)
     assert normalize_point(-3, 0) == ProjectivePoint(1, 0)
 
 
@@ -176,8 +179,15 @@ def test_normalize_point_rejects():
         normalize_point(0, 0)
     with pytest.raises(TypeError):
         normalize_point(0.5, 1)
-    with pytest.raises(ValueError):
-        normalize_point("x", 1)
+    # strings follow parse_point's grammar of integer literals and ratios, so no
+    # exponent notation builds a huge integer before the string is refused
+    for text in ("x", "1e10000000", "1e1000000", "0.5", "1e5", "1_000", "1/0", "3/"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            normalize_point(text, 1)
+        with pytest.raises(ValueError):
+            parse_point(f"[{text}, 1]")
+        assert time.perf_counter() - start < 0.1
 
 
 def test_projective_point_invariants():
@@ -591,17 +601,45 @@ def test_parse_map_error_messages(text, message):
 
 
 def test_parse_map_bounds_nested_powers_before_expanding(monkeypatch):
-    def expand(*args):
-        raise AssertionError("a power was expanded before its projected degree was checked")
+    # each power checks the degree it would form, deg(base) * e, before expanding;
+    # the inner power may expand within the budget, the outer one never does
+    expanded = []
+    ppow = forms._ppow
 
-    monkeypatch.setattr(forms, "_ppow", expand)
-    for text, projected in (("((X+Y)^4096)^4096", 16777216), ("(X^2)^3000", 6000)):
-        with pytest.raises(ParseError, match=f"degree {projected}"):
-            parse_map(f"F = {text}; G = Y^{projected}")
+    def spy(p, e, charge):
+        expanded.append(max(p, default=0) // forms._KEY_BASE * e)
+        return ppow(p, e, charge)
+
+    monkeypatch.setattr(forms, "_ppow", spy)
+    for text, degree in (("((X+Y)^4096)^4096", 16777216), ("(X^2)^3000", 6000)):
+        expanded.clear()
+        with pytest.raises(ParseError, match=f"a power of degree {degree},"):
+            parse_map(f"F = {text}; G = Y^2")
+        assert degree not in expanded
+        assert all(d <= forms._MAX_EXPONENT for d in expanded)
     monkeypatch.undo()
     lift = parse_map("F = ((X+Y)^3)^3; G = Y^9")
     assert lift.degree == 9
     assert lift.F.coefficients == tuple(math.comb(9, i) for i in range(10))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "F = (X^3000 - X^3000 + X*Y)^2; G = X^4 + Y^4",
+        "F = ((X+Y)^3000 - (X+Y)^3000 + X*Y)^2; G = X^4 + Y^4",
+        "phi(z) = (z^2100 - z^2100 + z^2 + 1)^2/(2*z)",
+    ],
+)
+def test_parse_map_accepts_large_terms_that_cancel(text):
+    # only the degree a product or power forms counts, not a degree its terms
+    # would reach had they not cancelled
+    lift = parse_map(text)
+    assert lift.degree == 4
+    if text.startswith("phi"):
+        assert (lift.F.coefficients, lift.G.coefficients) == ((1, 0, 2, 0, 1), (0, 0, 0, 2, 0))
+    else:
+        assert (lift.F.coefficients, lift.G.coefficients) == ((0, 0, 1, 0, 0), (1, 0, 0, 0, 1))
 
 
 def test_parse_map_bounds_products_before_multiplying(monkeypatch):
@@ -609,7 +647,7 @@ def test_parse_map_bounds_products_before_multiplying(monkeypatch):
         return _PolyParser(_tokenize(text), ("X", "Y")).parse()
 
     def multiply(*args):
-        raise AssertionError("a product was formed before its projected degree was checked")
+        raise AssertionError("a product was formed before its degree was checked")
 
     monkeypatch.setattr(forms, "_pmul", multiply)
     with pytest.raises(ParseError, match="degree 8192"):

@@ -290,3 +290,20 @@ def test_precision_is_checked_before_any_layer_runs(monkeypatch):
                 run(lift, P, 10, precision_bits=bits)
     monkeypatch.undo()
     assert canonical_height(lift, P, 10, precision_bits=64).precision_bits == 64
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: the archimedean rounding budget is asserted, not proved; "
+    "at 96 bits the arch value is about 18.7 off, against a tail bound of 0.46",
+)
+def test_low_precision_height_lies_within_its_error_bound_of_a_3000_bit_run():
+    # at [c + 1, 1] scaled to (1, 2^-80), the expanded F sums terms of size 1 to
+    # about 2^-160 and G to about 3*2^-240, which 96 bits do not hold
+    c = 2**80
+    lift = forms.parse_map(f"F = X*(X - {c}*Y)^2 + Y^3; G = Y*((X - {c}*Y)^2 + 2*Y^2)")
+    P = normalize_point(c + 1, 1)
+    reference = canonical_height(lift, P, terms=5, precision_bits=3000)
+    low = canonical_height(lift, P, terms=5, precision_bits=96)
+    with mp.workprec(3000):
+        assert abs(low.canonical - reference.canonical) <= low.error_bound
