@@ -1,12 +1,13 @@
-"""Archimedean height series by renormalized high-precision iteration.
+"""Archimedean height series by renormalized fixed-point iteration.
 
 Scale the point to sup norm 1, apply the lift, read off the norm
 m_n = ||Phi(u_n)||, rescale the image to sup norm 1, repeat.  The series
 is sum_n -log(m_n)/d^(n+1).  Renormalizing every step keeps all
-magnitudes inside [||Phi||_min, 1], so nothing ever overflows or underflows,
-and it makes each step value available with no d*log||u|| correction.  The
-norms fold into one product B = prod_n m_n^(d^(terms-1-n)) by
-B <- B^d * m_n, so a run takes one logarithm: value = -log(B)/d^terms.
+magnitudes inside [||Phi||_min, (d+1)*coeff_norm], so nothing ever
+overflows or underflows, and it makes each step value available with no
+d*log||u|| correction.  The norms fold into one product
+B = prod_n m_n^(d^(terms-1-n)) by B <- B^d * m_n, so a run takes one
+logarithm: value = -log(B)/d^terms.
 
 Truncation is controlled by a uniform bound on the step values: the
 triangle inequality bounds ||Phi(u)|| from above by (d+1)*coeff_norm, and
@@ -14,15 +15,17 @@ evaluating the exact cofactor identities
 
     a1*F + b1*G = Res * X^(2d-1),   a2*F + b2*G = Res * Y^(2d-1)
 
-at a unit-norm pair bounds it from below by |Res|/(2d*cofactor_norm).  The
-resulting truncation bound is proved, and so is the bound on the error of
-summing the norms (see arch_height); the rounding budget of
-terms * 2^(8 - precision) for the orbit itself is asserted, not proved
-(ROADMAP item 2).
+at a unit-norm pair bounds it from below by L = |Res|/(2d*cofactor_norm).
 
-The orbit and the fold of its norms run on Python ints, with no libmp call:
-each operation on pairs (m, e) = m*2^e is exact and then rounded by _round
-to the value libmp returns, so the orbit is the mpf-operator loop's exactly.
+The orbit runs in fixed point on Python ints, with no libmp call.  A unit
+pair is (1, t/2^p) or (t/2^p, 1) with an int |t| <= 2^p, so F and G there
+are Horner chains acc = (acc*t >> p) + (c << p).  Each >> floors, and
+|t/2^p| <= 1 never magnifies an earlier error, so each value is off by
+under d units of 2^-p, however much its terms cancel.  p = bits + guard
+(_guard_bits) holds that and the floor of the next t to 2^-(bits+2) of
+each norm.  The truncation and summation bounds are proved (arch_height);
+the budget terms * 2^(8 - bits) for the propagation of these errors along
+the orbit is asserted, not proved (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -44,8 +47,12 @@ class ArchResult:
 
     value: sum_{n<terms} step_n / d^(n+1) with step_n = -log||Phi(u_n)||,
         taken as -log(B)/d^terms with B = prod_n ||Phi(u_n)||^(d^(terms-1-n)).
-    tail_bound: step_bound/((d-1) d^terms), plus the orbit's rounding budget,
-        plus the error of summing the norms (see arch_height).
+        Each norm is a Horner value within d units of 2^-p of the exact
+        norm at its unit pair, which the guard in p = precision_bits + guard
+        makes 2^-(precision_bits+2) relative (_guard_bits).
+    tail_bound: step_bound/((d-1) d^terms), plus the orbit's asserted
+        budget terms * 2^(8 - precision_bits), plus the error of summing
+        the norms (see arch_height).
     step_bound: rigorous uniform bound on every |step_n| (arch_step_bound).
     """
 
@@ -72,74 +79,53 @@ def _round(m: int, e: int, prec: int):
     return t >> 1, e + n
 
 
-def _from_int(n: int, prec: int):
-    """n rounded to prec bits, as from_int; a power of two gets mantissa +-1."""
-    z = max((n & -n).bit_length() - 1, 0)
-    return _round(n >> z, z, prec)
+def _guard_bits(lift: MapLift) -> int:
+    """Bits above the run's precision at which the orbit runs.
 
-
-def _add(a, b, prec: int):
-    """a + b rounded to prec bits, for operands of prec bits.  With leading bits
-    over prec + 4 apart it is the larger one, as mpf_add's sticky bit rounds off."""
-    (am, ae), (bm, be) = a, b
-    if not am or not bm:
-        return b if am == 0 else a
-    if ae < be:
-        am, ae, bm, be = bm, be, am, ae
-    if ae - be + am.bit_length() - bm.bit_length() > prec + 4:
-        return am, ae
-    return _round((am << ae - be) + bm, be, prec)
-
-
-def _div(a, b, prec: int):
-    """a/b rounded to prec bits for operands of prec bits, b != 0, as in mpf_div:
-    a quotient of prec + 5 bits or more, and a sticky bit if r != 0 (r/b in (0, 1))."""
-    (am, ae), (bm, be) = a, b
-    extra = prec - am.bit_length() + bm.bit_length() + 5
-    q, r = divmod(am << extra, bm)
-    return _round(2 * q + 1, ae - be - extra - 1, prec) if r else _round(q, ae - be - extra, prec)
-
-
-def _raw_coefficients(lift: MapLift, prec: int):
-    """F's and G's coefficients as int pairs rounded to prec bits."""
-    return [[_from_int(c, prec) for c in f.coefficients] for f in (lift.F, lift.G)]
-
-
-def _step(fc, gc, ux, uy, prec: int):
-    """(Phi(u)/m, m) for the unit pair u = (ux, uy), m = max(|F(u)|, |G(u)|).
-
-    Horner in x, yp = yp*y shared by F and G, acc = acc*x + c*yp, as the
-    mpf-operator loop; a result calls _round only if it outgrows prec bits.
-    The coordinate whose absolute value is m becomes +-1 (|F(u)|'s on a tie,
-    as max keeps its first argument) and the other is divided by m.
+    A step's own errors, in units of 2^-p: under d in each Horner value, and
+    the floor of t', which moves the forms at the next pair by under
+    d(d+1)*coeff_norm, a bound on |dF/ds| over |s| <= 1; in all under
+    E = 2d(d+1)*coeff_norm.  With L = |Res|/(2d*cofactor_norm) <= ||Phi(u)||
+    (arch_step_bound's lower side), 2^guard > 4E/L, as a < 2^bitlen(a) and
+    b >= 2^(bitlen(b)-1), so they are under 2^-(bits+2) of each norm.
     """
-    (xm, xe), (ym, ye), pm, pe = ux, uy, 1, 0
-    (fm, fe), (gm, ge) = fc[0], gc[0]
-    for (cm, ce), (km, ke) in zip(fc[1:], gc[1:]):
-        pm, pe = pm * ym, pe + ye
-        pm, pe = _round(pm, pe, prec) if pm.bit_length() > prec else (pm, pe)
-        fm, fe = fm * xm, fe + xe
-        fm, fe = _round(fm, fe, prec) if fm.bit_length() > prec else (fm, fe)
-        if cm:  # a zero coefficient adds nothing
-            tm, te = cm * pm, ce + pe
-            fm, fe = _add((fm, fe), _round(tm, te, prec) if tm.bit_length() > prec else (tm, te), prec)
-        gm, ge = gm * xm, ge + xe
-        gm, ge = _round(gm, ge, prec) if gm.bit_length() > prec else (gm, ge)
-        if km:
-            tm, te = km * pm, ke + pe
-            gm, ge = _add((gm, ge), _round(tm, te, prec) if tm.bit_length() > prec else (tm, te), prec)
-    af, ag = abs(fm), abs(gm)
-    lead = af.bit_length() + fe - ag.bit_length() - ge if af and ag else af - ag
-    if not lead and af:  # equal leading bits: the exponents lie < prec + 2 apart
-        lead = (af << fe - ge) - ag if fe >= ge else af - (ag << ge - fe)
-    if lead < 0:
-        return _div((fm, fe), (ag, ge), prec), (1 if gm > 0 else -1, 0), (ag, ge)
-    if not af:
-        raise ValueError(
-            f"both forms vanished at the {prec}-bit working precision, which a "
-            "morphism does only when it is too low; raise precision_bits (--precision)"
-        )
-    return (1 if fm > 0 else -1, 0), _div((gm, ge), (af, fe), prec), (af, fe)
+    d = lift.degree
+    lower = 2 * d * lift.cofactor_identity.coeff_norm
+    ratio = lower.bit_length() - abs(lift.resultant).bit_length() + 1
+    return max(0, ratio) + (d * (d + 1) * lift.coeff_norm).bit_length() + 3
+
+
+def _chains(lift: MapLift, p: int):
+    """F's and G's coefficients times 2^p in the Horner order of each unit
+    pair: chains[0] for (1, s), from the Y^d coefficient down, chains[1]
+    for (s, 1), from the X^d coefficient down."""
+    f, g = ([c << p for c in form.coefficients] for form in (lift.F, lift.G))
+    return (f[::-1], g[::-1]), (f, g)
+
+
+def _step(chains, k: int, t: int, p: int):
+    """(k', t', m) for the unit pair u = (1, t/2^p) if k = 0, (t/2^p, 1) if k = 1.
+
+    F and G are Horner chains in s = t/2^p; with |s| <= 1 each is off by
+    under d units of 2^-p from 2^p times its exact value at u, which the
+    guard in p = bits + guard makes under 2^-(bits+2) of m (_guard_bits).
+    The larger of |F|, |G| (F's on a tie) is m, the norm m*2^-p, and its
+    form becomes the coordinate +1: t' = floor(2^p * other/dominant), the
+    signed dominant absorbing the sign, which the norm does not see.
+    """
+    fc, gc = chains[k]
+    f = g = 0
+    for a, b in zip(fc, gc):
+        f = (f * t >> p) + a
+        g = (g * t >> p) + b
+    if abs(f) >= abs(g):
+        if not f:
+            raise ValueError(
+                f"both forms vanished at the {p}-bit working precision, which a "
+                "morphism does only when it is too low; raise precision_bits (--precision)"
+            )
+        return 0, (g << p) // f, abs(f)
+    return 1, (f << p) // g, abs(g)
 
 
 def _sum_norms(norms, d: int, bits: int) -> mp.mpf:
@@ -164,16 +150,23 @@ def arch_step(lift: MapLift, u) -> mp.mpf:
 
     The pair must already satisfy max(|u_x|, |u_y|) = 1 up to a few ulp at
     the current working precision; scaling input is the caller's job, which
-    is what makes the step value readable without a norm correction.
+    is what makes the step value readable without a norm correction.  The
+    step is _step's at p = prec + guard, on t = floor(2^p * other/dominant),
+    plus d*log|dominant| for the few ulp by which |dominant| misses 1.
     """
     prec = mp.mp.prec
     ux, uy = mp.mpf(u[0]), mp.mpf(u[1])
-    norm = max(abs(ux), abs(uy))
-    if abs(norm - 1) > mp.mpf(2) ** (4 - prec):
+    if abs(max(abs(ux), abs(uy)) - 1) > mp.mpf(2) ** (4 - prec):
         raise ValueError("arch_step needs sup norm 1; divide the pair by its sup norm first")
-    pairs = [(-man if sign else man, exp) for sign, man, exp, _ in (ux._mpf_, uy._mpf_)]
-    _, _, m = _step(*_raw_coefficients(lift, prec), *pairs, prec)
-    return -mp.log(mp.make_mpf(from_man_exp(*m)))
+    k, dom, other = (0, ux, uy) if abs(ux) >= abs(uy) else (1, uy, ux)
+    p = prec + _guard_bits(lift)
+    (dsign, dm, de, _), (osign, om, oe, _) = dom._mpf_, other._mpf_
+    dm, om = -dm if dsign else dm, -om if osign else om
+    # a shift below -(bits(om) + 1) leaves |quotient| < 1/2 and so its floor alone
+    s = max(p + oe - de, -om.bit_length() - 1)
+    t = (om << s) // dm if s >= 0 else om // (dm << -s)
+    _, _, m = _step(_chains(lift, p), k, t, p)
+    return -mp.log(mp.make_mpf(from_man_exp(m, -p))) - lift.degree * mp.log(abs(dom))
 
 
 def arch_step_bound(lift: MapLift) -> mp.mpf:
@@ -201,7 +194,13 @@ def arch_height(
     terms: int,
     precision_bits: int | None = None,
 ) -> ArchResult:
-    """Truncated archimedean series at P by renormalized iteration.
+    """Truncated archimedean series at P by renormalized fixed-point iteration.
+
+    The orbit starts at (1, t/2^p), t = floor(2^p * y/x), if |x| >= |y|,
+    else at (t/2^p, 1), and runs _step at p = bits + guard: each Horner
+    value within d units of 2^-p, and with the floor of each next t under
+    2^-(bits+2) of every norm (_guard_bits), so no norm rounds to zero.
+    Their propagation along the orbit is the asserted budget below.
 
     value = -log(B)/d^terms, as log B = sum_n d^(terms-1-n) * log m_n, with
     B <- B^d * m_n on ints (_sum_norms): B^d by left-to-right
@@ -227,18 +226,17 @@ def arch_height(
     The full series differs from the returned value by at most
     tail_bound = step_bound/((d-1) d^terms) + terms * 2^(8 - bits)
     + (1 + |value|) * 2^(1 - bits).  The truncation term and the summation
-    term are proved; the orbit's rounding budget terms * 2^(8 - bits) is
-    asserted, not proved.
+    term are proved; the orbit's budget terms * 2^(8 - bits) is asserted.
     """
     bits = resolve_precision_bits(precision_bits, lift.degree, terms, lift.coeff_norm)
     d = lift.degree
-    fc, gc = _raw_coefficients(lift, bits)
-    scale = _from_int(max(abs(P.x), abs(P.y)), bits)
-    ux, uy = (_div(_from_int(v, bits), scale, bits) for v in (P.x, P.y))
+    p = bits + _guard_bits(lift)
+    chains = _chains(lift, p)
+    k, t = (0, (P.y << p) // P.x) if abs(P.x) >= abs(P.y) else (1, (P.x << p) // P.y)
     norms = []
     for _ in range(terms):
-        ux, uy, m = _step(fc, gc, ux, uy, bits)
-        norms.append(m)
+        k, t, m = _step(chains, k, t, p)
+        norms.append((m, -p))
     value = _sum_norms(norms, d, bits)
     dn = d**terms
     with mp.workprec(bits):

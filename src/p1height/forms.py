@@ -27,6 +27,7 @@ All coefficients are unbounded Python ints; nothing in this module rounds.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -191,14 +192,14 @@ def normalize_point(x, y) -> ProjectivePoint:
 
 
 def _as_fraction(v) -> Fraction:
+    """v as a Fraction; any other type than a Rational or str is refused unconverted."""
     if isinstance(v, float):
         raise TypeError("float coordinates are ambiguous; pass int, Fraction, or string")
     if isinstance(v, str):
         return _parse_rational(v)
-    try:
-        return Fraction(v)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"not a rational number: {v!r}") from exc
+    if not isinstance(v, numbers.Rational):
+        raise ValueError(f"not a rational number: a {type(v).__name__}; pass int, Fraction, or string")
+    return Fraction(v)
 
 
 def _strip(p) -> list[int]:

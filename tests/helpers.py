@@ -7,7 +7,7 @@ gcd sequences from full-size exact orbits instead of reduced ones,
 polynomial identities by coefficient convolution, polynomial powers by
 repeated multiplication of exponent-tuple dicts instead of Miller's
 recurrence on a packed list, the archimedean series by mpf operators
-instead of raw libmp calls, trial division one prime at a time instead of
+instead of fixed-point ints, trial division one prime at a time instead of
 by block gcds.  It also holds the text strategy that fuzzes the parsers.
 """
 
@@ -186,56 +186,27 @@ def _reference_eval_real(coeffs, x, y):
     return acc
 
 
-def _reference_norm(fc, gc, ux, uy):
-    fa = _reference_eval_real(fc, ux, uy)
-    ga = _reference_eval_real(gc, ux, uy)
-    m = max(abs(fa), abs(ga))
-    if m == 0:
-        raise ValueError("both forms vanished at working precision")
-    return fa, ga, m
-
-
-def reference_arch_orbit(lift: MapLift, P: ProjectivePoint, terms: int, bits: int):
-    """(value, pairs, norms) of the archimedean series by mpf operators, one
-    rounding per operator: Horner in x with y-powers alongside,
-    max(abs, abs), mp.log(m) / d^(n+1), and both coordinates divided by m.
-
-    pairs[n] is the unit pair u_n (pairs[0] is P scaled), and norms[n] is
-    m = max(|F(u_n)|, |G(u_n)|), which gives u_(n+1).
-    """
+def reference_arch_orbit(lift: MapLift, P: ProjectivePoint, terms: int, bits: int) -> mp.mpf:
+    """The archimedean series by mpf operators, one rounding per operator:
+    Horner in x with y-powers alongside, max(abs, abs), mp.log(m) / d^(n+1),
+    and both coordinates divided by m."""
     d = lift.degree
     with mp.workprec(bits):
         fc = [mp.mpf(c) for c in lift.F.coefficients]
         gc = [mp.mpf(c) for c in lift.G.coefficients]
         scale = mp.mpf(max(abs(P.x), abs(P.y)))
         ux, uy = mp.mpf(P.x) / scale, mp.mpf(P.y) / scale
-        pairs, norms = [(ux, uy)], []
         total = mp.mpf(0)
         denom = d
         for _ in range(terms):
-            fa, ga, m = _reference_norm(fc, gc, ux, uy)
+            fa, ga = _reference_eval_real(fc, ux, uy), _reference_eval_real(gc, ux, uy)
+            m = max(abs(fa), abs(ga))
+            if m == 0:
+                raise ValueError("both forms vanished at working precision")
             total -= mp.log(m) / denom
             denom *= d
             ux, uy = fa / m, ga / m
-            pairs.append((ux, uy))
-            norms.append(m)
-    return total, pairs, norms
-
-
-def reference_arch_step(lift: MapLift, u) -> mp.mpf:
-    """-log max(|F(u)|, |G(u)|) by mpf operators at the current precision."""
-    fc = [mp.mpf(c) for c in lift.F.coefficients]
-    gc = [mp.mpf(c) for c in lift.G.coefficients]
-    return -mp.log(_reference_norm(fc, gc, mp.mpf(u[0]), mp.mpf(u[1]))[2])
-
-
-def reference_unit_step(lift: MapLift, u, bits: int):
-    """(F(u)/m, G(u)/m, m) by mpf operators at `bits`, for a raw unit pair u."""
-    with mp.workprec(bits):
-        fc = [mp.mpf(c) for c in lift.F.coefficients]
-        gc = [mp.mpf(c) for c in lift.G.coefficients]
-        fa, ga, m = _reference_norm(fc, gc, mp.make_mpf(u[0]), mp.make_mpf(u[1]))
-        return (fa / m)._mpf_, (ga / m)._mpf_, m._mpf_
+    return total
 
 
 def reference_trial_division(R: int, bound: int):

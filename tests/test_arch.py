@@ -1,25 +1,25 @@
 """Tests for the renormalized archimedean iteration and its step bound."""
 
 import inspect
+import math
 import random
 import sys
 import textwrap
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_int, from_man_exp, mpf_add, mpf_div, normalize, round_nearest
+from mpmath.libmp import from_man_exp, normalize, round_nearest
 
 from p1height import arch
-from p1height.arch import (
-    _add, _div, _from_int, _raw_coefficients, _round, _step, _sum_norms, arch_height, arch_step, arch_step_bound,
-)
+from p1height.arch import _round, _step, _sum_norms, arch_height, arch_step, arch_step_bound
 from p1height.fixtures import load_fixture
 from p1height.forms import BinaryForm, CofactorIdentity, MapLift, ProjectivePoint, normalize_point
 from p1height.numerics import default_precision_bits
 
-from helpers import random_lift, random_point, reference_arch_orbit, reference_arch_step, reference_unit_step
+from helpers import random_lift, random_point, reference_arch_orbit
 
 
 def _lift(f_coeffs, g_coeffs):
@@ -59,6 +59,26 @@ def test_arch_step_rejects_unscaled_pairs():
         for bad in ((2, 1), (0.5, 0.25), (0, 0)):
             with pytest.raises(ValueError):
                 arch_step(lift, bad)
+
+
+def test_arch_step_reads_pairs_a_few_ulp_off_sup_norm_1():
+    # u = c*(1, s) with c = 1 - 2^-124, inside what arch_step allows at 128
+    # bits: it divides u by c and adds d*log|c| back, so the step is u's own,
+    # -2*log(c) = 2^-123 off the step at c = 1
+    with mp.workprec(128):
+        c = 1 - mp.mpf(2) ** -124
+        for f, g, s, step1 in (((1, 0, 0), (0, 0, 1), mp.mpf("0.5"), 0), ((1, 0, 1), (0, 1, 0), mp.mpf(1), -mp.log(2))):
+            for u in ((c, c * s), (-c * s, -c)):
+                assert abs(arch_step(_lift(f, g), u) - (step1 - 2 * mp.log(c))) <= mp.mpf(2) ** -126
+
+
+def test_arch_step_floors_a_coordinate_far_below_one_unit():
+    # t = floor(2^p * y) is 0 or -1 however far below 2^-p a coordinate y lies
+    lift = _power_map(2)
+    with mp.workprec(128):
+        for y in (mp.mpf(2) ** -10000, -mp.mpf(2) ** -10000, 3 * mp.mpf(2) ** -140, -3 * mp.mpf(2) ** -140):
+            _check_arch_step(lift, (mp.mpf(1), y))
+            _check_arch_step(lift, (y, mp.mpf(-1)))
 
 
 def test_arch_step_scale_invariance_through_prenormalized_pairs():
@@ -186,23 +206,25 @@ def test_arch_series_tracks_large_coefficient_map():
 
 
 # ---------------------------------------------------------------------------
-# the int kernel against the mpf-operator loop: the orbit bit for bit, the
-# one-logarithm sum to (1 + |value|) * 2^-prec
+# the fixed-point kernel against exact arithmetic: each Horner value within d
+# units of 2^-p of the exact form, each quotient the exact floor, each norm the
+# exact max, the fold within the summation term of tail_bound, and the series
+# within its rounding terms of a 3000-bit run
 
 
 def _unchecked_lift(F, G):
     """A MapLift without the elimination, which takes minutes at degree 60
-    with 700-bit coefficients.  The series value depends on F, G, the point
-    and the precision alone; only the tail bound reads the stand-in
-    resultant and cofactors, and these tests do not check it."""
+    with 700-bit coefficients.  Its stand-in resultant 1 and zero cofactors
+    give the smallest guard; the kernel's contract holds at any p, and only
+    the tail bound reads the stand-ins, which these tests do not check."""
     zero = BinaryForm((0,) * (F.degree + 1))
     ident = CofactorIdentity(zero, zero, zero, zero, 1)
     return MapLift(F, G, F.degree, 1, max(F.norm, G.norm, 1), ident)
 
 
 def _dense_int(bits_seed):
-    # a length drawn uniformly and every bit random, so that rounding to
-    # fewer bits is inexact: of 200 draws from st.integers(-2^700, 2^700)
+    # a length drawn uniformly and every bit random, so that Horner values
+    # carry bits below 2^-p: of 200 draws from st.integers(-2^700, 2^700)
     # only 4 exceed 2^300, and 2 of those are powers of 2
     bits, seed = bits_seed
     rng = random.Random(seed)
@@ -213,8 +235,7 @@ _COEFF = st.one_of(
     st.just(0),
     st.integers(-9, 9),
     st.tuples(st.integers(1, 700), st.integers(0, 2**32)).map(_dense_int),
-    # +-2^k, a mantissa +-1 whose products fit and never round, and
-    # +-(2^k - 1), which rounds to 2^k at fewer than k bits of precision
+    # +-2^k and +-(2^k - 1): terms of far apart sizes, which cancel or do not
     st.builds(lambda k, m, s: s * (2**k - m), st.integers(0, 1200), st.integers(0, 1), st.sampled_from((-1, 1))),
 )
 
@@ -245,68 +266,153 @@ def _series_cases(draw):
     return f, g, normalize_point(x, y), prec, terms, t
 
 
-def _pair(raw):
-    """A libmp tuple as the kernel's (signed mantissa, exponent) pair."""
-    sign, man, exp, _ = raw
-    return -man if sign else man, exp
+def _fraction(v):
+    """An mpf as the exact Fraction it holds."""
+    sign, man, exp, _ = mp.mpf(v)._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
 
 
-def _raw(pairs):
-    """The kernel's pairs as normalized libmp tuples."""
-    return tuple(from_man_exp(*p) for p in pairs)
-
-
-def _check_against_reference(lift, P, terms, prec, series=arch_height):
-    """Every step of the kernel (next unit pair and its norm m) equals the
-    mpf-operator loop's bit for bit, and the series value is within
-    2*(1 + |S|)*2^-prec of S, the sum of -log(m_n)/d^(n+1) over the loop's
-    norms at 4*prec.  The bound is the summation term of arch_height's
-    tail_bound; the value alone would not show orbit differences, since a
-    log compresses last-bit differences of a large m."""
-    try:
-        _, pairs, norms = reference_arch_orbit(lift, P, terms, prec)
-    except ValueError:
-        with pytest.raises(ValueError, match="vanished"):
-            series(lift, P, terms, precision_bits=prec)
-        return
-    value = series(lift, P, terms, precision_bits=prec).value
+def _exact_forms(lift, k, t, p):
+    """2^p * F(u) and 2^p * G(u) as Fractions at u = (1, t/2^p) for k = 0 and
+    (t/2^p, 1) for k = 1, summed monomial by monomial over 2^(p*d)."""
     d = lift.degree
-    with mp.workprec(4 * prec):
-        S = -mp.fsum(mp.log(m) / d ** (n + 1) for n, m in enumerate(norms))
-        assert abs(value - S) <= 2 * (1 + abs(S)) * mp.mpf(2) ** -prec
-    fc, gc = _raw_coefficients(lift, prec)
-    for n, m in enumerate(norms):
-        u = [_pair(v._mpf_) for v in pairs[n]]
-        assert _raw(_step(fc, gc, *u, prec)) == (*(v._mpf_ for v in pairs[n + 1]), m._mpf_)
+    weights = [t**i << p * (d - i) for i in range(d + 1)]  # 2^(p*d) * s^i at (1, s)
+    if k == 1:
+        weights.reverse()
+    return [Fraction(sum(c * w for c, w in zip(form.coefficients, weights)), 1 << p * (d - 1)) for form in (lift.F, lift.G)]
 
 
-def _outcome(fn):
+def _floor_ratio(other, dom, p):
+    """t for the unit pair whose dominant coordinate is dom: floor(2^p * other/dom)."""
+    return math.floor(Fraction(other) * 2**p / Fraction(dom))
+
+
+def _traced_steps(run):
+    """(run(), steps) with one (k, t, p, f, g, out) per _step call that run
+    makes, read from _step's frame as it returns; out is its result, or None
+    when it raised "vanished", and then run() is None."""
+    steps = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is arch._step.__code__:
+            v = frame.f_locals
+            steps.append((v["k"], v["t"], v["p"], v["f"], v["g"], arg))
+
+    sys.setprofile(profile)
     try:
-        return fn()._mpf_
-    except ValueError:
-        return "both forms vanished"
+        return run(), steps
+    except ValueError as exc:
+        assert "vanished" in str(exc) and steps[-1][-1] is None
+        return None, steps
+    finally:
+        sys.setprofile(None)
+
+
+def _check_step(lift, step):
+    """One traced _step: |t| <= 2^p, F's and G's Horner values within d units
+    of the exact values, m exactly the larger, t' exactly the floor quotient by
+    the signed dominant value (F's on a tie), and "vanished" only where both
+    exact values lie within d units of 0."""
+    k, t, p, f, g, out = step
+    d = lift.degree
+    assert abs(t) <= 1 << p
+    F, G = _exact_forms(lift, k, t, p)
+    assert abs(f - F) < d and abs(g - G) < d
+    if out is None:
+        assert f == g == 0 and abs(F) < d and abs(G) < d
+        return
+    k2, t2, m = out
+    assert m == max(abs(f), abs(g))
+    assert k2 == (0 if abs(f) >= abs(g) else 1)
+    dom, other = (f, g) if k2 == 0 else (g, f)
+    assert t2 == _floor_ratio(other, dom, p)
+
+
+def _check_series(lift, P, terms, bits, series=arch_height):
+    """(result, steps) of a traced series(lift, P, terms, bits).  The first
+    unit pair is P's floor quotient, every step passes _check_step at one p
+    and starts where the last one ended, and the value is within the
+    summation term 2*(1 + |S|)*2^-bits of tail_bound of S, the sum of
+    -log(m_n * 2^-p)/d^(n+1) over the traced norms at 4*bits.  The result is
+    None when a step vanished."""
+    res, steps = _traced_steps(lambda: series(lift, P, terms, precision_bits=bits))
+    d, p = lift.degree, steps[0][2]
+    k = 0 if abs(P.x) >= abs(P.y) else 1
+    assert steps[0][:2] == (k, _floor_ratio(*((P.y, P.x) if k == 0 else (P.x, P.y)), p))
+    for n, step in enumerate(steps):
+        assert step[2] == p
+        _check_step(lift, step)
+        if n + 1 < len(steps):
+            assert steps[n + 1][:2] == step[-1][:2]
+    if res is None:
+        return None, steps
+    assert len(steps) == terms
+    with mp.workprec(4 * bits):
+        S = -mp.fsum(mp.log(mp.ldexp(mp.mpf(out[2]), -p)) / mp.mpf(d) ** (n + 1) for n, (*_, out) in enumerate(steps))
+        assert abs(res.value - S) <= 2 * (1 + abs(S)) * mp.mpf(2) ** -bits
+    return res, steps
+
+
+def _check_arch_step(lift, u):
+    """arch_step(lift, u) at the current precision runs one _step from the
+    floor quotient of u's exact coordinates, which passes _check_step, and
+    returns -log(m * 2^-p) - d*log|dominant|."""
+    value, (step,) = _traced_steps(lambda: arch_step(lift, u))
+    k, t, p, *_, out = step
+    x, y = (_fraction(v) for v in u)
+    k0 = 0 if abs(x) >= abs(y) else 1
+    assert (k, t) == (k0, _floor_ratio(y, x, p) if k0 == 0 else _floor_ratio(x, y, p))
+    _check_step(lift, step)
+    if value is not None:
+        expected = -mp.log(mp.ldexp(mp.mpf(out[2]), -p)) - lift.degree * mp.log(abs(mp.mpf(u[k])))
+        assert abs(value - expected) <= (1 + abs(value)) * mp.mpf(2) ** (4 - mp.mp.prec)
 
 
 # no shrinking: a broken kernel fails in seconds, not minutes of minimizing
 @settings(max_examples=200, deadline=None, derandomize=True, database=None, phases=[Phase.explicit, Phase.generate])
 @given(_series_cases())
-def test_raw_kernel_is_bit_identical_to_the_mpf_operator_loop(case):
+def test_fixed_point_kernel_meets_its_contract_on_random_series(case):
     f, g, P, prec, terms, t = case
     lift = _unchecked_lift(BinaryForm(tuple(f)), BinaryForm(tuple(g)))
-    _check_against_reference(lift, P, terms, prec)
+    _check_series(lift, P, terms, prec)
     with mp.workprec(prec):
         scale = mp.mpf(max(abs(P.x), abs(P.y)))
         tm = mp.mpf(t.numerator) / t.denominator
         for u in ((mp.mpf(P.x) / scale, mp.mpf(P.y) / scale), (mp.mpf(1), tm), (-tm, mp.mpf(-1))):
-            assert _outcome(lambda: arch_step(lift, u)) == _outcome(lambda: reference_arch_step(lift, u))
+            _check_arch_step(lift, u)
 
 
-@pytest.mark.parametrize("fixture_id", ["ex1", "ex2", "ex3", "ex4"])
-def test_raw_kernel_is_bit_identical_on_the_fixtures(fixture_id):
-    fx = load_fixture(fixture_id)
-    lift = fx.lift()
-    bits = default_precision_bits(lift.degree, 50, lift.coeff_norm)
-    _check_against_reference(lift, fx.point(), 50, bits)
+def _series_case(case):
+    if case == "points map":
+        return _lift((3, 0, 1), (0, 2, 0)), ProjectivePoint(5, 7)
+    fx = load_fixture(case)
+    return fx.lift(), fx.point()
+
+
+def _check_against_3000_bits(lift, P, terms, bits):
+    """_check_series, and the value within tail_bound's rounding terms,
+    terms * 2^(8 - bits) + (1 + |value|) * 2^(1 - bits), of the mpf-operator
+    loop at 3000 bits; both sides truncate at `terms`, so tail_bound's
+    truncation term is left out.  Returns the traced steps."""
+    res, steps = _check_series(lift, P, terms, bits)
+    reference = reference_arch_orbit(lift, P, terms, 3000)
+    with mp.workprec(3000):
+        assert abs(res.value - reference) <= terms * mp.mpf(2) ** (8 - bits) + (1 + abs(res.value)) * mp.mpf(2) ** (1 - bits)
+    return steps
+
+
+@pytest.mark.parametrize("case", ["ex1", "ex2", "ex3", "ex4", "points map"])
+def test_fixed_point_series_is_within_its_rounding_terms_of_a_3000_bit_run(case):
+    lift, P = _series_case(case)
+    _check_against_3000_bits(lift, P, 50, default_precision_bits(lift.degree, 50, lift.coeff_norm))
+
+
+def test_small_coordinate_that_squares_every_step_reaches_zero():
+    # F = X^2 + Y^2, G = Y^2 at [2, 1]: u_n = (1, s_n) with s_(n+1) about
+    # s_n^2, so t falls to 0 within about log2(p) steps and stays there
+    steps = _check_against_3000_bits(_lift((1, 0, 1), (0, 0, 1)), ProjectivePoint(2, 1), 50, 256)
+    p = steps[0][2]
+    assert all(step[:2] == (0, 0) for step in steps[p.bit_length() + 2 :])
 
 
 def _mutant(old, new):
@@ -333,66 +439,44 @@ def _mutant(old, new):
 )
 @pytest.mark.parametrize("case", ["ex3", "points map"])
 def test_reference_check_rejects_wrong_weights(old, new, case):
-    if case == "ex3":
-        fx = load_fixture(case)
-        lift, P = fx.lift(), fx.point()
-    else:
-        lift, P = _lift((3, 0, 1), (0, 2, 0)), ProjectivePoint(5, 7)
+    lift, P = _series_case(case)
     bits = default_precision_bits(lift.degree, 50, lift.coeff_norm)
     mutant = _mutant(old, new)
-    _check_against_reference(lift, P, 50, bits)
+    _check_series(lift, P, 50, bits)
     with pytest.raises(AssertionError):
-        _check_against_reference(lift, P, 50, bits, series=mutant)
+        _check_series(lift, P, 50, bits, series=mutant)
 
 
 # ---------------------------------------------------------------------------
-# single steps of the int kernel at exact unit coordinates
+# single steps of the fixed-point kernel at exact unit pairs
 
 
 @pytest.mark.parametrize(
     "f, g",
     [
-        ((3, 0, 1), (0, 2, 0)),  # the points map: a zero accumulator and coefficients 1 and 2
+        ((3, 0, 1), (0, 2, 0)),  # the points map: a zero coefficient and coefficients 1 and 2
         ((2, 4, 1), (0, 2, 0)),
-        ((-8, 3, 0, 5, 4), (1, -7, 2, 0, -9)),  # summands of one size, so a product left unrounded shows
+        ((-8, 3, 0, 5, 4), (1, -7, 2, 0, -9)),  # summands of one size, which cancel
         ((2**600, -(2**700 - 1), 2**5 - 1, -6), (0, 2**64 - 1, -(2**1000), 1)),
         ((1, 0, 1), (1, 0, -1)),  # |F| = |G| at u = (+-1, +-1): the tie goes to F
-        ((0, 0, 0, 1), (1, 0, 0, 0)),  # F = Y^3 stays zero through x = -1 at u = (-1, 0)
+        ((0, 0, 0, 1), (1, 0, 0, 0)),  # F = Y^3 is zero on (1, 0) and G = X^3 on (0, 1)
         ((1, 0, -1), (1, 0, -1)),  # both forms vanish at u = (+-1, +-1)
     ],
 )
 @pytest.mark.parametrize("prec", [64, 300])
-def test_step_shortcuts_are_bit_identical_to_the_mpf_operator_loop(f, g, prec):
-    # one coordinate +-1 and the other +-1, 0, +-2^-e or a prec-bit fraction,
-    # so products by +-1, 0 and powers of two, which fit in prec bits and do
-    # not round, run beside rounded ones; each result must be the loop's
+def test_fixed_point_step_meets_its_contract_at_exact_unit_pairs(f, g, prec):
+    # both dominant sides, and the other coordinate +-1, 0, +-1/2, +-2^-5 or a
+    # random p-bit fraction: each step must pass _check_step
     lift = _unchecked_lift(BinaryForm(f), BinaryForm(g))
-    fc, gc = _raw_coefficients(lift, prec)
+    p = prec + arch._guard_bits(lift)
+    chains = arch._chains(lift, p)
     rng = random.Random(1702)
-    with mp.workprec(prec):
-        others = [mp.mpf(t) for t in (1, -1, 0, 0.5, -0.5, 2**-5, -(2**-5))]
-        others += [mp.mpf(rng.getrandbits(prec) - 2 ** (prec - 1)) / 2 ** (prec - 1) for _ in range(20)]
-    for t in others:
-        for x, y in ((1, t), (-1, t), (t, 1), (t, -1)):
-            with mp.workprec(prec):
-                u = (mp.mpf(x)._mpf_, mp.mpf(y)._mpf_)
-            try:
-                expected = reference_unit_step(lift, u, prec)
-            except ValueError:
-                with pytest.raises(ValueError, match="vanished"):
-                    _step(fc, gc, *map(_pair, u), prec)
-                continue
-            assert _raw(_step(fc, gc, *map(_pair, u), prec)) == expected
-
-
-def _libmp_round(m, e, prec):
-    return normalize(int(m < 0), abs(m), e, abs(m).bit_length(), prec, round_nearest)
-
-
-def _random_value(rng, prec):
-    """A nonzero pair of at most prec bits, as libmp keeps it."""
-    m = rng.choice((-1, 1)) * (rng.getrandbits(rng.randint(1, prec)) | 1)
-    return _pair(_libmp_round(m, rng.randint(-3 * prec, 3 * prec), prec))
+    ts = [1 << p, -(1 << p), 0, 1 << (p - 1), -(1 << (p - 1)), 1 << (p - 5), -(1 << (p - 5))]
+    ts += [rng.randint(-(1 << p), 1 << p) for _ in range(20)]
+    for k in (0, 1):
+        for t in ts:
+            _, (step,) = _traced_steps(lambda: _step(chains, k, t, p))
+            _check_step(lift, step)
 
 
 @pytest.mark.parametrize("prec", [53, 64, 256, 1200])
@@ -409,35 +493,7 @@ def test_int_rounding_matches_libmp_normalize(prec):
             cases.append((s * ((q << n) + (1 << (n - 1)) - 1), 0))  # just below half
     cases += [(rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 3 * prec)), rng.randint(-prec, prec)) for _ in range(300)]
     for m, e in cases:
-        assert from_man_exp(*_round(m, e, prec)) == _libmp_round(m, e, prec)
-    for n in [0, 1, -1, 2**prec, -(2 ** (prec + 3)), 2 ** (prec + 1) - 1, 3 << 2 * prec]:
-        assert from_man_exp(*_from_int(n, prec)) == from_int(n, prec, round_nearest)
-    for _ in range(100):
-        n = rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 3 * prec)) << rng.randint(0, 64)
-        assert from_man_exp(*_from_int(n, prec)) == from_int(n, prec, round_nearest)
-
-
-@pytest.mark.parametrize("prec", [53, 64, 256, 1200])
-def test_int_sum_and_quotient_match_mpf_add_and_mpf_div(prec):
-    rng = random.Random(1810 + prec)
-    values = [_random_value(rng, prec) for _ in range(300)]
-    a0 = values[0]
-    cases = list(zip(values[::2], values[1::2]))
-    cases += [((0, 0), a0), (a0, (0, 0)), ((0, 0), (0, 0)), (a0, (-a0[0], a0[1]))]
-    for gap in (prec + 3, prec + 4, prec + 5, 2**40):
-        # leading bits `gap` apart, the larger operand first and second
-        for am, ae in values[:20]:
-            bm = rng.choice((-1, 1)) * (rng.getrandbits(prec) | 1)
-            b = (bm, ae + am.bit_length() - bm.bit_length() - gap)
-            cases += [((am, ae), b), (b, (am, ae))]
-    for a, b in cases:
-        ta, tb = from_man_exp(*a), from_man_exp(*b)
-        assert from_man_exp(*_add(a, b, prec)) == mpf_add(ta, tb, prec, round_nearest)
-        if b[0]:
-            assert from_man_exp(*_div(a, b, prec)) == mpf_div(ta, tb, prec, round_nearest)
-    for a in values[:50]:  # divisors +-2^k, which libmp divides without divmod
-        for b in ((1, 0), (-1, 7), (1, -(2**40))):
-            assert from_man_exp(*_div(a, b, prec)) == mpf_div(from_man_exp(*a), from_man_exp(*b), prec, round_nearest)
+        assert from_man_exp(*_round(m, e, prec)) == normalize(int(m < 0), abs(m), e, abs(m).bit_length(), prec, round_nearest)
 
 
 @pytest.mark.parametrize("d", [2, 3, 48, 80, 2204])
@@ -469,14 +525,6 @@ def test_truncated_fold_stays_within_the_charged_summation_term(d):
             assert abs(value - S) <= charged
             assert abs(value - _sum_norms(norms, d, 4 * wp)) <= charged
     assert widths and max(widths) < 2 * (wp + d.bit_length() + 2) + bits
-
-
-def test_raw_kernel_is_bit_identical_where_an_exponent_doubles_every_step():
-    # F = X^2 + Y^2, G = Y^2 at [2, 1]: u_n = (1, y_n) with y_(n+1) about
-    # y_n^2, so the exponent of y_50 is about -2^50 and every sum 1 + y^2
-    # returns its larger operand, with no shift by the exponent gap
-    lift = _unchecked_lift(BinaryForm((1, 0, 1)), BinaryForm((0, 0, 1)))
-    _check_against_reference(lift, ProjectivePoint(2, 1), 50, 256)
 
 
 def test_arch_height_makes_no_libmp_call_per_step(monkeypatch):

@@ -241,22 +241,26 @@ def test_parse_failures_exit_2(capsys, argv):
 
 
 # F = (X - cY)^2 + Y^2, G = Y(X - cY) with c = 2^40; at [c, 1] scaled to
-# (1, 2^-40), F is 2^-80 and G is 0, so 64 bits round both to 0 and the
-# default precision (256 bits) does not
+# (1, 2^-40), F is 2^-80 and G is 0, and the orbit's guard bits hold F to
+# 2^-64 of itself at 64 bits
 _NEAR_ROOT = (
     "--map", "F = X^2 - 2199023255552*X*Y + 1208925819614629174706177*Y^2; "
     "G = X*Y - 1099511627776*Y^2", "--point", "[1099511627776, 1]", "--terms", "5",
 )
 
 
-def test_too_low_precision_exits_2(capsys):
-    code, out, err = run_cli(capsys, *_NEAR_ROOT, "--precision", "64")
-    assert code == 2
-    assert out == ""
-    assert "64-bit" in err and "--precision" in err
-    code, out, err = run_cli(capsys, *_NEAR_ROOT)
-    assert code == 0
-    assert err == ""
+def test_near_root_map_at_64_bits_agrees_with_the_default_precision(capsys):
+    docs = []
+    for extra in (("--precision", "64"), ()):
+        code, out, err = run_cli(capsys, *_NEAR_ROOT, *extra, "--format", "json")
+        assert code == 0
+        assert err == ""
+        docs.append(json.loads(out))
+    low, default = docs
+    assert low["precision_bits"] == 64
+    with mp.workprec(default["precision_bits"]):
+        gap = abs(mp.mpf(low["canonical_height"]) - mp.mpf(default["canonical_height"]))
+        assert gap <= mp.mpf(low["error_bound"]) + mp.mpf(default["error_bound"])
 
 
 @pytest.mark.parametrize("n", ["0", "-2"])

@@ -190,6 +190,25 @@ def test_normalize_point_rejects():
         assert time.perf_counter() - start < 0.1
 
 
+def test_normalize_point_accepts_only_rationals_and_strings():
+    # a Decimal in exponent notation would build its whole integer (3.3 million
+    # bits for 1e1000000), so any type but int, bool, Fraction and str is
+    # refused before any conversion
+    from decimal import Decimal
+    from fractions import Fraction
+
+    for v in (Decimal("1e1000000"), Decimal("0.5"), complex(1, 0), None, [1]):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="rational"):
+            normalize_point(v, 1)
+        with pytest.raises(ValueError, match="rational"):
+            normalize_point(1, v)
+        assert time.perf_counter() - start < 0.01
+    assert normalize_point(True, 2) == ProjectivePoint(1, 2)
+    assert normalize_point(-(10**40), Fraction(3, 7)) == ProjectivePoint(-(7 * 10**40), 3)
+    assert normalize_point("-10000000000000000000000000000000000000000", "3/7") == ProjectivePoint(-(7 * 10**40), 3)
+
+
 def test_projective_point_invariants():
     with pytest.raises(ValueError):
         ProjectivePoint(2, 4)

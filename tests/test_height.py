@@ -1,12 +1,13 @@
 """Tests for canonical height assembly, the exact-orbit oracle, and self-checks."""
 
+import functools
 import math
 import random
 
 import mpmath as mp
 import pytest
 
-from p1height import forms, height, nonarch
+from p1height import arch, forms, height, nonarch
 from p1height.arch import arch_height
 from p1height.fixtures import load_fixture
 from p1height.forms import BinaryForm, MapLift, ProjectivePoint, normalize_point
@@ -292,18 +293,46 @@ def test_precision_is_checked_before_any_layer_runs(monkeypatch):
     assert canonical_height(lift, P, 10, precision_bits=64).precision_bits == 64
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: the archimedean rounding budget is asserted, not proved; "
-    "at 96 bits the arch value is about 18.7 off, against a tail bound of 0.46",
-)
-def test_low_precision_height_lies_within_its_error_bound_of_a_3000_bit_run():
-    # at [c + 1, 1] scaled to (1, 2^-80), the expanded F sums terms of size 1 to
-    # about 2^-160 and G to about 3*2^-240, which 96 bits do not hold
-    c = 2**80
+_NEAR_ROOT_C = 2**80
+
+
+@functools.cache
+def _near_root(x):
+    """The near-root map, the point [x, 1] and its canonical height at 3000 bits."""
+    c = _NEAR_ROOT_C
     lift = forms.parse_map(f"F = X*(X - {c}*Y)^2 + Y^3; G = Y*((X - {c}*Y)^2 + 2*Y^2)")
-    P = normalize_point(c + 1, 1)
-    reference = canonical_height(lift, P, terms=5, precision_bits=3000)
-    low = canonical_height(lift, P, terms=5, precision_bits=96)
+    P = normalize_point(x, 1)
+    return lift, P, canonical_height(lift, P, terms=5, precision_bits=3000)
+
+
+def _check_near_root(x, bits):
+    lift, P, reference = _near_root(x)
+    low = canonical_height(lift, P, terms=5, precision_bits=bits)
     with mp.workprec(3000):
         assert abs(low.canonical - reference.canonical) <= low.error_bound
+
+
+_NEAR_ROOT_BITS = pytest.mark.parametrize("bits", [64, 96, 128])
+_NEAR_ROOT_POINTS = pytest.mark.parametrize("x", [_NEAR_ROOT_C + 1, _NEAR_ROOT_C], ids=["c+1", "c"])
+
+
+@_NEAR_ROOT_BITS
+@_NEAR_ROOT_POINTS
+def test_low_precision_height_lies_within_its_error_bound_of_a_3000_bit_run(x, bits):
+    # at [c + 1, 1] scaled to (1, 2^-80), the expanded F sums terms of size 1 to
+    # about 2^-160 and G to about 3*2^-240; the orbit's guard bits, set from the
+    # cofactor lower bound on ||Phi(u)||, hold each Horner value's absolute error
+    # to 2^-bits of the norm however much these terms cancel
+    _check_near_root(x, bits)
+
+
+@_NEAR_ROOT_BITS
+@_NEAR_ROOT_POINTS
+def test_near_root_check_fails_without_the_guard_bits(monkeypatch, x, bits):
+    # the orbit at p = bits: its arch values come out 0.0, 7.4 and 22.2 against
+    # 36.7 at [c + 1, 1]; at [c, 1], 0.0 at 64 bits, and both forms vanish at
+    # 96 and 128
+    _near_root(x)  # the reference keeps its guard
+    monkeypatch.setattr(arch, "_guard_bits", lambda lift: 0)
+    with pytest.raises((AssertionError, ValueError, RuntimeError)):
+        _check_near_root(x, bits)
