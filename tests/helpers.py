@@ -209,6 +209,69 @@ def reference_arch_orbit(lift: MapLift, P: ProjectivePoint, terms: int, bits: in
     return total
 
 
+def _abs(x):
+    """|x| exactly: abs() of an mpf rounds to the working precision."""
+    return mp.fneg(x, exact=True) if x < 0 else x
+
+
+def _floor_to_grid(x, p):
+    """x rounded down to a multiple of 2^-p, exactly."""
+    return mp.ldexp(mp.floor(mp.ldexp(x, p), prec=0), -p)
+
+
+def _grid_quotient(a, b, p):
+    """floor(a/b) on the 2^-p grid for |a| <= |b|.  A quotient rounded
+    toward -inf at p + 2 bits lies between that grid point, which it can
+    represent as |a/b| <= 1, and a/b, so its floor to the grid is exact."""
+    return _floor_to_grid(mp.fdiv(a, b, prec=p + 2, rounding="f"), p)
+
+
+def reference_unit_pair(x, y, p):
+    """(k, s) of the fixed-point unit pair for the real pair (x, y): (1, s)
+    for k = 0 when |x| >= |y|, else (s, 1) for k = 1."""
+    return (0, _grid_quotient(y, x, p)) if _abs(x) >= _abs(y) else (1, _grid_quotient(x, y, p))
+
+
+def _reference_fixed_point_step(lift: MapLift, k: int, s, p: int):
+    """(f, g, out) by mpf operators at u = (1, s) for k = 0 or (s, 1) for
+    k = 1: F(u) and G(u) by Horner in s, F(1, s) = sum c_i s^i and
+    F(s, 1) = sum c_i s^(d-i), each product floored to the 2^-p grid and
+    every other operation exact; out = (k', s', m) with m the larger of
+    |F(u)|, |G(u)| (F's on a tie), k' the side of its form and s' the other
+    value over it on the grid, or None when both are 0."""
+    values = []
+    for form in (lift.F, lift.G):
+        acc = mp.mpf(0)
+        for c in form.coefficients[::-1] if k == 0 else form.coefficients:
+            acc = mp.fadd(_floor_to_grid(mp.fmul(acc, s, exact=True), p), c, exact=True)
+        values.append(acc)
+    fa, ga = values
+    if fa == 0 and ga == 0:
+        return fa, ga, None
+    k2, dom, other = (0, fa, ga) if _abs(fa) >= _abs(ga) else (1, ga, fa)
+    return fa, ga, (k2, _grid_quotient(other, dom, p), _abs(dom))
+
+
+def reference_fixed_point_orbit(lift: MapLift, k: int, s, terms: int, p: int):
+    """The archimedean orbit at the fixed-point precision p by mpf operators:
+    one (k, t, f, g, out) per step from the unit pair (k, s), with the unit
+    pair's s, F's and G's values and out = (k', t', m) all scaled by 2^p to
+    ints, as the kernel holds them.  The list stops at a step whose forms
+    both vanish, whose out is None."""
+
+    def scaled(v):
+        return int(mp.ldexp(v, p))
+
+    steps = []
+    for _ in range(terms):
+        fa, ga, out = _reference_fixed_point_step(lift, k, s, p)
+        steps.append((k, scaled(s), scaled(fa), scaled(ga), out and (out[0], scaled(out[1]), scaled(out[2]))))
+        if out is None:
+            break
+        k, s, _ = out
+    return steps
+
+
 def reference_trial_division(R: int, bound: int):
     """trial_division as one remainder per sieve prime, in order, stopping
     at rest == 1 or p*p > rest; a remainder <= bound is a prime power."""

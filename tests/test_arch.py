@@ -19,7 +19,7 @@ from p1height.fixtures import load_fixture
 from p1height.forms import BinaryForm, CofactorIdentity, MapLift, ProjectivePoint, normalize_point
 from p1height.numerics import default_precision_bits
 
-from helpers import random_lift, random_point, reference_arch_orbit
+from helpers import random_lift, random_point, reference_arch_orbit, reference_fixed_point_orbit, reference_unit_pair
 
 
 def _lift(f_coeffs, g_coeffs):
@@ -206,10 +206,11 @@ def test_arch_series_tracks_large_coefficient_map():
 
 
 # ---------------------------------------------------------------------------
-# the fixed-point kernel against exact arithmetic: each Horner value within d
-# units of 2^-p of the exact form, each quotient the exact floor, each norm the
-# exact max, the fold within the summation term of tail_bound, and the series
-# within its rounding terms of a 3000-bit run
+# the fixed-point kernel against exact arithmetic and the mpf-operator loop:
+# each Horner value within d units of 2^-p of the exact form and bit for bit
+# the loop's, each quotient the exact floor, each norm the exact max, the fold
+# within the summation term of tail_bound, and the series within its rounding
+# terms of a 3000-bit run
 
 
 def _unchecked_lift(F, G):
@@ -353,16 +354,30 @@ def _check_series(lift, P, terms, bits, series=arch_height):
     return res, steps
 
 
+def _check_against_reference(lift, P, terms, bits, series=arch_height):
+    """_check_series, and every traced step bit for bit the mpf-operator
+    loop's at the same p (helpers.reference_fixed_point_orbit): the same unit
+    pair in, F's and G's values, the next unit pair and the norm out, and
+    "vanished" at the same step.  Returns what _check_series does."""
+    res, steps = _check_series(lift, P, terms, bits, series)
+    p = steps[0][2]
+    reference = reference_fixed_point_orbit(lift, *reference_unit_pair(P.x, P.y, p), terms, p)
+    assert [(k, t, f, g, out) for k, t, _, f, g, out in steps] == reference
+    return res, steps
+
+
 def _check_arch_step(lift, u):
     """arch_step(lift, u) at the current precision runs one _step from the
-    floor quotient of u's exact coordinates, which passes _check_step, and
-    returns -log(m * 2^-p) - d*log|dominant|."""
+    floor quotient of u's exact coordinates, which passes _check_step and is
+    bit for bit the mpf-operator loop's, and returns
+    -log(m * 2^-p) - d*log|dominant|."""
     value, (step,) = _traced_steps(lambda: arch_step(lift, u))
     k, t, p, *_, out = step
     x, y = (_fraction(v) for v in u)
     k0 = 0 if abs(x) >= abs(y) else 1
     assert (k, t) == (k0, _floor_ratio(y, x, p) if k0 == 0 else _floor_ratio(x, y, p))
     _check_step(lift, step)
+    assert [(k, t, *step[3:])] == reference_fixed_point_orbit(lift, *reference_unit_pair(*u, p), 1, p)
     if value is not None:
         expected = -mp.log(mp.ldexp(mp.mpf(out[2]), -p)) - lift.degree * mp.log(abs(mp.mpf(u[k])))
         assert abs(value - expected) <= (1 + abs(value)) * mp.mpf(2) ** (4 - mp.mp.prec)
@@ -371,10 +386,10 @@ def _check_arch_step(lift, u):
 # no shrinking: a broken kernel fails in seconds, not minutes of minimizing
 @settings(max_examples=200, deadline=None, derandomize=True, database=None, phases=[Phase.explicit, Phase.generate])
 @given(_series_cases())
-def test_fixed_point_kernel_meets_its_contract_on_random_series(case):
+def test_raw_kernel_is_bit_identical_to_the_mpf_operator_loop(case):
     f, g, P, prec, terms, t = case
     lift = _unchecked_lift(BinaryForm(tuple(f)), BinaryForm(tuple(g)))
-    _check_series(lift, P, terms, prec)
+    _check_against_reference(lift, P, terms, prec)
     with mp.workprec(prec):
         scale = mp.mpf(max(abs(P.x), abs(P.y)))
         tm = mp.mpf(t.numerator) / t.denominator
@@ -390,26 +405,36 @@ def _series_case(case):
 
 
 def _check_against_3000_bits(lift, P, terms, bits):
-    """_check_series, and the value within tail_bound's rounding terms,
+    """_check_against_reference, and the value within tail_bound's rounding terms,
     terms * 2^(8 - bits) + (1 + |value|) * 2^(1 - bits), of the mpf-operator
     loop at 3000 bits; both sides truncate at `terms`, so tail_bound's
     truncation term is left out.  Returns the traced steps."""
-    res, steps = _check_series(lift, P, terms, bits)
+    res, steps = _check_against_reference(lift, P, terms, bits)
     reference = reference_arch_orbit(lift, P, terms, 3000)
     with mp.workprec(3000):
         assert abs(res.value - reference) <= terms * mp.mpf(2) ** (8 - bits) + (1 + abs(res.value)) * mp.mpf(2) ** (1 - bits)
     return steps
 
 
-@pytest.mark.parametrize("case", ["ex1", "ex2", "ex3", "ex4", "points map"])
-def test_fixed_point_series_is_within_its_rounding_terms_of_a_3000_bit_run(case):
+def _check_series_case(case):
     lift, P = _series_case(case)
     _check_against_3000_bits(lift, P, 50, default_precision_bits(lift.degree, 50, lift.coeff_norm))
 
 
-def test_small_coordinate_that_squares_every_step_reaches_zero():
-    # F = X^2 + Y^2, G = Y^2 at [2, 1]: u_n = (1, s_n) with s_(n+1) about
-    # s_n^2, so t falls to 0 within about log2(p) steps and stays there
+@pytest.mark.parametrize("fixture_id", ["ex1", "ex2", "ex3", "ex4"])
+def test_raw_kernel_is_bit_identical_on_the_fixtures(fixture_id):
+    _check_series_case(fixture_id)
+
+
+def test_points_map_series_is_within_its_rounding_terms_of_a_3000_bit_run():
+    _check_series_case("points map")
+
+
+def test_raw_kernel_is_bit_identical_where_an_exponent_doubles_every_step():
+    # F = X^2 + Y^2, G = Y^2 at [2, 1]: u_n = (1, y_n) with y_(n+1) about
+    # y_n^2, so the exponent of the exact y_50 is about -2^50; t, which
+    # holds y_n on the 2^-p grid, falls to 0 within about log2(p) steps
+    # and stays there
     steps = _check_against_3000_bits(_lift((1, 0, 1), (0, 0, 1)), ProjectivePoint(2, 1), 50, 256)
     p = steps[0][2]
     assert all(step[:2] == (0, 0) for step in steps[p.bit_length() + 2 :])
@@ -464,9 +489,10 @@ def test_reference_check_rejects_wrong_weights(old, new, case):
     ],
 )
 @pytest.mark.parametrize("prec", [64, 300])
-def test_fixed_point_step_meets_its_contract_at_exact_unit_pairs(f, g, prec):
-    # both dominant sides, and the other coordinate +-1, 0, +-1/2, +-2^-5 or a
-    # random p-bit fraction: each step must pass _check_step
+def test_step_shortcuts_are_bit_identical_to_the_mpf_operator_loop(f, g, prec):
+    # both dominant sides, and the other coordinate +-1, 0, +-1/2, +-2^-5,
+    # where no product's floor drops a bit, or a random p-bit fraction, where
+    # the floors do: each step must pass _check_step and be the loop's
     lift = _unchecked_lift(BinaryForm(f), BinaryForm(g))
     p = prec + arch._guard_bits(lift)
     chains = arch._chains(lift, p)
@@ -477,6 +503,7 @@ def test_fixed_point_step_meets_its_contract_at_exact_unit_pairs(f, g, prec):
         for t in ts:
             _, (step,) = _traced_steps(lambda: _step(chains, k, t, p))
             _check_step(lift, step)
+            assert [(k, t, *step[3:])] == reference_fixed_point_orbit(lift, k, mp.ldexp(t, -p), 1, p)
 
 
 @pytest.mark.parametrize("prec", [53, 64, 256, 1200])

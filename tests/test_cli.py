@@ -249,6 +249,18 @@ _NEAR_ROOT = (
 )
 
 
+def test_too_low_precision_exits_2(capsys):
+    # the only precision too low for the orbit is one below the 64-bit floor,
+    # which is refused before any series work
+    code, out, err = run_cli(capsys, *_NEAR_ROOT, "--precision", "63")
+    assert code == 2
+    assert out == ""
+    assert "at least 64" in err and "precision" in err
+    code, out, err = run_cli(capsys, *_NEAR_ROOT)
+    assert code == 0
+    assert err == ""
+
+
 def test_near_root_map_at_64_bits_agrees_with_the_default_precision(capsys):
     docs = []
     for extra in (("--precision", "64"), ()):
