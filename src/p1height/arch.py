@@ -33,7 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_log, mpf_neg, round_nearest
+from mpmath.libmp import (
+    fone, from_int, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_log, mpf_lt, mpf_neg,
+    mpf_shift, round_nearest,
+)
 
 from .forms import MapLift, ProjectivePoint
 from .numerics import resolve_precision_bits
@@ -169,6 +172,21 @@ def arch_step(lift: MapLift, u) -> mp.mpf:
     return -mp.log(mp.make_mpf(from_man_exp(m, -p))) - lift.degree * mp.log(abs(dom))
 
 
+def _step_bound(lift: MapLift, prec: int):
+    """arch_step_bound as a raw mpf at prec bits, each operation rounded to nearest."""
+    d = lift.degree
+    R = abs(lift.resultant)
+    upper = (d + 1) * lift.coeff_norm
+    lower = 2 * d * lift.cofactor_identity.coeff_norm
+    rnd = round_nearest
+    if upper * R >= lower:
+        side = from_int(upper, prec, rnd)
+    else:
+        side = mpf_div(from_int(lower, prec, rnd), from_int(R), prec, rnd)
+    log_side = mpf_log(side, prec, rnd)
+    return fzero if mpf_lt(log_side, fzero) else log_side
+
+
 def arch_step_bound(lift: MapLift) -> mp.mpf:
     """Rigorous uniform bound on |arch_step| over all unit-sup-norm pairs.
 
@@ -178,14 +196,9 @@ def arch_step_bound(lift: MapLift) -> mp.mpf:
     gives |Res| <= 2d * cofactor_norm * ||Phi(u)||.  The bound is the larger
     of log((d+1)*coeff_norm) and log(2d*cofactor_norm/|Res|), picked by
     comparing exact integers so only one logarithm is taken, clamped below
-    at 0.  Computed at the current working precision.
+    at 0.  Computed at the current working precision (_step_bound).
     """
-    d = lift.degree
-    R = abs(lift.resultant)
-    upper = (d + 1) * lift.coeff_norm
-    lower = 2 * d * lift.cofactor_identity.coeff_norm
-    side = mp.mpf(upper) if upper * R >= lower else mp.mpf(lower) / R
-    return max(mp.log(side), mp.mpf(0))
+    return mp.make_mpf(_step_bound(lift, mp.mp.prec))
 
 
 def arch_height(
@@ -238,18 +251,16 @@ def arch_height(
         k, t, m = _step(chains, k, t, p)
         norms.append((m, -p))
     value = _sum_norms(norms, d, bits)
-    dn = d**terms
-    with mp.workprec(bits):
-        bound = arch_step_bound(lift)
-        tail = (
-            bound / ((d - 1) * dn)
-            + terms * mp.mpf(2) ** (8 - bits)
-            + (1 + abs(value)) * mp.mpf(2) ** (1 - bits)
-        )
+    rnd = round_nearest
+    bound = _step_bound(lift, bits)
+    truncation = mpf_div(bound, from_int((d - 1) * d**terms), bits, rnd)
+    budget = from_man_exp(terms, 8 - bits)
+    summation = mpf_shift(mpf_add(fone, mpf_abs(value._mpf_), bits, rnd), 1 - bits)
+    tail = mpf_add(mpf_add(truncation, budget, bits, rnd), summation, bits, rnd)
     return ArchResult(
         value=value,
-        tail_bound=tail,
-        step_bound=bound,
+        tail_bound=mp.make_mpf(tail),
+        step_bound=mp.make_mpf(bound),
         precision_bits=bits,
         terms=terms,
     )

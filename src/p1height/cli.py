@@ -24,8 +24,6 @@ import textwrap
 import time
 from dataclasses import dataclass
 
-import mpmath as mp
-
 from .fixtures import fixture_ids, load_fixture
 from .forms import NotAMorphismError, ParseError, parse_map, parse_point
 from .height import BudgetExceededError, canonical_height, canonical_height_oracle
@@ -205,12 +203,10 @@ def _render_text(doc: dict) -> str:
     bits = doc["precision_bits"]
 
     def short(field: str) -> str:
-        with mp.workprec(bits):
-            return mp.nstr(mp.mpf(field), _TEXT_DIGITS)
+        return to_decimal_string(field, bits, _TEXT_DIGITS)
 
     def bound(field: str) -> str:
-        with mp.workprec(bits):
-            return mp.nstr(mp.mpf(field), 3)
+        return to_decimal_string(field, bits, 3)
 
     lines = [
         "map: degree {d}, coefficient norm {norm}, resultant {rb} bits".format(

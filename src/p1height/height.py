@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath.libmp import mpf_add, mpf_lt, mpf_neg, mpf_sub, round_nearest
 
 from .arch import ArchResult, arch_height, arch_step
 from .forms import MapLift, ProjectivePoint, _budget, normalize_point
@@ -33,7 +34,7 @@ from .nonarch import (  # noqa: F401
     nonarch_height_factored,
     trial_division,
 )
-from .numerics import log_int, resolve_precision_bits
+from .numerics import _log_int, log_int, resolve_precision_bits
 
 __all__ = [
     "BudgetExceededError",
@@ -70,8 +71,7 @@ class HeightBreakdown:
 
 def naive_height(P: ProjectivePoint, precision_bits: int = 256) -> mp.mpf:
     """Naive logarithmic height log max(|x|, |y|) of a normalized point."""
-    with mp.workprec(precision_bits):
-        return log_int(max(abs(P.x), abs(P.y)))
+    return mp.make_mpf(_log_int(max(abs(P.x), abs(P.y)), precision_bits))
 
 
 def canonical_height(
@@ -95,20 +95,20 @@ def canonical_height(
     na = nonarch_height(lift, P, terms, precision_bits=bits, parts=factoring)
     ar = arch_height(lift, P, terms, precision_bits=bits)
     naive = naive_height(P, bits)
-    with mp.workprec(bits):
-        canonical = naive - ar.value - na.value
-        err = na.tail_bound + ar.tail_bound
-        if canonical < -err:
-            raise RuntimeError(
-                "computed canonical height is negative beyond its error bound; "
-                "this indicates a bug, not a property of the input"
-            )
+    rnd = round_nearest
+    canonical = mpf_sub(mpf_sub(naive._mpf_, ar.value._mpf_, bits, rnd), na.value._mpf_, bits, rnd)
+    err = mpf_add(na.tail_bound._mpf_, ar.tail_bound._mpf_, bits, rnd)
+    if mpf_lt(canonical, mpf_neg(err)):
+        raise RuntimeError(
+            "computed canonical height is negative beyond its error bound; "
+            "this indicates a bug, not a property of the input"
+        )
     return HeightBreakdown(
         naive=naive,
         nonarch=na,
         arch=ar,
-        canonical=canonical,
-        error_bound=err,
+        canonical=mp.make_mpf(canonical),
+        error_bound=mp.make_mpf(err),
     )
 
 

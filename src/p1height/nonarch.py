@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath as mp
+from mpmath.libmp import from_int, mpf_div, mpf_mul_int, mpf_sum, round_nearest
 
 from .forms import BinaryForm, MapLift, ProjectivePoint, evaluate
-from .numerics import log_int, resolve_precision_bits
+from .numerics import _log_int, resolve_precision_bits
 
 __all__ = [
     "NonArchResult",
@@ -161,8 +162,7 @@ def exact_log_gcd(lift: MapLift, Q: ProjectivePoint, precision_bits: int | None 
     """
     g = math.gcd(evaluate(lift.F, Q.x, Q.y), evaluate(lift.G, Q.x, Q.y))
     bits = resolve_precision_bits(precision_bits, lift.degree, 1, lift.coeff_norm)
-    with mp.workprec(bits):
-        return log_int(g)
+    return mp.make_mpf(_log_int(g, bits))
 
 
 def _block_size(d: int) -> int:
@@ -368,9 +368,11 @@ def nonarch_height(
     when `parts` is None).  Coprimality makes gcds multiplicative, so the
     per-part gcds multiply back into exactly the g-sequence of the
     single-modulus run; modulus_bits reports the largest per-part working
-    modulus.  The full infinite sum differs from the returned value by at
-    most tail_bound.  A unit resultant needs no special case: every gcd is
-    gcd(1, 0, 0) = 1, and the value and the tail are 0.
+    modulus.  A unit resultant needs no special case: every gcd is
+    gcd(1, 0, 0) = 1, and the value and the tail are 0.  tail_bound bounds
+    the discarded tail only: the roundings to nearest at bits of each
+    logarithm (g rounded, then its log), its product by W_g, the sum and the
+    division are not charged to it or to error_bound yet (ROADMAP item 4).
     """
     d = lift.degree
     bits = resolve_precision_bits(precision_bits, d, terms, lift.coeff_norm)
@@ -393,10 +395,11 @@ def nonarch_height(
         w //= d
         if g > 1:
             weights[g] = weights.get(g, 0) + w
-    with mp.workprec(bits):
-        total = mp.fsum(log_int(g) * w for g, w in weights.items()) / dn
-        tail = log_int(R) / ((d - 1) * dn)
-    return NonArchResult(total, tuple(gs), tail, terms, max_bits, bits)
+    rnd = round_nearest
+    total = mpf_sum([mpf_mul_int(_log_int(g, bits), w, bits, rnd) for g, w in weights.items()], bits, rnd)
+    value = mp.make_mpf(mpf_div(total, from_int(dn), bits, rnd))
+    tail = mp.make_mpf(mpf_div(_log_int(R, bits), from_int((d - 1) * dn), bits, rnd))
+    return NonArchResult(value, tuple(gs), tail, terms, max_bits, bits)
 
 
 def nonarch_height_factored(

@@ -1,10 +1,14 @@
 """Precision policy and small helpers shared by the series computations.
 
-All high-precision real arithmetic in this package goes through mpmath.
-The default working precision below is chosen so that accumulated rounding
-stays far below the rigorous truncation tail bounds: per-step errors can be
-amplified by a factor of about d per term of the series, and the integer
-logarithms carry about bit_length(coeff_norm) bits in their integer parts.
+A job's real scalars (logarithms, series values, bounds and report digits)
+are raw libmp values at the job's one explicit precision, rounded to
+nearest, each made an mp.mpf once; no job opens a workprec scope.  Only the
+exact-orbit oracle and the wrappers log_int, arch.arch_step and
+arch.arch_step_bound work at mpmath's context precision.  The default
+working precision below is chosen so that accumulated rounding stays far
+below the rigorous truncation tail bounds: per-step errors can be amplified
+by a factor of about d per term of the series, and the integer logarithms
+carry about bit_length(coeff_norm) bits in their integer parts.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import math
 import sys
 
 import mpmath as mp
+from mpmath.libmp import from_int, from_str, mpf_log, mpf_pos, round_nearest, to_str
 
 MIN_PRECISION_BITS = 64
 PRECISION_FLOOR_BITS = 256
@@ -68,20 +73,30 @@ def int_str_digits_limit() -> int | None:
     return (getter() or None) if getter else None
 
 
-def log_int(n: int) -> mp.mpf:
-    """Natural log of a positive integer at the current working precision.
+def _log_int(n: int, prec: int):
+    """Natural log of a positive integer as a raw mpf: n rounded to nearest
+    at prec bits, then its logarithm rounded to nearest at prec bits.
 
-    mpf conversion keeps the leading prec bits of the mantissa plus the full
+    The rounded n keeps the leading prec bits of the mantissa plus the full
     binary exponent, so this is accurate to a few ulp even for integers of
     hundreds of thousands of bits; it never overflows the way float(n) would.
     """
     if n <= 0:
         raise ValueError("log_int needs a positive integer")
-    return mp.log(mp.mpf(n))
+    return mpf_log(from_int(n, prec, round_nearest), prec, round_nearest)
 
 
-def to_decimal_string(x, precision_bits: int) -> str:
-    """Render a high-precision real with every digit the precision supports."""
-    digits = max(8, int(precision_bits * 0.30103))
-    with mp.workprec(precision_bits):
-        return mp.nstr(mp.mpf(x), digits)
+def log_int(n: int) -> mp.mpf:
+    """Natural log of a positive integer at the current working precision (_log_int)."""
+    return mp.make_mpf(_log_int(n, mp.mp.prec))
+
+
+def to_decimal_string(x, precision_bits: int, digits: int | None = None) -> str:
+    """x, an mpf or a decimal string, rounded to nearest at precision_bits
+    and rendered with `digits` significant digits, by default every digit
+    the precision supports; mp.nstr(mp.mpf(x), digits) at that precision."""
+    if digits is None:
+        digits = max(8, int(precision_bits * 0.30103))
+    if isinstance(x, str):
+        return to_str(from_str(x, precision_bits, round_nearest), digits)
+    return to_str(mpf_pos(x._mpf_, precision_bits, round_nearest), digits)

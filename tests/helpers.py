@@ -7,8 +7,11 @@ gcd sequences from full-size exact orbits instead of reduced ones,
 polynomial identities by coefficient convolution, polynomial powers by
 repeated multiplication of exponent-tuple dicts instead of Miller's
 recurrence on a packed list, the archimedean series by mpf operators
-instead of fixed-point ints, trial division one prime at a time instead of
-by block gcds.  It also holds the text strategy that fuzzes the parsers.
+instead of fixed-point ints, a run's logarithms, bounds and assembly by mpf
+operators in a workprec scope instead of raw libmp calls, trial division
+one prime at a time instead of by block gcds.  It also holds the text
+strategy that fuzzes the parsers and a generator of points near a
+repelling fixed point.
 """
 
 from __future__ import annotations
@@ -270,6 +273,56 @@ def reference_fixed_point_orbit(lift: MapLift, k: int, s, terms: int, p: int):
             break
         k, s, _ = out
     return steps
+
+
+def reference_epilogue(lift: MapLift, P: ProjectivePoint, terms: int, bits: int, gs, arch_value) -> dict:
+    """canonical_height's scalar work by mpf operators in a workprec(bits)
+    scope, from the run's g-sequence gs and archimedean value: the naive
+    height, the nonarchimedean value and tail, the archimedean step bound and
+    tail, and the assembled height and error bound, keyed by their
+    HeightBreakdown paths."""
+    d, R, dn = lift.degree, abs(lift.resultant), lift.degree**terms
+    weights: dict[int, int] = {}
+    w = dn
+    for g in gs:
+        w //= d
+        if g > 1:
+            weights[g] = weights.get(g, 0) + w
+    upper = (d + 1) * lift.coeff_norm
+    lower = 2 * d * lift.cofactor_identity.coeff_norm
+    with mp.workprec(bits):
+        naive = mp.log(mp.mpf(max(abs(P.x), abs(P.y))))
+        na_value = mp.fsum(mp.log(mp.mpf(g)) * w for g, w in weights.items()) / dn
+        na_tail = mp.log(mp.mpf(R)) / ((d - 1) * dn)
+        side = mp.mpf(upper) if upper * R >= lower else mp.mpf(lower) / R
+        step_bound = max(mp.log(side), mp.mpf(0))
+        ar_tail = (
+            step_bound / ((d - 1) * dn)
+            + terms * mp.mpf(2) ** (8 - bits)
+            + (1 + abs(arch_value)) * mp.mpf(2) ** (1 - bits)
+        )
+        canonical = naive - arch_value - na_value
+        error_bound = na_tail + ar_tail
+    return {
+        "naive": naive,
+        "nonarch.value": na_value,
+        "nonarch.tail_bound": na_tail,
+        "arch.value": arch_value,
+        "arch.tail_bound": ar_tail,
+        "arch.step_bound": step_bound,
+        "canonical": canonical,
+        "error_bound": error_bound,
+    }
+
+
+def repelling_fixed_point_case(e: int, k: int) -> tuple[MapLift, ProjectivePoint]:
+    """phi(z) = z^2 - 2^e, Res = 1, and P = [floor(beta*2^k), 2^k] for its
+    repelling fixed point beta = (1 + sqrt(1 + 2^(e+2)))/2, whose multiplier
+    2*beta is about 2^(e/2 + 1): the orbit of P leaves beta by that factor
+    per step, so rounding errors along it grow faster than d per step."""
+    lift = MapLift.from_forms(BinaryForm((1, 0, -(1 << e))), BinaryForm((0, 0, 1)))
+    x = ((1 << k) + math.isqrt((1 + (1 << (e + 2))) << (2 * k))) // 2
+    return lift, normalize_point(x, 1 << k)
 
 
 def reference_trial_division(R: int, bound: int):

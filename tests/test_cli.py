@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -477,6 +478,52 @@ def test_closed_stdout_exits_5_without_a_traceback(argv):
         os.close(write_end)
     assert proc.returncode == cli.EXIT_CLOSED_STDOUT == 5
     assert proc.stderr == ""
+
+
+# ---------------------------------------------------------------------------
+# golden reports and the raw-libmp epilogue
+
+_DATA = Path(__file__).resolve().parent / "data"
+_ELAPSED = re.compile(r"^.*elapsed.*\n", re.MULTILINE)
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("ex3_50_g.json", ["--fixture", "ex3", "--terms", "50", "--emit-g-sequence", "--format", "json"]),
+        ("ex4_50_g.json", ["--fixture", "ex4", "--terms", "50", "--emit-g-sequence", "--format", "json"]),
+        ("ex4_20_oracle4.txt", ["--fixture", "ex4", "--terms", "20", "--emit-g-sequence", "--oracle", "4"]),
+    ],
+)
+def test_report_is_byte_identical_to_its_golden_file(capsys, name, argv):
+    # the golden files were written by the mpmath-context epilogue, which
+    # rounded each operation inside workprec scopes
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    golden = (_DATA / name).read_text(encoding="utf-8")
+    assert _ELAPSED.sub("", out) == _ELAPSED.sub("", golden)
+
+
+def test_a_job_without_the_oracle_opens_no_workprec_scope(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a workprec scope was opened")
+
+    monkeypatch.setattr(mp, "workprec", refuse)
+    monkeypatch.setattr(mp.mp, "workprec", refuse)
+    prec = mp.mp.prec
+    specs = [
+        JobSpec(map_text="phi(z) = (3*z^2 + 1)/(2*z)", point_text="[-7, 5]", output_format="json"),
+        JobSpec(map_text="phi(z) = (3*z^2 + 1)/(2*z)", point_text="[-7, 5]", trial_bound=None),
+        JobSpec(fixture="ex4", terms=8, precision_bits=1000, emit_g_sequence=True),
+        JobSpec(fixture="ex2", terms=4, precision_bits=64, output_format="json"),
+    ]
+    for spec in specs:
+        code, report = cli.run(spec)
+        assert code == 0, report
+    assert mp.mp.prec == prec
+    # the oracle still works at the context precision, so the patch is live
+    with pytest.raises(AssertionError, match="workprec"):
+        cli.run(JobSpec(fixture="ex4", terms=8, oracle_n=2))
 
 
 # ---------------------------------------------------------------------------

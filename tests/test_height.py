@@ -1,11 +1,14 @@
 """Tests for canonical height assembly, the exact-orbit oracle, and self-checks."""
 
+import dataclasses
 import functools
 import math
 import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p1height import arch, forms, height, nonarch
 from p1height.arch import arch_height
@@ -21,7 +24,7 @@ from p1height.height import (
 from p1height.nonarch import nonarch_height, trial_division
 from p1height.numerics import default_precision_bits, log_int
 
-from helpers import random_lift, random_point
+from helpers import random_lift, random_point, reference_epilogue, repelling_fixed_point_case
 
 
 def _lift(f_coeffs, g_coeffs):
@@ -84,6 +87,70 @@ def test_breakdown_is_internally_consistent():
             assert bd.error_bound == bd.nonarch.tail_bound + bd.arch.tail_bound
         assert bd.canonical >= -bd.error_bound
         assert bd.precision_bits == bd.arch.precision_bits
+
+
+def _check_epilogue(lift, P, terms, bits):
+    # every mpf field, to the bit, against the same formulas by mpf operators
+    bd = canonical_height(lift, P, terms, precision_bits=bits)
+    fields = {
+        "naive": bd.naive,
+        "nonarch.value": bd.nonarch.value,
+        "nonarch.tail_bound": bd.nonarch.tail_bound,
+        "arch.value": bd.arch.value,
+        "arch.tail_bound": bd.arch.tail_bound,
+        "arch.step_bound": bd.arch.step_bound,
+        "canonical": bd.canonical,
+        "error_bound": bd.error_bound,
+    }
+    ref = reference_epilogue(lift, P, terms, bd.precision_bits, bd.nonarch.gcd_sequence, bd.arch.value)
+    assert {k: v._mpf_ for k, v in fields.items()} == {k: v._mpf_ for k, v in ref.items()}
+
+
+_EPILOGUE_BITS = pytest.mark.parametrize("bits", [None, 64, 1000], ids=["default", "64", "1000"])
+
+
+@_EPILOGUE_BITS
+@pytest.mark.parametrize("terms", [8, 20])
+@pytest.mark.parametrize("fixture_id", ["ex1", "ex2", "ex3", "ex4"])
+def test_epilogue_is_bit_identical_to_the_mpf_operator_formulas_on_the_fixtures(fixture_id, terms, bits):
+    fx = load_fixture(fixture_id)
+    _check_epilogue(fx.lift(), fx.point(), terms, bits)
+
+
+@_EPILOGUE_BITS
+def test_epilogue_is_bit_identical_to_the_mpf_operator_formulas_on_the_points_map(bits):
+    # the benchmark's points map, phi(z) = (3z^2 + 1)/(2z), at seeded points
+    lift = _lift((3, 0, 1), (0, 2, 0))
+    rng = random.Random(2101)
+    for _ in range(10):
+        P = normalize_point(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6))
+        _check_epilogue(lift, P, 50, bits)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32),
+    degree=st.integers(2, 5),
+    terms=st.integers(1, 12),
+    bits=st.sampled_from([None, 64, 1000]),
+    coeff=st.sampled_from([20, 2**100]),
+)
+def test_epilogue_is_bit_identical_to_the_mpf_operator_formulas_on_small_maps(seed, degree, terms, bits, coeff):
+    # 100-bit coefficients make the step bound's integers wider than 64 bits
+    rng = random.Random(seed)
+    _check_epilogue(random_lift(rng, degree, -coeff, coeff), random_point(rng), terms, bits)
+
+
+def test_a_height_negative_beyond_its_bound_raises(monkeypatch):
+    lift, P = _lift((3, 0, 1), (0, 2, 0)), ProjectivePoint(5, 2)
+    bd = canonical_height(lift, P, 10)
+    assert bd.error_bound < 0.5
+    ar = bd.arch
+    # canonical = naive - arch - nonarch: an arch value raised by canonical + 1 leaves about -1
+    shifted = dataclasses.replace(ar, value=ar.value + bd.canonical + 1)
+    monkeypatch.setattr(height, "arch_height", lambda *args, **kwargs: shifted)
+    with pytest.raises(RuntimeError, match="negative beyond its error bound"):
+        canonical_height(lift, P, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -336,3 +403,19 @@ def test_near_root_check_fails_without_the_guard_bits(monkeypatch, x, bits):
     monkeypatch.setattr(arch, "_guard_bits", lambda lift: 0)
     with pytest.raises((AssertionError, ValueError, RuntimeError)):
         _check_near_root(x, bits)
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    reason="the orbit budget terms * 2^(8 - bits) assumes rounding grows by d per step; "
+    "near a repelling fixed point it grows by the multiplier (ROADMAP item 4)",
+)
+@pytest.mark.parametrize("e, k", [(20, 300), (60, 600)])
+def test_default_precision_height_near_a_repelling_fixed_point_lies_within_both_bounds_of_a_6000_bit_run(e, k):
+    # at the default 256 bits the gap is 3.3e-8 against 2.7e-14 for e = 20,
+    # and 8.0e-3 against 7.6e-14 for e = 60
+    lift, P = repelling_fixed_point_case(e, k)
+    low = canonical_height(lift, P, 50)
+    high = canonical_height(lift, P, 50, precision_bits=6000)
+    with mp.workprec(6000):
+        assert abs(low.canonical - high.canonical) <= low.error_bound + high.error_bound
