@@ -75,8 +75,6 @@ def run(spec: JobSpec) -> tuple[int, str]:
         return EXIT_NOT_MORPHISM, f"error: {exc}"
     except BudgetExceededError as exc:
         return EXIT_BUDGET, f"error: {exc}"
-    except KeyError as exc:
-        return EXIT_PARSE, f"error: {exc.args[0] if exc.args else exc}"
     except (ParseError, ValueError, OSError) as exc:
         return EXIT_PARSE, f"error: {exc}"
 
@@ -95,7 +93,10 @@ def _execute(spec: JobSpec) -> str:
 
     started = time.perf_counter()
     if spec.fixture:
-        fixture = load_fixture(spec.fixture)
+        try:
+            fixture = load_fixture(spec.fixture)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
         lift = fixture.lift()
         point = parse_point(spec.point_text) if spec.point_text else fixture.point()
     else:
@@ -126,7 +127,7 @@ def _execute(spec: JobSpec) -> str:
     doc = _document(spec, lift, point, parts, breakdown, oracle_seq, elapsed)
     if spec.output_format == "json":
         return json.dumps(doc, indent=2)
-    return _render_text(doc)
+    return _render_text(doc, breakdown, oracle_seq)
 
 
 def _check_int_str_digits(lift, point) -> None:
@@ -150,8 +151,7 @@ def _short_int(n: int) -> str:
 
 
 def _document(spec, lift, point, parts, breakdown, oracle_seq, elapsed) -> dict:
-    bits = breakdown.precision_bits
-    na, ar = breakdown.nonarch, breakdown.arch
+    bits, na, ar = breakdown.precision_bits, breakdown.nonarch, breakdown.arch
 
     def dec(x) -> str:
         return to_decimal_string(x, bits)
@@ -199,14 +199,14 @@ def _document(spec, lift, point, parts, breakdown, oracle_seq, elapsed) -> dict:
     return doc
 
 
-def _render_text(doc: dict) -> str:
-    bits = doc["precision_bits"]
+def _render_text(doc: dict, breakdown, oracle_seq) -> str:
+    bits, na, ar = breakdown.precision_bits, breakdown.nonarch, breakdown.arch
 
-    def short(field: str) -> str:
-        return to_decimal_string(field, bits, _TEXT_DIGITS)
+    def short(x) -> str:
+        return to_decimal_string(x, bits, _TEXT_DIGITS)
 
-    def bound(field: str) -> str:
-        return to_decimal_string(field, bits, 3)
+    def bound(x) -> str:
+        return to_decimal_string(x, bits, 3)
 
     lines = [
         "map: degree {d}, coefficient norm {norm}, resultant {rb} bits".format(
@@ -230,18 +230,18 @@ def _render_text(doc: dict) -> str:
         lines.append(f"factoring: trial division up to {fac['trial_bound']}; parts: {rendered}")
     lines += [
         "",
-        f"naive height     = {short(doc['naive_height'])}",
-        f"nonarch series   = {short(doc['nonarch']['value'])}   [tail <= {bound(doc['nonarch']['tail_bound'])}]",
-        f"arch series      = {short(doc['arch']['value'])}   [tail <= {bound(doc['arch']['tail_bound'])}]",
-        f"canonical height = {short(doc['canonical_height'])}   [error <= {bound(doc['error_bound'])}]",
+        f"naive height     = {short(breakdown.naive)}",
+        f"nonarch series   = {short(na.value)}   [tail <= {bound(na.tail_bound)}]",
+        f"arch series      = {short(ar.value)}   [tail <= {bound(ar.tail_bound)}]",
+        f"canonical height = {short(breakdown.canonical)}   [error <= {bound(breakdown.error_bound)}]",
         "",
         f"working modulus: {doc['nonarch']['modulus_bits']} bits",
     ]
     if "gcd_sequence" in doc["nonarch"]:
         lines.append("gcd sequence: " + ", ".join(doc["nonarch"]["gcd_sequence"]))
-    if "oracle" in doc:
+    if oracle_seq is not None:
         lines.append("exact-orbit heights (value at step n, divided by d^n):")
-        for n, v in enumerate(doc["oracle"]):
+        for n, v in enumerate(oracle_seq):
             lines.append(f"  n={n}: {short(v)}")
     lines.append(f"elapsed: {doc['elapsed_seconds']} s")
     return "\n".join(lines)

@@ -5,10 +5,10 @@ The canonical height of P under the map is
     canonical = h(P) - (archimedean series) - (nonarchimedean series)
 
 where h is the naive logarithmic height on coprime integer coordinates.
-Both series are truncated with rigorous tail bounds, so the result comes
-with a symmetric error bound.  Canonical heights are non-negative and
-vanish exactly on preperiodic points; a computed value below -error_bound
-is treated as a bug and raised.
+Both series are truncated with proved tail bounds; the error bound adds an
+asserted rounding budget, false near a repelling fixed point (ROADMAP item
+4).  Canonical heights are non-negative and vanish exactly on preperiodic
+points; a computed value below -error_bound is treated as a bug and raised.
 
 The oracle in this module takes the slow road instead: it iterates the map
 on exact normalized integer pairs and returns d^(-n) h(of the n-th iterate),
@@ -22,9 +22,11 @@ import math
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath.libmp import mpf_add, mpf_lt, mpf_neg, mpf_sub, round_nearest
+from mpmath.libmp import (
+    from_int, mpf_abs, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_neg, mpf_shift, mpf_sub, round_nearest,
+)
 
-from .arch import ArchResult, arch_height, arch_step
+from .arch import ArchResult, arch_height
 from .forms import MapLift, ProjectivePoint, _budget, normalize_point
 # nonarch_height_factored is unused here; perfbench/spans.py wraps it in this module
 from .nonarch import (  # noqa: F401
@@ -34,7 +36,7 @@ from .nonarch import (  # noqa: F401
     nonarch_height_factored,
     trial_division,
 )
-from .numerics import _log_int, log_int, resolve_precision_bits
+from .numerics import _log_int, resolve_precision_bits
 
 __all__ = [
     "BudgetExceededError",
@@ -81,7 +83,8 @@ def canonical_height(
     precision_bits: int | None = None,
     factoring: PartialFactorization | int | None = None,
 ) -> HeightBreakdown:
-    """Canonical height of P under the lifted map, with a rigorous error bound.
+    """Canonical height of P under the lifted map, with an error bound that
+    is not rigorous near a repelling fixed point (ROADMAP item 4).
 
     Both series run `terms` steps.  `factoring` picks the coprime parts of
     |Res| that the nonarchimedean gcd loop runs over: None runs it once
@@ -130,29 +133,29 @@ def canonical_height_oracle(
         raise ValueError("n_max must be a positive integer")
     d = lift.degree
     x, y = P.x, P.y
-    out = []
-    with mp.workprec(precision_bits):
-        out.append(log_int(max(abs(x), abs(y))))
     # d^n = odd^n * 2^(k*n): divide by the odd part and shift, so no int with
     # k*n trailing zero bits is converted (mpmath strips those bit by bit)
     k = (d & -d).bit_length() - 1
     denom = 1
+    out = []
     charge = _budget(BudgetExceededError)
-    for n in range(1, n_max + 1):
-        # Horner step i of lift.apply, for both forms: y-power and accumulator (i-1)*b + h bits by
-        # b, coefficient by the i*b-bit y-power; then the images' gcd and two divisions by it (<= |Res|)
-        b, h = max(abs(x), abs(y)).bit_length(), lift.coeff_norm.bit_length() + (d + 1).bit_length()
-        for i in range(1, d + 1):
-            charge(4, (i - 1) * b + h, b)
-            charge(2, h, i * b)
-        charge(1, d * b + h, d * b + h)
-        charge(2, d * b + h, lift.resultant.bit_length())
-        fx, gy = lift.apply(x, y)
-        g = math.gcd(fx, gy)
-        x, y = fx // g, gy // g
-        denom *= d >> k
-        with mp.workprec(precision_bits):
-            out.append(mp.ldexp(log_int(max(abs(x), abs(y))) / denom, -k * n))
+    for n in range(n_max + 1):
+        if n:
+            # Horner step i of lift.apply, for both forms: y-power and accumulator (i-1)*b + h bits by
+            # b, coefficient by the i*b-bit y-power; then the images' gcd and two divisions by it (<= |Res|)
+            b, h = max(abs(x), abs(y)).bit_length(), lift.coeff_norm.bit_length() + (d + 1).bit_length()
+            for i in range(1, d + 1):
+                charge(4, (i - 1) * b + h, b)
+                charge(2, h, i * b)
+            charge(1, d * b + h, d * b + h)
+            charge(2, d * b + h, lift.resultant.bit_length())
+            fx, gy = lift.apply(x, y)
+            g = math.gcd(fx, gy)
+            x, y = fx // g, gy // g
+            denom *= d >> k
+        log_h = _log_int(max(abs(x), abs(y)), precision_bits)
+        entry = mpf_div(log_h, from_int(denom), precision_bits, round_nearest)
+        out.append(mp.make_mpf(mpf_shift(entry, -k * n)))
     return out
 
 
@@ -163,20 +166,20 @@ def height_identity_check(
 ) -> mp.mpf:
     """Residual of the one-step height identity at P; zero up to rounding.
 
-    h(image of P) - d*h(P) must equal -(step + log g), where step is the
-    archimedean step value at P scaled to unit sup norm and g is the exact
-    gcd of the two evaluations.  The left side goes through exact integer
-    normalization, the right through high-precision reals, so a nonzero
+    h(image of P) - d*h(P) must equal -(step + log g), where step is d times
+    the one-term arch_height value, the series' own first step, and g is the
+    exact gcd of the two evaluations.  The left side goes through exact
+    integer normalization, the right through the fixed-point orbit, each
+    term rounded to nearest at precision_bits (at least 64), so a nonzero
     residual beyond rounding pinpoints an inconsistency between the routes.
     """
     fx, gy = lift.apply(P.x, P.y)
     g = math.gcd(fx, gy)
-    image = normalize_point(fx, gy)
-    d = lift.degree
-    with mp.workprec(precision_bits):
-        h_image = log_int(max(abs(image.x), abs(image.y)))
-        h_p = log_int(max(abs(P.x), abs(P.y)))
-        scale = mp.mpf(max(abs(P.x), abs(P.y)))
-        u = (mp.mpf(P.x) / scale, mp.mpf(P.y) / scale)
-        step = arch_step(lift, u)
-        return abs(h_image - d * h_p + step + log_int(g))
+    d, bits, rnd = lift.degree, precision_bits, round_nearest
+    step = mpf_mul(from_int(d), arch_height(lift, P, 1, bits).value._mpf_, bits, rnd)
+    h_image = naive_height(normalize_point(fx, gy), bits)._mpf_
+    h_p = mpf_mul(from_int(d), naive_height(P, bits)._mpf_, bits, rnd)
+    residual = mpf_sub(h_image, h_p, bits, rnd)
+    for term in (step, _log_int(g, bits)):
+        residual = mpf_add(residual, term, bits, rnd)
+    return mp.make_mpf(mpf_abs(residual))

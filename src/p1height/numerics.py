@@ -1,14 +1,14 @@
 """Precision policy and small helpers shared by the series computations.
 
-A job's real scalars (logarithms, series values, bounds and report digits)
-are raw libmp values at the job's one explicit precision, rounded to
-nearest, each made an mp.mpf once; no job opens a workprec scope.  Only the
-exact-orbit oracle and the wrappers log_int, arch.arch_step and
-arch.arch_step_bound work at mpmath's context precision.  The default
-working precision below is chosen so that accumulated rounding stays far
-below the rigorous truncation tail bounds: per-step errors can be amplified
-by a factor of about d per term of the series, and the integer logarithms
-carry about bit_length(coeff_norm) bits in their integer parts.
+Every real number in the package is a raw libmp value at an explicit
+precision, rounded to nearest and made an mp.mpf once; _log_int is the one
+integer logarithm, and nothing opens a workprec scope.  Only arch.arch_step
+and arch.arch_step_bound read mpmath's context precision, as their contract
+says.  The default working precision below assumes that per-step errors
+grow by a factor of about d per term of the series, and it pays for the
+bit_length(coeff_norm) bits of the integer logarithms' integer parts.  Near
+a repelling fixed point the errors grow by its multiplier instead, so there
+the precision and the error bound fall short (ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import sys
 
 import mpmath as mp
-from mpmath.libmp import from_int, from_str, mpf_log, mpf_pos, round_nearest, to_str
+from mpmath.libmp import from_int, mpf_log, mpf_pos, round_nearest, to_str
 
 MIN_PRECISION_BITS = 64
 PRECISION_FLOOR_BITS = 256
@@ -28,9 +28,9 @@ def default_precision_bits(degree: int, terms: int, coeff_norm: int) -> int:
     """Working precision in bits for a run of `terms` series steps.
 
     max(256, 64 + ceil(terms * log2(degree)) + bit_length(coeff_norm)): the
-    floor keeps short runs comfortably exact, the growth term tracks the
-    worst-case error amplification of the renormalized iteration, and the
-    coefficient term pays for the size of the integer logarithms involved.
+    floor keeps short runs comfortably exact, the growth term pays for errors
+    that grow by d per step (near a repelling fixed point they grow by its
+    multiplier, ROADMAP item 4), and the coefficient term for the logarithms.
     """
     if degree < 2:
         raise ValueError("degree must be at least 2")
@@ -82,21 +82,14 @@ def _log_int(n: int, prec: int):
     hundreds of thousands of bits; it never overflows the way float(n) would.
     """
     if n <= 0:
-        raise ValueError("log_int needs a positive integer")
+        raise ValueError("_log_int needs a positive integer")
     return mpf_log(from_int(n, prec, round_nearest), prec, round_nearest)
 
 
-def log_int(n: int) -> mp.mpf:
-    """Natural log of a positive integer at the current working precision (_log_int)."""
-    return mp.make_mpf(_log_int(n, mp.mp.prec))
-
-
-def to_decimal_string(x, precision_bits: int, digits: int | None = None) -> str:
-    """x, an mpf or a decimal string, rounded to nearest at precision_bits
-    and rendered with `digits` significant digits, by default every digit
-    the precision supports; mp.nstr(mp.mpf(x), digits) at that precision."""
+def to_decimal_string(x: mp.mpf, precision_bits: int, digits: int | None = None) -> str:
+    """x rounded to nearest at precision_bits and rendered with `digits`
+    significant digits, by default every digit the precision supports;
+    mp.nstr(x, digits) at that precision."""
     if digits is None:
         digits = max(8, int(precision_bits * 0.30103))
-    if isinstance(x, str):
-        return to_str(from_str(x, precision_bits, round_nearest), digits)
     return to_str(mpf_pos(x._mpf_, precision_bits, round_nearest), digits)

@@ -8,10 +8,12 @@ polynomial identities by coefficient convolution, polynomial powers by
 repeated multiplication of exponent-tuple dicts instead of Miller's
 recurrence on a packed list, the archimedean series by mpf operators
 instead of fixed-point ints, a run's logarithms, bounds and assembly by mpf
-operators in a workprec scope instead of raw libmp calls, trial division
-one prime at a time instead of by block gcds.  It also holds the text
-strategy that fuzzes the parsers and a generator of points near a
-repelling fixed point.
+operators in a workprec scope instead of raw libmp calls, the exact-orbit
+oracle's entries by a division by the whole d^n in a workprec scope instead
+of raw libmp calls on its odd part, trial division one prime at a time
+instead of by block gcds.  It also holds the text strategy that fuzzes the
+parsers, and a generator and strategies of points near a repelling fixed
+point.
 """
 
 from __future__ import annotations
@@ -275,6 +277,23 @@ def reference_fixed_point_orbit(lift: MapLift, k: int, s, terms: int, p: int):
     return steps
 
 
+def reference_oracle(lift: MapLift, P: ProjectivePoint, n_max: int, bits: int) -> list:
+    """canonical_height_oracle by mpf operators in a workprec(bits) scope:
+    mp.log of the n-th exact normalized iterate's larger coordinate, divided
+    by the whole int d^n, for n = 0..n_max."""
+    d = lift.degree
+    x, y = P.x, P.y
+    out = []
+    with mp.workprec(bits):
+        for n in range(n_max + 1):
+            if n:
+                fx, gy = lift.apply(x, y)
+                g = math.gcd(fx, gy)
+                x, y = fx // g, gy // g
+            out.append(mp.log(mp.mpf(max(abs(x), abs(y)))) / d**n)
+    return out
+
+
 def reference_epilogue(lift: MapLift, P: ProjectivePoint, terms: int, bits: int, gs, arch_value) -> dict:
     """canonical_height's scalar work by mpf operators in a workprec(bits)
     scope, from the run's g-sequence gs and archimedean value: the naive
@@ -315,14 +334,30 @@ def reference_epilogue(lift: MapLift, P: ProjectivePoint, terms: int, bits: int,
     }
 
 
-def repelling_fixed_point_case(e: int, k: int) -> tuple[MapLift, ProjectivePoint]:
-    """phi(z) = z^2 - 2^e, Res = 1, and P = [floor(beta*2^k), 2^k] for its
-    repelling fixed point beta = (1 + sqrt(1 + 2^(e+2)))/2, whose multiplier
-    2*beta is about 2^(e/2 + 1): the orbit of P leaves beta by that factor
-    per step, so rounding errors along it grow faster than d per step."""
-    lift = MapLift.from_forms(BinaryForm((1, 0, -(1 << e))), BinaryForm((0, 0, 1)))
-    x = ((1 << k) + math.isqrt((1 + (1 << (e + 2))) << (2 * k))) // 2
-    return lift, normalize_point(x, 1 << k)
+def repelling_fixed_point_case(d: int, c: int, k: int) -> tuple[MapLift, ProjectivePoint]:
+    """phi(z) = z^d - c, Res = +-1, and P = [floor(beta*2^k), 2^k] for its
+    repelling fixed point beta > 1, the root of b^d - b - c, whose multiplier
+    d*beta^(d-1) is about d*c^((d-1)/d): the orbit of P leaves beta by that
+    factor per step, so rounding errors along it grow faster than d per
+    step.  floor(beta*2^k) is found by integer bisection on
+    b^d - b*2^((d-1)k) - c*2^(dk), which increases from below 0 at 2^k."""
+    lift = MapLift.from_forms(BinaryForm((1,) + (0,) * (d - 1) + (-c,)), BinaryForm((0,) * d + (1,)))
+    lo, hi = 1 << k, (c + 2) << k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**d - (mid << ((d - 1) * k)) - (c << (d * k)) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lift, normalize_point(lo, 1 << k)
+
+
+# repelling_fixed_point_case's d, c of 20 to 70 bits and k, as keyword strategies for @given
+repelling_fixed_point_strategies = {
+    "d": st.sampled_from((2, 3)),
+    "c": st.integers(1 << 19, (1 << 70) - 1),
+    "k": st.integers(300, 500),
+}
 
 
 def reference_trial_division(R: int, bound: int):

@@ -21,7 +21,7 @@ from p1height import forms
 from p1height.cli import JobSpec, main
 from p1height.fixtures import load_fixture
 from p1height.forms import MapLift
-from p1height.height import canonical_height_oracle
+from p1height.height import canonical_height_oracle, height_identity_check
 
 from helpers import grammar_texts
 
@@ -239,6 +239,23 @@ def test_parse_failures_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err != ""
+
+
+def test_unknown_fixture_exits_2_with_the_catalog(capsys):
+    code, out, err = run_cli(capsys, "--fixture", "nope")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown fixture 'nope'; known: ex1, ex2, ex3, ex4\n"
+
+
+def test_a_key_error_inside_a_job_propagates(monkeypatch):
+    # only load_fixture's unknown id is an input error; any other KeyError is a bug
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "canonical_height", broken)
+    for spec in (JobSpec(fixture="ex4", terms=4), JobSpec(map_text="phi(z) = z^2", point_text="2", terms=4)):
+        with pytest.raises(KeyError, match="internal"):
+            cli.run(spec)
 
 
 # F = (X - cY)^2 + Y^2, G = Y(X - cY) with c = 2^40; at [c, 1] scaled to
@@ -504,13 +521,22 @@ def test_report_is_byte_identical_to_its_golden_file(capsys, name, argv):
     assert _ELAPSED.sub("", out) == _ELAPSED.sub("", golden)
 
 
-def test_a_job_without_the_oracle_opens_no_workprec_scope(monkeypatch):
+@pytest.fixture
+def refuse_workprec(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a workprec scope was opened")
 
     monkeypatch.setattr(mp, "workprec", refuse)
     monkeypatch.setattr(mp.mp, "workprec", refuse)
     prec = mp.mp.prec
+    yield
+    assert mp.mp.prec == prec
+    # the patch is live
+    with pytest.raises(AssertionError, match="workprec"):
+        mp.workprec(64)
+
+
+def test_a_job_without_the_oracle_opens_no_workprec_scope(refuse_workprec):
     specs = [
         JobSpec(map_text="phi(z) = (3*z^2 + 1)/(2*z)", point_text="[-7, 5]", output_format="json"),
         JobSpec(map_text="phi(z) = (3*z^2 + 1)/(2*z)", point_text="[-7, 5]", trial_bound=None),
@@ -520,10 +546,18 @@ def test_a_job_without_the_oracle_opens_no_workprec_scope(monkeypatch):
     for spec in specs:
         code, report = cli.run(spec)
         assert code == 0, report
-    assert mp.mp.prec == prec
-    # the oracle still works at the context precision, so the patch is live
-    with pytest.raises(AssertionError, match="workprec"):
-        cli.run(JobSpec(fixture="ex4", terms=8, oracle_n=2))
+
+
+def test_the_oracle_and_the_identity_check_open_no_workprec_scope(refuse_workprec):
+    for spec in (
+        JobSpec(fixture="ex4", terms=8, oracle_n=2),
+        JobSpec(fixture="ex3", terms=8, precision_bits=64, oracle_n=3, output_format="json"),
+    ):
+        code, report = cli.run(spec)
+        assert code == 0, report
+    fx = load_fixture("ex2")
+    assert len(canonical_height_oracle(fx.lift(), fx.point(), 3, precision_bits=100)) == 4
+    assert height_identity_check(fx.lift(), fx.point()) < mp.mpf("1e-25")
 
 
 # ---------------------------------------------------------------------------
