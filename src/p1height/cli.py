@@ -3,8 +3,10 @@
 One invocation runs one job: a map (inline text, file, or built-in fixture)
 plus a point, through the canonical height machinery, reporting the naive
 height, both series values with their tail bounds, the assembled canonical
-height with its error bound, and timing.  Structured output is a single
-JSON document whose numeric fields are decimal strings, because the values
+height with its error bound, and timing.  The text report prints values to
+as many significant digits as the precision supports, up to 32, and bounds
+rounded up to 3 digits.  Structured output is a single JSON document whose
+numeric fields are decimal strings with every digit, because the values
 routinely carry more digits than any fixed-width float holds.
 
 Exit codes: 0 success, 2 input could not be parsed or validated (a too-low
@@ -23,13 +25,15 @@ import sys
 import textwrap
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .fixtures import fixture_ids, load_fixture
 from .forms import NotAMorphismError, ParseError, parse_map, parse_point
 from .height import BudgetExceededError, canonical_height, canonical_height_oracle
 from .nonarch import check_trial_bound, trial_division
 from .numerics import (
-    check_run_parameters, decimal_digits, int_str_digits_limit, to_decimal_string,
+    _ceil_decimal_string, check_run_parameters, decimal_digits, int_str_digits_limit,
+    to_decimal_string,
 )
 
 __all__ = ["JobSpec", "main", "run"]
@@ -124,10 +128,10 @@ def _execute(spec: JobSpec) -> str:
         )
     elapsed = time.perf_counter() - started
 
-    doc = _document(spec, lift, point, parts, breakdown, oracle_seq, elapsed)
+    job = (spec, lift, point, parts, breakdown, oracle_seq, elapsed)
     if spec.output_format == "json":
-        return json.dumps(doc, indent=2)
-    return _render_text(doc, breakdown, oracle_seq)
+        return json.dumps(_document(*job), indent=2)
+    return _render_text(*job)
 
 
 def _check_int_str_digits(lift, point) -> None:
@@ -143,26 +147,21 @@ def _check_int_str_digits(lift, point) -> None:
 
 
 def _short_int(n: int) -> str:
-    s = str(abs(n))
-    sign = "-" if n < 0 else ""
-    if len(s) <= 12:
-        return sign + s
-    return f"{sign}{s[0]}.{s[1:4]}e+{len(s) - 1}"
+    """n >= 0 in full up to 12 digits, else its first four as d.ddde+N."""
+    s = str(n)
+    return s if len(s) <= 12 else f"{s[0]}.{s[1:4]}e+{len(s) - 1}"
 
 
 def _document(spec, lift, point, parts, breakdown, oracle_seq, elapsed) -> dict:
     bits, na, ar = breakdown.precision_bits, breakdown.nonarch, breakdown.arch
-
-    def dec(x) -> str:
-        return to_decimal_string(x, bits)
-
+    dec = partial(to_decimal_string, precision_bits=bits)
     doc: dict = {
         "map": {
             "degree": lift.degree,
             "coeff_norm": str(lift.coeff_norm),
             "resultant_bits": abs(lift.resultant).bit_length(),
         },
-        "point": f"[{point.x}, {point.y}]",
+        "point": str(point),
         "precision_bits": bits,
         "naive_height": dec(breakdown.naive),
         "nonarch": {
@@ -179,17 +178,13 @@ def _document(spec, lift, point, parts, breakdown, oracle_seq, elapsed) -> dict:
         },
         "canonical_height": dec(breakdown.canonical),
         "error_bound": dec(breakdown.error_bound),
-        "factoring": (
-            {
-                "trial_bound": spec.trial_bound,
-                "parts": [
-                    {"decimal": str(p), "bits": p.bit_length(), "provenance": tag}
-                    for p, tag in zip(parts.coprime_parts, parts.provenance)
-                ],
-            }
-            if parts is not None
-            else None
-        ),
+        "factoring": None if parts is None else {
+            "trial_bound": spec.trial_bound,
+            "parts": [
+                {"decimal": str(p), "bits": p.bit_length(), "provenance": tag}
+                for p, tag in zip(parts.coprime_parts, parts.provenance)
+            ],
+        },
         "elapsed_seconds": f"{elapsed:.3f}",
     }
     if spec.emit_g_sequence:
@@ -199,35 +194,27 @@ def _document(spec, lift, point, parts, breakdown, oracle_seq, elapsed) -> dict:
     return doc
 
 
-def _render_text(doc: dict, breakdown, oracle_seq) -> str:
+def _render_text(spec, lift, point, parts, breakdown, oracle_seq, elapsed) -> str:
+    """The text report, from the job's values: as many significant digits as the
+    precision supports, up to _TEXT_DIGITS, and bounds rounded up to 3 digits, so
+    none prints below the bound computed; the JSON report carries every digit."""
     bits, na, ar = breakdown.precision_bits, breakdown.nonarch, breakdown.arch
-
-    def short(x) -> str:
-        return to_decimal_string(x, bits, _TEXT_DIGITS)
-
-    def bound(x) -> str:
-        return to_decimal_string(x, bits, 3)
-
+    short = partial(to_decimal_string, precision_bits=bits, max_digits=_TEXT_DIGITS)
+    bound = partial(_ceil_decimal_string, digits=3)
+    pt = str(point)
     lines = [
-        "map: degree {d}, coefficient norm {norm}, resultant {rb} bits".format(
-            d=doc["map"]["degree"],
-            norm=_short_int(int(doc["map"]["coeff_norm"])),
-            rb=doc["map"]["resultant_bits"],
-        ),
-        f"point: {doc['point'] if len(doc['point']) <= 64 else doc['point'][:60] + '...]'}",
-        "run: {n} nonarch terms, {a} arch terms, precision {b} bits".format(
-            n=doc["nonarch"]["terms"], a=doc["arch"]["terms"], b=bits
-        ),
+        f"map: degree {lift.degree}, coefficient norm {_short_int(lift.coeff_norm)}, "
+        f"resultant {abs(lift.resultant).bit_length()} bits",
+        f"point: {pt if len(pt) <= 64 else pt[:60] + '...]'}",
+        f"run: {na.terms} nonarch terms, {ar.terms} arch terms, precision {bits} bits",
     ]
-    fac = doc["factoring"]
-    if fac is None:
+    if parts is None:
         lines.append("factoring: off (single-modulus loop)")
     else:
         rendered = ", ".join(
-            f"{_short_int(int(part['decimal']))} ({part['provenance']})"
-            for part in fac["parts"]
+            f"{_short_int(p)} ({tag})" for p, tag in zip(parts.coprime_parts, parts.provenance)
         )
-        lines.append(f"factoring: trial division up to {fac['trial_bound']}; parts: {rendered}")
+        lines.append(f"factoring: trial division up to {spec.trial_bound}; parts: {rendered}")
     lines += [
         "",
         f"naive height     = {short(breakdown.naive)}",
@@ -235,15 +222,14 @@ def _render_text(doc: dict, breakdown, oracle_seq) -> str:
         f"arch series      = {short(ar.value)}   [tail <= {bound(ar.tail_bound)}]",
         f"canonical height = {short(breakdown.canonical)}   [error <= {bound(breakdown.error_bound)}]",
         "",
-        f"working modulus: {doc['nonarch']['modulus_bits']} bits",
+        f"working modulus: {na.modulus_bits} bits",
     ]
-    if "gcd_sequence" in doc["nonarch"]:
-        lines.append("gcd sequence: " + ", ".join(doc["nonarch"]["gcd_sequence"]))
+    if spec.emit_g_sequence:
+        lines.append("gcd sequence: " + ", ".join(map(str, na.gcd_sequence)))
     if oracle_seq is not None:
         lines.append("exact-orbit heights (value at step n, divided by d^n):")
-        for n, v in enumerate(oracle_seq):
-            lines.append(f"  n={n}: {short(v)}")
-    lines.append(f"elapsed: {doc['elapsed_seconds']} s")
+        lines += [f"  n={n}: {short(v)}" for n, v in enumerate(oracle_seq)]
+    lines.append(f"elapsed: {elapsed:.3f} s")
     return "\n".join(lines)
 
 

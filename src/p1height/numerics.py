@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import from_int, mpf_log, mpf_pos, round_nearest, to_str
+from mpmath.libmp import from_int, from_rational, mpf_log, mpf_pos, round_nearest, to_str
 
 MIN_PRECISION_BITS = 64
 PRECISION_FLOOR_BITS = 256
@@ -86,10 +87,21 @@ def _log_int(n: int, prec: int):
     return mpf_log(from_int(n, prec, round_nearest), prec, round_nearest)
 
 
-def to_decimal_string(x: mp.mpf, precision_bits: int, digits: int | None = None) -> str:
-    """x rounded to nearest at precision_bits and rendered with `digits`
-    significant digits, by default every digit the precision supports;
-    mp.nstr(x, digits) at that precision."""
-    if digits is None:
-        digits = max(8, int(precision_bits * 0.30103))
-    return to_str(mpf_pos(x._mpf_, precision_bits, round_nearest), digits)
+def to_decimal_string(x: mp.mpf, precision_bits: int, max_digits: int | None = None) -> str:
+    """x rounded to nearest at precision_bits and rendered with every
+    significant digit the precision supports, max(8, floor(0.30103 * bits)),
+    or max_digits when that is fewer; mp.nstr(x, digits) at that precision."""
+    digits = max(8, int(precision_bits * 0.30103))
+    return to_str(mpf_pos(x._mpf_, precision_bits, round_nearest), min(digits, max_digits or digits))
+
+
+def _ceil_decimal_string(x: mp.mpf, digits: int) -> str:
+    """Finite x >= 0 rounded up to `digits` significant digits, as to_str prints them:
+    the exact least v = q * 10^k >= x with q <= 10^digits, at most one unit in its last
+    digit above x; rounded to 64 bits, v is near enough to q * 10^k for to_str to print q."""
+    _, man, exp, bc = x._mpf_
+    exact, k = man * Fraction(2) ** exp, (exp + bc - 1) * 30103 // 100000 - digits - 1
+    while exact > Fraction(10) ** (k + digits):
+        k += 1
+    v = math.ceil(exact / Fraction(10) ** k) * Fraction(10) ** k
+    return to_str(from_rational(v.numerator, v.denominator, 64, round_nearest), digits)

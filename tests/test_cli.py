@@ -3,15 +3,19 @@
 import importlib.util
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import from_man_exp, to_str
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +24,9 @@ import p1height.cli as cli
 from p1height import forms
 from p1height.cli import JobSpec, main
 from p1height.fixtures import load_fixture
-from p1height.forms import MapLift
-from p1height.height import canonical_height_oracle, height_identity_check
+from p1height.forms import BinaryForm, MapLift
+from p1height.height import canonical_height, canonical_height_oracle, height_identity_check
+from p1height.numerics import _ceil_decimal_string
 
 from helpers import grammar_texts
 
@@ -514,7 +519,8 @@ _ELAPSED = re.compile(r"^.*elapsed.*\n", re.MULTILINE)
 )
 def test_report_is_byte_identical_to_its_golden_file(capsys, name, argv):
     # the golden files were written by the mpmath-context epilogue, which
-    # rounded each operation inside workprec scopes
+    # rounded each operation inside workprec scopes; the text file's bounds
+    # have been rounded up since
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     golden = (_DATA / name).read_text(encoding="utf-8")
@@ -558,6 +564,92 @@ def test_the_oracle_and_the_identity_check_open_no_workprec_scope(refuse_workpre
     fx = load_fixture("ex2")
     assert len(canonical_height_oracle(fx.lift(), fx.point(), 3, precision_bits=100)) == 4
     assert height_identity_check(fx.lift(), fx.point()) < mp.mpf("1e-25")
+
+
+# ---------------------------------------------------------------------------
+# the text report's digits and bounds
+
+_TEXT_BOUND = re.compile(r"\[(?:tail|error) <= ([^\]]+)\]")
+
+
+def _exact(x: mp.mpf) -> Fraction:
+    return x.man * Fraction(2) ** x.exp
+
+
+def _seeded_map_specs(seed: int, count: int) -> list[JobSpec]:
+    rng = random.Random(seed)
+    specs = []
+    while len(specs) < count:
+        d = rng.randint(2, 4)
+        F, G = (BinaryForm(tuple(rng.randint(-9, 9) for _ in range(d + 1))) for _ in "FG")
+        spec = JobSpec(
+            map_text=f"F = {F}; G = {G}",
+            point_text=f"[{rng.randint(-1000, 1000)}, {rng.randint(1, 1000)}]",
+            terms=rng.choice((10, 20)),
+            precision_bits=rng.choice((None, 64, 100)),
+        )
+        if F.degree == G.degree == d and cli.run(spec)[0] == 0:
+            specs.append(spec)
+    return specs
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [JobSpec(fixture=f"ex{i}", terms=n) for i in range(1, 5) for n in (20, 50)]
+    + _seeded_map_specs(23, 6),
+    ids=lambda spec: f"{spec.fixture or spec.map_text}-{spec.terms}-{spec.precision_bits}",
+)
+def test_text_bounds_round_up_by_less_than_one_unit_in_their_last_digit(monkeypatch, spec):
+    computed = []
+
+    def spy(*args, **kwargs):
+        computed.append(canonical_height(*args, **kwargs))
+        return computed[-1]
+
+    monkeypatch.setattr(cli, "canonical_height", spy)
+    code, report = cli.run(spec)
+    assert code == 0, report
+    (breakdown,) = computed
+    bounds = (breakdown.nonarch.tail_bound, breakdown.arch.tail_bound, breakdown.error_bound)
+    printed = _TEXT_BOUND.findall(report)
+    assert len(printed) == 3
+    for text, bound in zip(printed, bounds):
+        unit = Fraction(10) ** (Decimal(text).adjusted() - 2)
+        assert _exact(bound) <= Fraction(text) < _exact(bound) + unit, (text, bound)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    man=st.one_of(st.integers(0, 2**300), st.integers(1, 10**6).map(lambda q: q * 10 ** 20)),
+    exp=st.one_of(st.integers(-40, 40), st.integers(-4000, 4000)),
+    digits=st.integers(1, 8),
+)
+def test_ceil_decimal_string_is_the_least_upper_value_in_to_str_format(man, exp, digits):
+    x = mp.make_mpf(from_man_exp(man, exp))
+    text = _ceil_decimal_string(x, digits)
+    unit = Fraction(10) ** (Decimal(text).adjusted() - digits + 1)
+    assert _exact(x) <= Fraction(text) < _exact(x) + unit
+    # where rounding to nearest already gave an upper value, the two agree
+    nearest = to_str(x._mpf_, digits)
+    if Fraction(nearest) >= _exact(x):
+        assert text == nearest
+
+
+@pytest.mark.parametrize("bits", ["64", "100", "107"])
+def test_text_values_carry_the_json_digits_up_to_32(capsys, bits):
+    argv = ("--map", "phi(z) = z^2 - 3", "--point", "7/3", "--precision", bits)
+    code, text, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    for label, value in (
+        ("naive height", doc["naive_height"]),
+        ("nonarch series", doc["nonarch"]["value"]),
+        ("arch series", doc["arch"]["value"]),
+        ("canonical height", doc["canonical_height"]),
+    ):
+        assert re.search(rf"^{label} += (\S+)", text, re.MULTILINE).group(1) == value
 
 
 # ---------------------------------------------------------------------------

@@ -516,6 +516,8 @@ def test_parse_map_syntax_variants():
     assert parse_map("F = 4X^2 - (X^2 + Y^2) + 2XY + 2Y^2; G = XY").F.coefficients == reference
     # a power of a sum of several degrees, homogeneous once the rest cancels
     assert parse_map("F = (X+Y+1)^2 + 2X^2 - 2X - 2Y - 1; G = XY").F.coefficients == reference
+    # a product with a zero factor is the zero polynomial, whatever its degree
+    assert parse_map("F = 3X^2 + 2XY + Y^2 + 0*X^5*Y^2; G = XY").F.coefficients == reference
 
 
 def test_parse_map_large_coefficients():
