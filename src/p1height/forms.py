@@ -15,11 +15,12 @@ building blocks the height computations rest on:
       a1*F + b1*G = Res(F, G) * X^(2d-1)
       a2*F + b2*G = Res(F, G) * Y^(2d-1)
 
-  as exact polynomial identities.  One PRS run on F(x, 1), G(x, 1) gives
-  Res, a2 and b2; a1 and b1 follow from them by one pseudo-remainder and
-  exact divisions.  These witness that every orbit gcd divides the
-  resultant and give the lower bound used for the archimedean step
-  estimates.
+  as exact polynomial identities.  F and G trade places when F has no X^d
+  term, so that f = F(x, 1) keeps degree d; one PRS run on f and
+  g = G(x, 1) gives Res, a2 and b2, and b1 = x^(2d-1)*b2 (mod f) and a1
+  follow from them by one pseudo-remainder and exact divisions.  These
+  witness that every orbit gcd divides the resultant and give the lower
+  bound used for the archimedean step estimates.
 
 All coefficients are unbounded Python ints; nothing in this module rounds.
 """
@@ -296,34 +297,6 @@ def _prs(a: list[int], b: list[int]) -> tuple[int, int, list[int]]:
     return -((-b[0]) ** e // c ** (e - 1)), b[0], u1
 
 
-def _bezout(fc: tuple[int, ...], gc: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
-    """Res and the Bezout pair at formal degree d = len(fc) - 1.
-
-    fc and gc are the coefficients of f and g in descending powers.  Returns
-    (res, a, b): res is the Sylvester resultant of f and g at formal degree
-    d, and a and b have length d with a*f + b*g = res.  Both lists are empty
-    when res = 0.
-    """
-    d = len(fc) - 1
-    f, g = _strip(fc), _strip(gc)
-    ef, eg = d + 1 - len(f), d + 1 - len(g)
-    if not (f and g) or (ef and eg):
-        return 0, [], []
-    swap = len(f) < len(g)
-    a, b = (g, f) if swap else (f, g)
-    res_ab, r, u = _prs(a, b)
-    # swapping costs (-1)^(deg a * deg b); e leading zeros of f cost
-    # (-1)^(d*e) * lc(g)^e, and e leading zeros of g cost lc(f)^e
-    sign = (-1) ** (swap * (len(a) - 1) * (len(b) - 1) + d * ef)
-    res = sign * res_ab * gc[0] ** ef * fc[0] ** eg
-    if res == 0:
-        return 0, [], []
-    ua = _divide_exact([x * res for x in u], [r])
-    ub = _divide_exact(_mul_sub(1, [res], ua, a), b)
-    cf, cg = (ub, ua) if swap else (ua, ub)
-    return res, [0] * (d - len(cf)) + cf, [0] * (d - len(cg)) + cg
-
-
 def _eliminate(
     F: BinaryForm, G: BinaryForm
 ) -> tuple[int, list[int], list[int], list[int], list[int]]:
@@ -332,31 +305,37 @@ def _eliminate(
     a1, b1, a2 and b2 are the coefficient lists of the unique degree-(d-1)
     solutions of a1*F + b1*G = Res * X^(2d-1) and a2*F + b2*G = Res * Y^(2d-1).
     Setting Y = 1 turns both into identities of f = F(x, 1) and g = G(x, 1).
-    One subresultant PRS on f and g gives Res and a2*f + b2*g = Res (see
-    _bezout).  Multiplied by x^(2d-1), that identity gives
-    a1 = x^(2d-1)*a2 (mod g) when g keeps degree d: a1 is the
-    pseudo-remainder of x^(2d-1)*a2 by g divided by lc(g)^(e+1), and
-    b1 = (Res*x^(2d-1) - a1*f)/g.  When lc(g) = 0, f keeps degree d (else
-    Res = 0), so b1 = x^(2d-1)*b2 (mod f) and a1 = (Res*x^(2d-1) - b1*g)/f.
-    Every division is exact; a remainder in any of them raises
-    ArithmeticError.  When Res = 0 all four lists come back empty.
+    F and G trade places when F has no X^d term, at the cost of the sign
+    (-1)^d, so that f keeps degree d; when neither form does, Res = 0.  Each
+    of the e leading zeros stripped from g costs a factor lc(f).  One
+    subresultant PRS on f and g gives Res and, scaled to Res, a2 with
+    a2*f + b2*g = Res.  Multiplied by x^(2d-1), that identity gives
+    b1 = x^(2d-1)*b2 (mod f): b1 is the pseudo-remainder of x^(2d-1)*b2 by
+    f divided by the power of lc(f) the pseudo-division took, and
+    a1 = (Res*x^(2d-1) - b1*g)/f.  Every division is exact; a remainder in
+    any of them raises ArithmeticError.  a2 and b2 are padded to length d at
+    the end.  When Res = 0 all four lists come back empty.
     """
     if F.degree != G.degree or F.degree < 1:
         raise ValueError("F and G must be forms of one degree d >= 1")
-    fc, gc = F.coefficients, G.coefficients
-    res, a2, b2 = _bezout(fc, gc)
+    d = F.degree
+    swap = F.coefficients[0] == 0
+    f, g = (G, F) if swap else (F, G)
+    f, g = f.coefficients, _strip(g.coefficients)
+    if not (f[0] and g):
+        return 0, [], [], [], []
+    res, r, u = _prs(f, g)
+    res *= (-1) ** (d * swap) * f[0] ** (d + 1 - len(g))
     if res == 0:
         return 0, [], [], [], []
-    d = F.degree
-    # u*p + (the other cofactor)*q = Res, and q keeps degree d
-    swap = gc[0] == 0
-    u, p, q = (b2, gc, fc) if swap else (a2, fc, gc)
-    # the pseudo-division takes e + 1 = 2d - 1 steps
-    _, r = _prem(u + [0] * (2 * d - 1), q)
-    v = _divide_exact(r, [q[0] ** (2 * d - 1)])
-    w = _divide_exact(_mul_sub(1, [res] + [0] * (2 * d - 1), v, p), q)
-    a1, b1 = (w, v) if swap else (v, w)
-    return res, a1, b1, a2, b2
+    a2 = _divide_exact([x * res for x in u], [r])
+    b2 = _divide_exact(_mul_sub(1, [res], a2, f), g)
+    # the pseudo-division of x^(2d-1)*b2 by f takes len(b2) + d - 1 steps
+    _, r = _prem(b2 + [0] * (2 * d - 1), f)
+    b1 = _divide_exact(r, [f[0] ** (len(b2) + d - 1)])
+    a1 = _divide_exact(_mul_sub(1, [res] + [0] * (2 * d - 1), b1, g), f)
+    a2, b2 = ([0] * (d - len(c)) + c for c in (a2, b2))
+    return (res, b1, a1, b2, a2) if swap else (res, a1, b1, a2, b2)
 
 
 def _elimination_work(F: BinaryForm, G: BinaryForm) -> tuple[int, int, int, int]:

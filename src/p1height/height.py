@@ -36,7 +36,7 @@ from .nonarch import (  # noqa: F401
     nonarch_height_factored,
     trial_division,
 )
-from .numerics import _log_int, resolve_precision_bits
+from .numerics import _log_int, check_run_parameters, resolve_precision_bits
 
 __all__ = [
     "BudgetExceededError",
@@ -72,7 +72,9 @@ class HeightBreakdown:
 
 
 def naive_height(P: ProjectivePoint, precision_bits: int = 256) -> mp.mpf:
-    """Naive logarithmic height log max(|x|, |y|) of a normalized point."""
+    """Naive logarithmic height log max(|x|, |y|) of a normalized point, at an
+    int precision_bits of at least 64."""
+    check_run_parameters(1, precision_bits)
     return mp.make_mpf(_log_int(max(abs(P.x), abs(P.y)), precision_bits))
 
 
@@ -131,6 +133,7 @@ def canonical_height_oracle(
     """
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError("n_max must be a positive integer")
+    check_run_parameters(1, precision_bits)
     d = lift.degree
     x, y = P.x, P.y
     # d^n = odd^n * 2^(k*n): divide by the odd part and shift, so no int with

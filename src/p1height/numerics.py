@@ -42,11 +42,13 @@ def default_precision_bits(degree: int, terms: int, coeff_norm: int) -> int:
 
 def check_run_parameters(terms, precision_bits: int | None) -> None:
     """Raise ValueError unless terms is a positive int and precision_bits is
-    None or at least MIN_PRECISION_BITS."""
+    None or an int of at least MIN_PRECISION_BITS."""
     if not isinstance(terms, int) or terms < 1:
         raise ValueError("terms must be a positive integer")
-    if precision_bits is not None and precision_bits < MIN_PRECISION_BITS:
-        raise ValueError(f"precision_bits must be at least {MIN_PRECISION_BITS}")
+    if precision_bits is not None and not (
+        isinstance(precision_bits, int) and precision_bits >= MIN_PRECISION_BITS
+    ):
+        raise ValueError(f"precision_bits must be an int of at least {MIN_PRECISION_BITS}")
 
 
 def resolve_precision_bits(

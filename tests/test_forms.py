@@ -220,6 +220,19 @@ def test_projective_point_invariants():
         ProjectivePoint(0, 0)
 
 
+def test_guards_and_renderings_that_other_tests_miss():
+    # _divide_exact's two corruption guards: a coefficient and a polynomial remainder
+    with pytest.raises(ArithmeticError):
+        forms._divide_exact([3, 1], [2])
+    with pytest.raises(ArithmeticError):
+        forms._divide_exact([1, 0, 1], [1, 1])
+    assert (str(BinaryForm((-5,))), str(BinaryForm((0, 0))), str(BinaryForm((7,)))) == ("-5", "0", "7")
+    with pytest.raises(ValueError, match="ints"):
+        ProjectivePoint(1.0, 2)
+    lift = MapLift.from_forms(BinaryForm((1, 0, 1)), BinaryForm((0, 2, 0)))
+    assert str(lift) == "[X^2 + Y^2, 2*X*Y]"
+
+
 # ---------------------------------------------------------------------------
 # resultants
 
@@ -324,6 +337,12 @@ def _form_pairs(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_form_pairs())
+# F without X^d trades places with G; g = F(x, 1) is then the constant 3
+@example((BinaryForm((0, 0, 0, 3)), BinaryForm((2, -1, 4, 5))))
+# the same trade, and g = x loses 7 leading zeros
+@example((BinaryForm((0,) * 7 + (1, 0)), BinaryForm((1,) + (0,) * 7 + (1,))))
+# neither form has an X^d term, so both vanish at [1, 0] and Res = 0
+@example((BinaryForm((0, 1, 2)), BinaryForm((0, 3, 1))))
 def test_elimination_matches_fraction_determinant_and_identities(pair):
     F, G = pair
     res = resultant(F, G)
@@ -377,7 +396,7 @@ def test_pinned_degree_gap_occurs():
     # every end coefficient is nonzero, so a gap of 2 or more between a
     # dividend and its divisor is an abnormal step of the PRS; the PRS the
     # elimination runs is replayed alone, because the elimination's own
-    # reduction of x^(2d-1)*a2 has a wide gap too
+    # reduction of x^(2d-1)*b2 has a wide gap too
     f, g, *_ = _PINNED_ELIMINATIONS["degree gap, X and Y swapped"]
     assert f[0] and f[-1] and g[0] and g[-1]
     with mock.patch.object(forms, "_prs", wraps=forms._prs) as prs:

@@ -21,7 +21,7 @@ from p1height.height import (
     naive_height,
 )
 from p1height.nonarch import nonarch_height, trial_division
-from p1height.numerics import default_precision_bits
+from p1height.numerics import _log_int, default_precision_bits
 
 from helpers import (
     random_lift,
@@ -350,14 +350,27 @@ def test_precision_is_checked_before_any_layer_runs(monkeypatch):
     lift = _lift((2, 1, 3), (1, 5, 7))
     assert abs(lift.resultant) > 1
     P = ProjectivePoint(3, 2)
-    for bits in (0, 32, 63):
+    for bits in (-5, 0, 32, 63, 100.5):
         for run in (canonical_height, nonarch_height, arch_height):
             with pytest.raises(ValueError, match="precision_bits"):
                 run(lift, P, 10, precision_bits=bits)
-        with pytest.raises(ValueError, match="precision_bits"):
-            height_identity_check(lift, P, precision_bits=bits)
+        for run in (
+            lambda: height_identity_check(lift, P, precision_bits=bits),
+            lambda: canonical_height_oracle(lift, P, 2, precision_bits=bits),
+            lambda: naive_height(P, bits),
+        ):
+            with pytest.raises(ValueError, match="precision_bits"):
+                run()
     monkeypatch.undo()
     assert canonical_height(lift, P, 10, precision_bits=64).precision_bits == 64
+
+
+def test_numerics_helpers_refuse_arguments_outside_their_domain():
+    with pytest.raises(ValueError, match="degree"):
+        default_precision_bits(1, 10, 1)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="positive"):
+            _log_int(n, 64)
 
 
 _NEAR_ROOT_C = 2**80

@@ -22,6 +22,7 @@ from p1height.forms import (
 )
 from p1height.nonarch import (
     PartialFactorization,
+    _form_evaluator,
     _gcd_loop,
     _headroom,
     _reciprocals,
@@ -37,6 +38,11 @@ from helpers import exact_gcd_sequence, random_lift, random_point, reference_tri
 
 def _lift(f_coeffs, g_coeffs):
     return MapLift.from_forms(BinaryForm(tuple(f_coeffs)), BinaryForm(tuple(g_coeffs)))
+
+
+def test_form_evaluator_refuses_forms_of_mixed_degrees():
+    with pytest.raises(ValueError, match="one degree"):
+        _form_evaluator((BinaryForm((1, 0, 1)), BinaryForm((1, 1))))
 
 
 # ---------------------------------------------------------------------------
