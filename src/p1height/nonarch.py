@@ -8,6 +8,9 @@ reduced pair recovers exactly the g_i of the exact orbit, while keeping
 every working integer below R^N.  R is never factored.  Each step
 evaluates F and G by exact Horner when small, else by one Paterson-Stockmeyer
 walk reduced by Barrett's method on large moduli; this module holds them all.
+On large moduli of degree d >= 12 a walk step first scales the pair by a unit
+mod R so that one coordinate is 1: the values scale by that unit's d-th
+power, which leaves every g_i as it is and removes most full-size products.
 
 When some coprime splitting of R is known anyway (say, small prime powers
 from trial division), the same loop runs once per part on much smaller
@@ -262,6 +265,11 @@ _BARRETT_MIN_BITS = 12_000
 # largest d * bits(top modulus) stepped by exact Horner (crossover table in CHANGES.md)
 _HORNER_MAX_BITS = 2048
 
+# smallest degree and d * bits(top modulus) whose walk steps scale the pair to
+# a coordinate 1 first (crossover table in CHANGES.md)
+_SCALE_MIN_DEGREE = 12
+_SCALE_MIN_BITS = 40_000
+
 
 def _headroom(forms) -> int:
     """E with every value _form_evaluator(forms) reduces mod M below 2^(2n+E)
@@ -316,6 +324,35 @@ def _reducer(M: int, mu: int | None, extra: int):
     return red
 
 
+def _unit_chart(x: int, y: int, modulus: int, e: int, live: int, red) -> tuple[int, int]:
+    """A unit multiple of the pair (x, y) mod live = modulus^e with one coordinate 1.
+
+    That is (x/y, 1) when y is a unit mod modulus, else (1, y/x) when x is,
+    else the pair itself.  The inverse starts as u^-1 mod modulus and is
+    lifted by Newton steps z <- z(2 - u z) mod modulus^k at k = ...,
+    ceil(e/2), e; only the O(log e) powers and residues of u on that chain
+    are held.  red(v) = v % live for every |v| < live^2, as _reducer's is.
+    """
+    for u, v, swap in ((y, x, False), (x, y, True)):
+        try:
+            z = pow(u % modulus, -1, modulus)
+        except ValueError:  # u shares a factor with modulus
+            continue
+        levels = []
+        k, M, reduce = e, live, red
+        while k > 1:
+            u %= M
+            levels.append((u, reduce))
+            k = (k + 1) // 2
+            M = modulus**k
+            reduce = M.__rmod__
+        for u, reduce in reversed(levels):
+            z = reduce(z * (2 - reduce(u * z)))
+        w = red(v % live * z)
+        return (1, w) if swap else (w, 1)
+    return x, y
+
+
 def _gcd_loop(forms, P: ProjectivePoint, modulus: int, top_power: int, terms: int) -> list[int]:
     """Reduced-orbit gcd extraction of the pair forms = (F, G) against one modulus.
 
@@ -323,19 +360,30 @@ def _gcd_loop(forms, P: ProjectivePoint, modulus: int, top_power: int, terms: in
     exact division of the precomputed top power, so only one big power is
     ever held.  gcd(m, 0, 0) = m is correct here: the true orbit gcd always
     divides the modulus, so a doubly-vanishing residue pair means the gcd
-    is the whole current part.  Every residue is exact.  While d * bits(top_power)
-    <= _HORNER_MAX_BITS, where interpreter overhead dominates, a step is exact
-    Horner on F and G sharing powers of y, then one `%` each; larger ones run
-    the Paterson-Stockmeyer walk, whose plan is built only then.
+    is the whole current part.  While d * bits(top_power) <= _HORNER_MAX_BITS,
+    where interpreter overhead dominates, a step is exact Horner on F and G
+    sharing powers of y, then one `%` each, so every residue is the exact
+    value reduced.  Larger ones run the Paterson-Stockmeyer walk, whose plan
+    is built only then.  From degree _SCALE_MIN_DEGREE and d * bits(top_power)
+    >= _SCALE_MIN_BITS every walk step after the first scales the pair by a
+    unit mod the modulus so that one coordinate is 1 (_unit_chart), and the
+    walk's products by that coordinate's powers cost linear time.  The first
+    step keeps P, whose coordinates are usually small, and a chart would
+    make them full-size.  F and G are homogeneous of degree d, so a unit c
+    scales both values by c^d: gcd(modulus, c^d F, c^d G) = gcd(modulus, F,
+    G), and the next pair is again a unit multiple of the exact quotient
+    pair reduced, so the g-sequence is the same.
     """
     x, y, live = P.x % top_power, P.y % top_power, top_power
     (f0, g0), *pairs = zip(*(f.coefficients for f in forms))
-    horner = len(pairs) * top_power.bit_length() <= _HORNER_MAX_BITS
+    size = len(pairs) * top_power.bit_length()
+    horner = size <= _HORNER_MAX_BITS
     if not horner:
         ev, extra = _form_evaluator(forms), _headroom(forms)
         chain = _reciprocals(top_power, modulus, terms, extra)
+        scale = len(pairs) >= _SCALE_MIN_DEGREE and size >= _SCALE_MIN_BITS
     out: list[int] = []
-    for _ in range(terms):
+    for e in range(terms, 0, -1):
         if horner:
             fx, gy, yp = f0, g0, 1
             for a, b in pairs:
@@ -345,7 +393,10 @@ def _gcd_loop(forms, P: ProjectivePoint, modulus: int, top_power: int, terms: in
             live //= modulus
         else:
             live, mu = next(chain)
-            fx, gy = ev(x, y, live, _reducer(live, mu, extra))
+            red = _reducer(live, mu, extra)
+            if scale and e < terms:
+                x, y = _unit_chart(x, y, modulus, e, live, red)
+            fx, gy = ev(x, y, live, red)
         # modulus first: math.gcd folds left to right, and reducing each
         # full-size residue against the modulus is the cheap first step
         g = math.gcd(modulus, fx, gy)

@@ -40,15 +40,19 @@ def default_precision_bits(degree: int, terms: int, coeff_norm: int) -> int:
     return max(PRECISION_FLOOR_BITS, GUARD_BITS + growth + scale)
 
 
+def _check_precision_bits(precision_bits) -> None:
+    """Raise ValueError unless precision_bits is an int of at least MIN_PRECISION_BITS."""
+    if not (isinstance(precision_bits, int) and precision_bits >= MIN_PRECISION_BITS):
+        raise ValueError(f"precision_bits must be an int of at least {MIN_PRECISION_BITS}")
+
+
 def check_run_parameters(terms, precision_bits: int | None) -> None:
     """Raise ValueError unless terms is a positive int and precision_bits is
-    None or an int of at least MIN_PRECISION_BITS."""
+    None (the default precision) or an int of at least MIN_PRECISION_BITS."""
     if not isinstance(terms, int) or terms < 1:
         raise ValueError("terms must be a positive integer")
-    if precision_bits is not None and not (
-        isinstance(precision_bits, int) and precision_bits >= MIN_PRECISION_BITS
-    ):
-        raise ValueError(f"precision_bits must be an int of at least {MIN_PRECISION_BITS}")
+    if precision_bits is not None:
+        _check_precision_bits(precision_bits)
 
 
 def resolve_precision_bits(

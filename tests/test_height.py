@@ -354,6 +354,8 @@ def test_precision_is_checked_before_any_layer_runs(monkeypatch):
         for run in (canonical_height, nonarch_height, arch_height):
             with pytest.raises(ValueError, match="precision_bits"):
                 run(lift, P, 10, precision_bits=bits)
+    # None means the default precision to the series entries; these three have no default to take
+    for bits in (None, -5, 0, 32, 63, 100.5):
         for run in (
             lambda: height_identity_check(lift, P, precision_bits=bits),
             lambda: canonical_height_oracle(lift, P, 2, precision_bits=bits),

@@ -2,12 +2,13 @@
 
 import math
 import random
+import tracemalloc
 import warnings
 from unittest import mock
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from p1height import nonarch
@@ -19,6 +20,7 @@ from p1height.forms import (
     ProjectivePoint,
     evaluate,
     normalize_point,
+    parse_map,
 )
 from p1height.nonarch import (
     PartialFactorization,
@@ -27,6 +29,7 @@ from p1height.nonarch import (
     _headroom,
     _reciprocals,
     _reducer,
+    _unit_chart,
     exact_log_gcd,
     nonarch_height,
     nonarch_height_factored,
@@ -384,18 +387,99 @@ def _loop_case(draw):
     return forms, normalize_point(x, y), modulus, draw(st.integers(1, 30))
 
 
+# -3X^2 - 3XY - 3Y^2 and -3X^2 - 2XY - 3Y^2 mod 6: the first step keeps P, and
+# the second step's pair picks the chart each example names; each run meets
+# all three kinds of step, and its g-sequence mixes 1 and 3
+_CHART_FORMS = (BinaryForm((-3, -3, -3)), BinaryForm((-3, -2, -3)))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_loop_case())
+@example((_CHART_FORMS, ProjectivePoint(-3, 4), 6, 6))  # y a unit: the chart (x/y, 1)
+@example((_CHART_FORMS, ProjectivePoint(-3, 1), 6, 6))  # only x a unit: the chart (1, y/x)
+@example((_CHART_FORMS, ProjectivePoint(-1, 1), 6, 6))  # neither a unit: the pair as it is
 def test_horner_and_walk_bodies_give_one_g_sequence(case):
     forms, P, modulus, terms = case
     top = modulus**terms
     runs = []
-    for cap in (math.inf, -1):  # every step by Horner, then every step by the walk
-        with mock.patch.object(nonarch, "_HORNER_MAX_BITS", cap):
+    # every step by Horner, then every step by the plain walk, then the walk
+    # with every step after the first scaled to a unit chart
+    for cap, scale_from in ((math.inf, math.inf), (-1, math.inf), (-1, 0)):
+        with (
+            mock.patch.object(nonarch, "_HORNER_MAX_BITS", cap),
+            mock.patch.object(nonarch, "_SCALE_MIN_DEGREE", scale_from),
+            mock.patch.object(nonarch, "_SCALE_MIN_BITS", scale_from),
+        ):
             runs.append(_gcd_loop(forms, P, modulus, top, terms))
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
     if forms[0].degree**terms <= 10_000:  # the exact orbit stays cheap
         assert runs[0] == _exact_modulus_gcds(forms, P, modulus, terms)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    modulus=st.one_of(st.sampled_from((1, 2, 6, 12, 30, 49)), st.integers(2, 2**300)),
+    e=st.integers(1, 12),
+    crossover=st.integers(2, 4000),
+    seed=st.integers(0, 2**32),
+)
+@example(modulus=2**127 - 1, e=3, crossover=2, seed=1)  # Barrett at an odd exponent
+def test_unit_chart_is_a_unit_multiple_of_the_pair(modulus, e, crossover, seed):
+    # the pair comes in below modulus^(e+1), as the loop's quotients do; odd e
+    # puts the Newton steps' products at their largest against the reducer
+    rng = random.Random(seed)
+    live = modulus**e
+    x, y = rng.randrange(live * modulus), rng.randrange(live * modulus)
+    if seed % 3 == 0:
+        y -= y % math.gcd(modulus, 6)  # y shares a small factor with a composite modulus
+    with mock.patch.object(nonarch, "_BARRETT_MIN_BITS", crossover):
+        ((M, mu),) = _reciprocals(live, modulus, 1, 3)
+    red = _reducer(M, mu, 3)
+
+    def bounded_red(v):
+        # past its bound Barrett's correction loop spins instead of failing
+        assert abs(v) < live * live
+        return red(v)
+
+    chart = _unit_chart(x, y, modulus, e, live, bounded_red)
+    if math.gcd(y, modulus) == 1:
+        w = chart[0]
+        assert chart[1] == 1 and 0 <= w < live and (w * y - x) % live == 0
+    elif math.gcd(x, modulus) == 1:
+        w = chart[1]
+        assert chart[0] == 1 and 0 <= w < live and (w * x - y) % live == 0
+    else:
+        assert chart == (x, y)
+
+
+def test_scaled_loop_holds_a_few_top_powers_at_most():
+    # a list of every modulus^e the Newton lifts use would hold about
+    # terms/2 top powers, 200 here; the loop peaks near 27 with charts and
+    # near 35 without
+    lift = parse_map("phi(z) = (z^8 + 7)/(3*z^7 + 2)")
+    R, terms = abs(lift.resultant), 400
+    top = R**terms
+    # the first steps reduce by Barrett, odd exponents included
+    assert top.bit_length() > nonarch._BARRETT_MIN_BITS
+    charts = []
+
+    def chart(*args):
+        charts.append(args[3])
+        return _unit_chart(*args)
+
+    with (
+        mock.patch.object(nonarch, "_SCALE_MIN_DEGREE", 0),
+        mock.patch.object(nonarch, "_SCALE_MIN_BITS", 0),
+        mock.patch.object(nonarch, "_unit_chart", chart),
+    ):
+        tracemalloc.start()
+        try:
+            _gcd_loop((lift.F, lift.G), ProjectivePoint(2, 1), R, top, terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert charts == list(range(terms - 1, 0, -1))  # every step after the first
+    assert peak <= 40 * top.bit_length() // 8
 
 
 # ---------------------------------------------------------------------------
