@@ -25,7 +25,7 @@ under d units of 2^-p, however much its terms cancel.  p = bits + guard
 (_guard_bits) holds that and the floor of the next t to 2^-(bits+2) of
 each norm.  The truncation and summation bounds are proved (arch_height);
 the budget terms * 2^(8 - bits) for the propagation of these errors along
-the orbit is asserted, not proved (ROADMAP item 2).
+the orbit is asserted, not proved (ROADMAP item 4).
 """
 
 from __future__ import annotations

@@ -431,10 +431,10 @@ class MapLift:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>\*\*|[-+*^()/=;\[\],])"
-    r"|(?P<bad>\S))"
-)
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*^()/=;\[\],]")
+_BAD_CHAR_RE = re.compile(r"[^\s\dA-Za-z_\-+*^()/=;\[\],]")  # a character no token takes
+# the tokens that end a term after a factor ('' ends the input); any other starts the next one
+_TERM_ENDS = frozenset(("", "+", "-", "^", ")", "/", "=", ";", "[", "]", ","))
 
 # the error for any '/' but the phi(z) form's one top-level '/'
 _SLASH_INSIDE = (
@@ -455,7 +455,7 @@ _KEY_BASE = _MAX_EXPONENT + 1
 _MAX_COST = 350_000_000
 _PRODUCT_COST = 50
 # deepest parenthesis nesting the recursive-descent parser accepts; each
-# level costs it four stack frames
+# level costs it three stack frames
 _MAX_NESTING = 100
 
 
@@ -477,21 +477,24 @@ def _check_degree(degree: int, what: str) -> None:
         raise ParseError(f"{what} of degree {degree}, over the supported maximum {_MAX_EXPONENT}")
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
+def _tokenize(text: str) -> list[str]:
+    """text's integer literals, names and operators, by one regex, '**' read as '^'; ParseError at
+    the first character no token takes or literal past Python's int<->str digit limit."""
     expr = text.strip()
-    tokens = []
-    for m in _TOKEN_RE.finditer(expr):
-        kind, val = m.lastgroup, m[m.lastgroup]
-        if kind == "bad":
-            at = m.start(kind)
-            lo = max(0, min(at - 20, len(expr) - 40))
-            hi = lo + 40
-            shown = ("..." if lo else "") + expr[lo:hi] + ("..." if hi < len(expr) else "")
-            raise ParseError(f"unexpected character {val!r} at position {at} of {shown!r}")
-        if kind == "int":
-            _check_literal(val)
-        tokens.append((kind, "^" if val == "**" else val))
-    return tokens
+    bad = _BAD_CHAR_RE.search(expr)
+    tokens = _TOKEN_RE.findall(expr, 0, bad.start() if bad else len(expr))
+    limit = int_str_digits_limit()
+    if limit is not None and len(expr) > limit:  # else no literal can pass the limit
+        for tok in tokens:
+            if len(tok) > limit and tok.isdecimal():
+                _check_literal(tok)
+    if bad:
+        at = bad.start()
+        lo = max(0, min(at - 20, len(expr) - 40))
+        hi = lo + 40
+        shown = ("..." if lo else "") + expr[lo:hi] + ("..." if hi < len(expr) else "")
+        raise ParseError(f"unexpected character {bad[0]!r} at position {at} of {shown!r}")
+    return ["^" if tok == "**" else tok for tok in tokens] if "**" in expr else tokens
 
 
 class _PolyParser:
@@ -501,30 +504,27 @@ class _PolyParser:
     coefficients.  '*' between factors is optional; '^' and '**'
     both exponentiate; only '+', '-', '*', '^', parentheses, integers, and
     the allowed variable names may appear, plus the phi(z) form's one '/'.
+    Every method reads the tokens from self.pos on, up to a sentinel ''.
     """
 
-    def __init__(self, tokens: list[tuple[str, str]], variables: tuple[str, ...], charge=None):
+    def __init__(self, tokens: list[str], variables: tuple[str, ...], charge=None):
         # A bare run of single-letter variables ("XY", "xxy") splits into
         # separate factors, so XY^2 binds as X*(Y^2).
-        single = {v.upper() for v in variables if len(v) == 1}
-        self.tokens: list[tuple[str, str]] = []
-        for kind, val in tokens:
-            if kind == "name" and len(val) > 1 and all(ch.upper() in single for ch in val):
-                self.tokens.extend(("name", ch) for ch in val)
-            else:
-                self.tokens.append((kind, val))
+        single = "".join(v.upper() for v in variables if len(v) == 1)
+        runs = {t for t in set(tokens) if len(t) > 1 and not t.upper().strip(single)}
+        if runs:
+            tokens = [ch for tok in tokens for ch in (tok if tok in runs else (tok,))]
+        self.tokens = [*tokens, ""]
         self.pos = 0
         self.variables = variables
+        # each variable's key under its name, and a single letter's under either case
+        self.keys = {
+            name: _KEY_BASE + i
+            for i, var in enumerate(variables)
+            for name in ({var, var.upper(), var.lower()} if len(var) == 1 else (var,))
+        }
         self.depth = 0  # parentheses open around the current position
         self.charge = charge or _budget()  # called before each product, power and negation
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
 
     def parse(self, ratio: bool = False):
         """The whole token list as one polynomial, or with `ratio` as the phi(z)
@@ -532,48 +532,102 @@ class _PolyParser:
         second term (else the denominator is 1).  '/' binds tighter than '+'
         and '-', so a sum beside it needs parentheses."""
         num = self.term()
-        split = ratio and self.peek() == ("op", "/")
+        split = ratio and self.tokens[self.pos] == "/"
         if split:
-            self.next()
+            self.pos += 1
             den = self.term()
         else:
             num, den = self.expr(num), {0: 1}
-        kind, val = self.peek()
-        if ratio and kind == "op" and val in ("+-" if split else "/"):
+        tok = self.tokens[self.pos]
+        if ratio and tok in (("+", "-") if split else ("/",)):
             raise ParseError(
                 "the phi(z) form takes one term on each side of its '/'; put a sum "
                 "in parentheses, as in (z^2 + 1)/(2z)"
             )
-        if (kind, val) == ("op", "/"):
+        if tok == "/":
             raise ParseError(_SLASH_INSIDE)
-        if kind is not None:
-            raise ParseError(f"unexpected {val!r} after a complete expression")
+        if tok:
+            raise ParseError(f"unexpected {tok!r} after a complete expression")
         return (num, den) if ratio else num
 
     def expr(self, poly=None):
         # every parse method returns a dict that nothing else holds, so a sum
         # accumulates into its first term
         poly = self.term() if poly is None else poly
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                _padd(poly, self.term(), 1 if val == "+" else -1)
-            else:
-                return poly
+        while (tok := self.tokens[self.pos]) in ("+", "-"):
+            self.pos += 1
+            _padd(poly, self.term(), 1 if tok == "+" else -1)
+        return poly
 
     def term(self):
-        poly = self.factor()
+        """A product of factors: signs, a base and an optional '^' and exponent.  A run of factors
+        whose base is an integer or a variable folds into one c*x^k (c = 0 for the zero polynomial),
+        checked and charged as times(), _ppow and a negation would do it; a parenthesized base is
+        a dict, and from it on the product goes through them."""
+        tokens, keys, charge, i = self.tokens, self.keys, self.charge, self.pos
+        poly = c = None  # the product so far: a dict from a parenthesized base on, else c*x^k
         while True:
-            kind, val = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                poly = self.times(poly, self.factor())
-            elif kind in ("int", "name") or (kind == "op" and val == "("):
-                # implicit multiplication, as in 3X^2Y
-                poly = self.times(poly, self.factor())
+            sign = 1
+            while (tok := tokens[i]) in ("+", "-"):
+                sign, i = -sign if tok == "-" else sign, i + 1
+            i += 1
+            q = None  # the factor: a dict for a parenthesized base, else qc*x^qk
+            if tok in keys:
+                qc, qk = 1, keys[tok]
+            elif tok.isdecimal():
+                qc, qk = int(tok), 0
+            elif tok == "(":
+                q, i = self.group(i)
+            elif tok == "/":
+                raise ParseError("'/' is not allowed here; only integer coefficients are supported")
+            elif not tok:
+                raise ParseError("expression ended unexpectedly")
+            elif tok[0].isalpha() or tok[0] == "_":
+                raise ParseError(f"unknown variable {tok!r}; expected one of: {', '.join(self.variables)}")
             else:
-                return poly
+                raise ParseError(f"unexpected {tok!r} in expression")
+            if tokens[i] == "^":
+                tok = tokens[i + 1]
+                i += 2
+                if not tok.isdecimal():
+                    raise ParseError("exponent must be a nonnegative integer literal")
+                e = int(tok)
+                if e > _MAX_EXPONENT:
+                    raise ParseError(f"exponent {e} exceeds the supported maximum {_MAX_EXPONENT}")
+                if q is not None:
+                    _check_degree(max(q, default=0) // _KEY_BASE * e, "a power")
+                    q = _ppow(q, e, charge)
+                else:
+                    _check_degree(qk // _KEY_BASE * e, "a power")
+                    if e and qc:
+                        charge(1, e * qc.bit_length(), e * qc.bit_length())
+                    qc, qk = qc**e, qk * e
+            if sign < 0:  # a negation copies every coefficient
+                if q is None:
+                    charge(1 if qc else 0, 0, 0)
+                    qc = -qc
+                else:
+                    charge(len(q), 0, 0)
+                    q = {k: -v for k, v in q.items()}
+            if q is not None or poly is not None:
+                if poly is None and c is not None:
+                    poly = {k: c} if c else {}
+                if q is None:
+                    q = {qk: qc} if qc else {}
+                poly = q if poly is None else self.times(poly, q)
+            elif c is None:
+                c, k = qc, qk
+            elif c and qc:
+                _check_degree(k // _KEY_BASE + qk // _KEY_BASE, "a product")
+                charge(1, c.bit_length(), qc.bit_length())
+                c, k = c * qc, k + qk
+            else:
+                c = 0
+            if (tok := tokens[i]) == "*":
+                i += 1
+            elif tok in _TERM_ENDS:
+                self.pos = i
+                return poly if poly is not None else {k: c} if c else {}
 
     def times(self, p, q):
         if not (p and q):
@@ -584,58 +638,18 @@ class _PolyParser:
         self.charge(len(p) * len(q), a, b)
         return _pmul(p, q)
 
-    def factor(self):
-        sign = 1
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                if val == "-":
-                    sign = -sign
-            else:
-                break
-        poly = self.base()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            kind, val = self.next()
-            if kind != "int":
-                raise ParseError("exponent must be a nonnegative integer literal")
-            e = int(val)
-            if e > _MAX_EXPONENT:
-                raise ParseError(f"exponent {e} exceeds the supported maximum {_MAX_EXPONENT}")
-            _check_degree(max(poly, default=0) // _KEY_BASE * e, "a power")
-            poly = _ppow(poly, e, self.charge)
-        if sign == 1:
-            return poly
-        self.charge(len(poly), 0, 0)  # a negation copies every coefficient
-        return {k: -v for k, v in poly.items()}
-
-    def base(self):
-        kind, val = self.next()
-        if kind == "int":
-            return {0: int(val)} if int(val) else {}
-        if kind == "name":
-            for i, var in enumerate(self.variables):
-                if val == var or (len(val) == 1 == len(var) and val.upper() == var.upper()):
-                    return {_KEY_BASE + i: 1}
-            allowed = ", ".join(self.variables)
-            raise ParseError(f"unknown variable {val!r}; expected one of: {allowed}")
-        if kind == "op" and val == "(":
-            self.depth += 1
-            if self.depth > _MAX_NESTING:
-                raise ParseError(f"parentheses nest deeper than the supported maximum {_MAX_NESTING}")
-            poly = self.expr()
-            self.depth -= 1
-            kind, val = self.next()
-            if (kind, val) != ("op", ")"):
-                raise ParseError(_SLASH_INSIDE if val == "/" else "missing closing parenthesis")
-            return poly
-        if kind == "op" and val == "/":
-            raise ParseError("'/' is not allowed here; only integer coefficients are supported")
-        if kind is None:
-            raise ParseError("expression ended unexpectedly")
-        raise ParseError(f"unexpected {val!r} in expression")
+    def group(self, i: int):
+        """(the sum in parentheses from tokens[i] on, the index past its ')')."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"parentheses nest deeper than the supported maximum {_MAX_NESTING}")
+        self.pos = i
+        poly = self.expr()
+        self.depth -= 1
+        tok = self.tokens[self.pos]
+        if tok != ")":
+            raise ParseError(_SLASH_INSIDE if tok == "/" else "missing closing parenthesis")
+        return poly, self.pos + 1
 
 
 def _budget(error=ParseError):

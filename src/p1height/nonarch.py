@@ -372,27 +372,31 @@ def _gcd_loop(forms, P: ProjectivePoint, modulus: int, top_power: int, terms: in
     make them full-size.  F and G are homogeneous of degree d, so a unit c
     scales both values by c^d: gcd(modulus, c^d F, c^d G) = gcd(modulus, F,
     G), and the next pair is again a unit multiple of the exact quotient
-    pair reduced, so the g-sequence is the same.
+    pair reduced, so the g-sequence is the same.  While d * bits(P) <=
+    bits(top_power), the first step is exact Horner at P itself, signs kept,
+    reduced once: reduced first, a negative coordinate is a full-size residue.
     """
-    x, y, live = P.x % top_power, P.y % top_power, top_power
     (f0, g0), *pairs = zip(*(f.coefficients for f in forms))
     size = len(pairs) * top_power.bit_length()
     horner = size <= _HORNER_MAX_BITS
+    exact = len(pairs) * max(abs(P.x), P.y).bit_length() <= top_power.bit_length()
+    x, y = (P.x, P.y) if exact else (P.x % top_power, P.y % top_power)
+    live = top_power
     if not horner:
         ev, extra = _form_evaluator(forms), _headroom(forms)
         chain = _reciprocals(top_power, modulus, terms, extra)
         scale = len(pairs) >= _SCALE_MIN_DEGREE and size >= _SCALE_MIN_BITS
     out: list[int] = []
     for e in range(terms, 0, -1):
-        if horner:
+        if not horner:
+            live, mu = next(chain)
+        if horner or exact and e == terms:
             fx, gy, yp = f0, g0, 1
             for a, b in pairs:
                 yp *= y
                 fx, gy = fx * x + a * yp, gy * x + b * yp
             fx, gy = fx % live, gy % live
-            live //= modulus
         else:
-            live, mu = next(chain)
             red = _reducer(live, mu, extra)
             if scale and e < terms:
                 x, y = _unit_chart(x, y, modulus, e, live, red)
@@ -402,6 +406,8 @@ def _gcd_loop(forms, P: ProjectivePoint, modulus: int, top_power: int, terms: in
         g = math.gcd(modulus, fx, gy)
         out.append(g)
         x, y = fx // g, gy // g
+        if horner:
+            live //= modulus
     return out
 
 
@@ -423,7 +429,7 @@ def nonarch_height(
     gcd(1, 0, 0) = 1, and the value and the tail are 0.  tail_bound bounds
     the discarded tail only: the roundings to nearest at bits of each
     logarithm (g rounded, then its log), its product by W_g, the sum and the
-    division are not charged to it or to error_bound yet (ROADMAP item 4).
+    division are not charged to it or to error_bound yet (ROADMAP item 3).
     """
     d = lift.degree
     bits = resolve_precision_bits(precision_bits, d, terms, lift.coeff_norm)

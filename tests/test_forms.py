@@ -907,15 +907,124 @@ def test_elimination_budget_keeps_the_fixtures(monkeypatch, case):
         parse_map(text)
 
 
+def _juxtaposed(form: BinaryForm) -> str:
+    """form in lower case, without '*' and with '**', as in -12x**3y**2 + 7xy - y**5."""
+    d, out = form.degree, ""
+    for i, c in enumerate(form.coefficients):
+        if c:
+            mono = "".join(v + (f"**{e}" if e > 1 else "") for v, e in (("x", d - i), ("y", i)) if e)
+            out += (" - " if c < 0 else " + ") + (str(abs(c)) if abs(c) != 1 or not mono else "") + mono
+    return out[1:] if out.startswith(" -") else out[3:]
+
+
+def _in_z(form: BinaryForm) -> str:
+    """form(z, 1) as a sum of c*z^k, zero coefficients left out."""
+    d = form.degree
+    return " + ".join(f"{c}*z^{d - i}" for i, c in enumerate(form.coefficients) if c)
+
+
 def test_parse_map_roundtrip_str():
+    # pairs of degrees 2 to 48 with zero, negative and multi-digit
+    # coefficients, each written as str() writes it, without '*' and with
+    # '**', and as the phi(z) form
     rng = random.Random(808)
-    for _ in range(10):
-        lift = random_lift(rng, rng.choice((2, 3)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            again = parse_map(f"F = {lift.F}; G = {lift.G}")
-        assert again.F.coefficients == lift.F.coefficients
-        assert again.G.coefficients == lift.G.coefficients
+    for d in (2, 3, 8, 13, 21, 34, 48):
+        F = G = BinaryForm((1,) + (0,) * d)
+        while not resultant(F, G):
+            F, G = (
+                BinaryForm((rng.choice((-1, 1)) * rng.randint(1, 999),) + tuple(
+                    rng.choice((0, rng.randint(-9, 9), rng.randint(-(10**6), 10**6))) for _ in range(d)
+                ))
+                for _ in range(2)
+            )
+        for text in (
+            f"F = {F}; G = {G}",
+            f"F = {_juxtaposed(F)}; G = {_juxtaposed(G)}",
+            f"phi(z) = ({_in_z(F)})/({_in_z(G)})",
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                again = parse_map(text)
+            assert (again.F, again.G) == (F, G)
+
+
+def _lead_nonzero_form(rng, d: int) -> BinaryForm:
+    while True:
+        coefficients = tuple(rng.randint(-9, 9) for _ in range(d + 1))
+        if coefficients[0]:
+            return BinaryForm(coefficients)
+
+
+def _maps_workload_texts(seed: int) -> list[str]:
+    """The map texts of perfbench's `maps` workload at `seed`: 60 pairs of
+    degrees 8 to 48 evenly, coefficients in [-9, 9], content 1 and a
+    resultant nonzero mod 2^61 - 1."""
+    rng = random.Random(seed)
+    degrees = [8 + 41 * k // 60 for k in range(60)]
+    rng.shuffle(degrees)
+    texts = []
+    for d in degrees:
+        while True:
+            F, G = _lead_nonzero_form(rng, d), _lead_nonzero_form(rng, d)
+            if math.gcd(*F.coefficients, *G.coefficients) == 1 and resultant(F, G) % (2**61 - 1):
+                break
+        texts.append(f"F = {F}; G = {G}")
+        rng.randint(-20, 20), rng.randint(1, 20)  # the job's point
+    return texts
+
+
+# the inputs of the budget tests above that parse_map can take in well under a second
+_BUDGET_TEST_TEXTS = (
+    "F = (X+Y+1)^4096; G = Y^4096",
+    "F = ((X+Y)^800)^5; G = Y^4000",
+    "F = (X+Y)^3*(X-Y)^2; G = Y^5",
+    "F = " + " + ".join(["(X+Y+1)^11"] * 8) + "; G = Y^11",
+    "F = " + " * ".join(["(3^4096)^16"] * 16) + "; G = Y^2",
+    "F = (3^4096)^256; G = Y^2",
+    f"F = ({'7' * 4000}*X + Y)^4096; G = Y^4096",
+    "F = (18446744073709551616*X + Y)^8; G = Y^8",
+    "F = (2*X)^72; G = Y^72",
+    "F = ((X+Y)^3000 - (X+Y)^3000 + X*Y)^2; G = X^4 + Y^4",
+    "F = 3X^2 + 2XY + Y^2 + 0*X^5*Y^2; G = XY",
+    "F = 4X^2 - (X^2 + Y^2) + 2XY + 2Y^2; G = XY",
+    "F = -3*-X^2*--Y + (-X)^3 - 2^3*X^0*Y^3; G = -(X - Y)^3",
+    "phi(z) = -z^2/(z+1)",
+    "phi(z) = (z^2100 - z^2100 + z^2 + 1)^2/(2*z)",
+    _random_pair_text(60, 700, 1),
+    _random_pair_text(20, 700, 1),
+    "F = (X+Y)^150; G = (X-2*Y)^150 + X^150",
+    "phi(z) = z^4096",
+    "F = X^2048 + Y^2048; G = X*Y^2047",
+)
+
+
+def test_parser_charges_the_pinned_work_on_maps_and_budget_inputs(monkeypatch):
+    # a run of single-term factors folds into one coefficient and key, and
+    # must charge what times(), _ppow and a negation charge for it, call by
+    # call; the pinned count and total are those of products, powers and
+    # negations each formed as a dict, so a fold that charges less fails
+    calls, budget = [], forms._budget
+
+    def recording_budget(error=ParseError):
+        charge = budget(error)
+
+        def record(*args):
+            calls.append(args)
+            charge(*args)
+
+        return record
+
+    texts = _maps_workload_texts(1) + list(_BUDGET_TEST_TEXTS)
+    monkeypatch.setattr(forms, "_budget", recording_budget)
+    _refuse_elimination(monkeypatch)
+    for text in texts:
+        with pytest.raises((_Eliminated, ParseError)):
+            parse_map(text)
+    total = sum(
+        n * (((a + 63) >> 6) * ((b + 63) >> 6) + (over[0] if over else forms._PRODUCT_COST))
+        for n, a, b, *over in calls
+    )
+    assert (len(calls), total) == (12895, 1570333175183)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

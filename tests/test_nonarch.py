@@ -482,6 +482,33 @@ def test_scaled_loop_holds_a_few_top_powers_at_most():
     assert peak <= 40 * top.bit_length() // 8
 
 
+def test_first_step_at_a_negative_point_hands_the_reducer_no_full_size_value(monkeypatch):
+    # ex1's point is [-5, 1]: reduced mod the top power first, -5 becomes a
+    # full-size residue, and the walk hands the reducer products near top^2;
+    # the first step evaluates F and G exactly at P instead, then reduces once
+    fx = load_fixture("ex1")
+    lift, P = fx.lift(), fx.point()
+    R, terms = abs(lift.resultant), 2
+    top = R**terms
+    assert P.x < 0 and lift.degree * top.bit_length() > nonarch._HORNER_MAX_BITS  # the walk
+    handed, original = {}, nonarch._reducer
+
+    def reducer(M, mu, extra):
+        red = original(M, mu, extra)
+
+        def spy(v):
+            handed[M] = max(handed.get(M, 0), v.bit_length())
+            return red(v)
+
+        return spy
+
+    monkeypatch.setattr(nonarch, "_reducer", reducer)
+    gs = _gcd_loop((lift.F, lift.G), P, R, top, terms)
+    assert handed.get(top, 0) < top.bit_length() // 2
+    assert handed[R] > R.bit_length()  # the second step's walk reduces through the spy
+    assert gs == exact_gcd_sequence(lift, P, terms)
+
+
 # ---------------------------------------------------------------------------
 # factored variant
 
