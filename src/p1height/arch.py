@@ -41,7 +41,7 @@ from mpmath.libmp import (
 from .forms import MapLift, ProjectivePoint
 from .numerics import resolve_precision_bits
 
-__all__ = ["ArchResult", "arch_height", "arch_step", "arch_step_bound"]
+__all__ = ["ArchResult", "arch_height"]
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class ArchResult:
     tail_bound: step_bound/((d-1) d^terms), plus the orbit's asserted
         budget terms * 2^(8 - precision_bits), plus the error of summing
         the norms (see arch_height).
-    step_bound: rigorous uniform bound on every |step_n| (arch_step_bound).
+    step_bound: rigorous uniform bound on every |step_n| (_step_bound).
     """
 
     value: mp.mpf
@@ -89,7 +89,7 @@ def _guard_bits(lift: MapLift) -> int:
     the floor of t', which moves the forms at the next pair by under
     d(d+1)*coeff_norm, a bound on |dF/ds| over |s| <= 1; in all under
     E = 2d(d+1)*coeff_norm.  With L = |Res|/(2d*cofactor_norm) <= ||Phi(u)||
-    (arch_step_bound's lower side), 2^guard > 4E/L, as a < 2^bitlen(a) and
+    (_step_bound's lower side), 2^guard > 4E/L, as a < 2^bitlen(a) and
     b >= 2^(bitlen(b)-1), so they are under 2^-(bits+2) of each norm.
     """
     d = lift.degree
@@ -148,32 +148,19 @@ def _sum_norms(norms, d: int, bits: int) -> mp.mpf:
     return mp.make_mpf(mpf_neg(mpf_div(log_b, from_int(dn), bits, rnd)))
 
 
-def arch_step(lift: MapLift, u) -> mp.mpf:
-    """One series step at a unit-sup-norm real pair: -log max(|F(u)|, |G(u)|).
-
-    The pair must already satisfy max(|u_x|, |u_y|) = 1 up to a few ulp at
-    the current working precision; scaling input is the caller's job, which
-    is what makes the step value readable without a norm correction.  The
-    step is _step's at p = prec + guard, on t = floor(2^p * other/dominant),
-    plus d*log|dominant| for the few ulp by which |dominant| misses 1.
-    """
-    prec = mp.mp.prec
-    ux, uy = mp.mpf(u[0]), mp.mpf(u[1])
-    if abs(max(abs(ux), abs(uy)) - 1) > mp.mpf(2) ** (4 - prec):
-        raise ValueError("arch_step needs sup norm 1; divide the pair by its sup norm first")
-    k, dom, other = (0, ux, uy) if abs(ux) >= abs(uy) else (1, uy, ux)
-    p = prec + _guard_bits(lift)
-    (dsign, dm, de, _), (osign, om, oe, _) = dom._mpf_, other._mpf_
-    dm, om = -dm if dsign else dm, -om if osign else om
-    # a shift below -(bits(om) + 1) leaves |quotient| < 1/2 and so its floor alone
-    s = max(p + oe - de, -om.bit_length() - 1)
-    t = (om << s) // dm if s >= 0 else om // (dm << -s)
-    _, _, m = _step(_chains(lift, p), k, t, p)
-    return -mp.log(mp.make_mpf(from_man_exp(m, -p))) - lift.degree * mp.log(abs(dom))
-
-
 def _step_bound(lift: MapLift, prec: int):
-    """arch_step_bound as a raw mpf at prec bits, each operation rounded to nearest."""
+    """Rigorous uniform bound on every series step |-log ||Phi(u)||| over
+    the unit-sup-norm real pairs u, as a raw mpf at prec bits, each
+    operation rounded to nearest.
+
+    Upper side: each form has at most d+1 monomials of size at most
+    coeff_norm on unit inputs, so ||Phi(u)|| <= (d+1)*coeff_norm.  Lower
+    side: the cofactor identity for the coordinate realizing the unit norm
+    gives |Res| <= 2d * cofactor_norm * ||Phi(u)||.  The bound is the larger
+    of log((d+1)*coeff_norm) and log(2d*cofactor_norm/|Res|), picked by
+    comparing exact integers so only one logarithm is taken, clamped below
+    at 0.
+    """
     d = lift.degree
     R = abs(lift.resultant)
     upper = (d + 1) * lift.coeff_norm
@@ -185,20 +172,6 @@ def _step_bound(lift: MapLift, prec: int):
         side = mpf_div(from_int(lower, prec, rnd), from_int(R), prec, rnd)
     log_side = mpf_log(side, prec, rnd)
     return fzero if mpf_lt(log_side, fzero) else log_side
-
-
-def arch_step_bound(lift: MapLift) -> mp.mpf:
-    """Rigorous uniform bound on |arch_step| over all unit-sup-norm pairs.
-
-    Upper side: each form has at most d+1 monomials of size at most
-    coeff_norm on unit inputs, so ||Phi(u)|| <= (d+1)*coeff_norm.  Lower
-    side: the cofactor identity for the coordinate realizing the unit norm
-    gives |Res| <= 2d * cofactor_norm * ||Phi(u)||.  The bound is the larger
-    of log((d+1)*coeff_norm) and log(2d*cofactor_norm/|Res|), picked by
-    comparing exact integers so only one logarithm is taken, clamped below
-    at 0.  Computed at the current working precision (_step_bound).
-    """
-    return mp.make_mpf(_step_bound(lift, mp.mp.prec))
 
 
 def arch_height(

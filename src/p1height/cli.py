@@ -32,8 +32,8 @@ from .forms import NotAMorphismError, ParseError, parse_map, parse_point
 from .height import BudgetExceededError, canonical_height, canonical_height_oracle
 from .nonarch import check_trial_bound, trial_division
 from .numerics import (
-    _ceil_decimal_string, check_run_parameters, decimal_digits, int_str_digits_limit,
-    to_decimal_string,
+    _ceil_decimal_string, _check_positive_int, check_run_parameters, decimal_digits,
+    int_str_digits_limit, to_decimal_string,
 )
 
 __all__ = ["JobSpec", "main", "run"]
@@ -90,8 +90,8 @@ def _execute(spec: JobSpec) -> str:
     check_run_parameters(spec.terms, spec.precision_bits)
     if spec.trial_bound is not None:
         check_trial_bound(spec.trial_bound)
-    if spec.oracle_n is not None and spec.oracle_n < 1:
-        raise ValueError(f"--oracle must be a positive integer, got {spec.oracle_n}")
+    if spec.oracle_n is not None:
+        _check_positive_int(spec.oracle_n, "--oracle")
     if spec.output_format not in ("text", "json"):
         raise ValueError("--format must be text or json")
 

@@ -34,9 +34,8 @@ from .nonarch import (  # noqa: F401
     PartialFactorization,
     nonarch_height,
     nonarch_height_factored,
-    trial_division,
 )
-from .numerics import _check_precision_bits, _log_int, resolve_precision_bits
+from .numerics import _check_positive_int, _check_precision_bits, _log_int, resolve_precision_bits
 
 __all__ = [
     "BudgetExceededError",
@@ -83,20 +82,17 @@ def canonical_height(
     P: ProjectivePoint,
     terms: int = 50,
     precision_bits: int | None = None,
-    factoring: PartialFactorization | int | None = None,
+    factoring: PartialFactorization | None = None,
 ) -> HeightBreakdown:
     """Canonical height of P under the lifted map, with an error bound that
     is not rigorous near a repelling fixed point (ROADMAP item 4).
 
     Both series run `terms` steps.  `factoring` picks the coprime parts of
     |Res| that the nonarchimedean gcd loop runs over: None runs it once
-    against |Res|; a PartialFactorization runs it per part; an integer B
-    first builds parts by trial division of |Res| up to B.  All three give
-    the same g-sequence and value.
+    against |Res|; a PartialFactorization, e.g. trial_division(|Res|, B),
+    runs it per part.  Both give the same g-sequence and value.
     """
     bits = resolve_precision_bits(precision_bits, lift.degree, terms, lift.coeff_norm)
-    if factoring is not None and not isinstance(factoring, PartialFactorization):
-        factoring = trial_division(abs(lift.resultant), int(factoring))
     na = nonarch_height(lift, P, terms, precision_bits=bits, parts=factoring)
     ar = arch_height(lift, P, terms, precision_bits=bits)
     naive = naive_height(P, bits)
@@ -131,8 +127,7 @@ def canonical_height_oracle(
     so they grow like d^n digits; each iterate is charged to the parser's
     work budget before it runs, and BudgetExceededError refuses it past that.
     """
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValueError("n_max must be a positive integer")
+    _check_positive_int(n_max, "n_max")
     _check_precision_bits(precision_bits)
     d = lift.degree
     x, y = P.x, P.y

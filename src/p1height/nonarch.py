@@ -72,7 +72,10 @@ class PartialFactorization:
     provenance: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.coprime_parts)
+        parts = tuple(self.coprime_parts)
+        for p in parts:
+            if not isinstance(p, int):
+                raise ValueError(f"parts must be ints, got {type(p).__name__}")
         prov = tuple(str(t) for t in self.provenance)
         if len(parts) != len(prov):
             raise ValueError("need exactly one provenance tag per part")
@@ -435,6 +438,8 @@ def nonarch_height(
     bits = resolve_precision_bits(precision_bits, d, terms, lift.coeff_norm)
     R = abs(lift.resultant)
     if parts is not None:
+        if not isinstance(parts, PartialFactorization):
+            raise TypeError(f"parts must be a PartialFactorization or None, got {type(parts).__name__}")
         parts.validate_for(R)
     gs = [1] * terms
     max_bits = 1

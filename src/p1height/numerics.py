@@ -2,13 +2,12 @@
 
 Every real number in the package is a raw libmp value at an explicit
 precision, rounded to nearest and made an mp.mpf once; _log_int is the one
-integer logarithm, and nothing opens a workprec scope.  Only arch.arch_step
-and arch.arch_step_bound read mpmath's context precision, as their contract
-says.  The default working precision below assumes that per-step errors
-grow by a factor of about d per term of the series, and it pays for the
-bit_length(coeff_norm) bits of the integer logarithms' integer parts.  Near
-a repelling fixed point the errors grow by its multiplier instead, so there
-the precision and the error bound fall short (ROADMAP item 4).
+integer logarithm.  Nothing opens a workprec scope or reads mpmath's context
+precision.  The default working precision below assumes that per-step
+errors grow by a factor of about d per term of the series, and it pays for
+the bit_length(coeff_norm) bits of the integer logarithms' integer parts.
+Near a repelling fixed point the errors grow by its multiplier instead, so
+there the precision and the error bound fall short (ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -46,11 +45,16 @@ def _check_precision_bits(precision_bits) -> None:
         raise ValueError(f"precision_bits must be an int of at least {MIN_PRECISION_BITS}")
 
 
+def _check_positive_int(value, name: str) -> None:
+    """Raise ValueError unless value is an int of at least 1; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def check_run_parameters(terms, precision_bits: int | None) -> None:
     """Raise ValueError unless terms is a positive int and precision_bits is
     None (the default precision) or an int of at least MIN_PRECISION_BITS."""
-    if not isinstance(terms, int) or terms < 1:
-        raise ValueError("terms must be a positive integer")
+    _check_positive_int(terms, "terms")
     if precision_bits is not None:
         _check_precision_bits(precision_bits)
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp, normalize, round_nearest
 
 from p1height import arch
-from p1height.arch import _round, _step, _sum_norms, arch_height, arch_step, arch_step_bound
+from p1height.arch import _chains, _round, _step, _step_bound, _sum_norms, arch_height
 from p1height.fixtures import load_fixture
 from p1height.forms import BinaryForm, CofactorIdentity, MapLift, ProjectivePoint, normalize_point
 from p1height.numerics import default_precision_bits
@@ -38,63 +38,26 @@ def _power_map(d):
 # single steps
 
 
-def test_arch_step_power_map_is_zero_at_unit_points():
+def _unit_step(lift, k, s, prec=128):
+    """_step at the unit pair (1, s) for k = 0 or (s, 1) for k = 1, s a
+    multiple of 2^-p, at p = prec + guard: (p, (k', t', m))."""
+    p = prec + arch._guard_bits(lift)
+    return p, _step(_chains(lift, p), k, int(s * (1 << p)), p)
+
+
+def test_step_power_map_is_zero_at_unit_points():
+    # X^2 and Y^2 at (1, 1/2) and (-1/4, 1): the norm is exactly 1
     lift = _power_map(2)
-    with mp.workprec(128):
-        assert arch_step(lift, (mp.mpf(1), mp.mpf("0.5"))) == mp.mpf(0)
-        assert arch_step(lift, (mp.mpf("-0.25"), mp.mpf(1))) == mp.mpf(0)
+    for k, s in ((0, Fraction(1, 2)), (1, Fraction(-1, 4))):
+        p, (_, _, m) = _unit_step(lift, k, s)
+        assert m == 1 << p
 
 
-def test_arch_step_known_value():
-    # X^2+Y^2 and XY at (1, 1) give max(2, 1) = 2
+def test_step_known_value():
+    # X^2+Y^2 and XY at (1, 1) give max(2, 1) = 2, and the next pair (1, 1/2)
     lift = _lift((1, 0, 1), (0, 1, 0))
-    with mp.workprec(128):
-        step = arch_step(lift, (mp.mpf(1), mp.mpf(1)))
-        assert abs(step + mp.log(2)) <= mp.mpf(2) ** -120
-
-
-def test_arch_step_rejects_unscaled_pairs():
-    lift = _power_map(2)
-    with mp.workprec(128):
-        for bad in ((2, 1), (0.5, 0.25), (0, 0)):
-            with pytest.raises(ValueError):
-                arch_step(lift, bad)
-
-
-def test_arch_step_reads_pairs_a_few_ulp_off_sup_norm_1():
-    # u = c*(1, s) with c = 1 - 2^-124, inside what arch_step allows at 128
-    # bits: it divides u by c and adds d*log|c| back, so the step is u's own,
-    # -2*log(c) = 2^-123 off the step at c = 1
-    with mp.workprec(128):
-        c = 1 - mp.mpf(2) ** -124
-        for f, g, s, step1 in (((1, 0, 0), (0, 0, 1), mp.mpf("0.5"), 0), ((1, 0, 1), (0, 1, 0), mp.mpf(1), -mp.log(2))):
-            for u in ((c, c * s), (-c * s, -c)):
-                assert abs(arch_step(_lift(f, g), u) - (step1 - 2 * mp.log(c))) <= mp.mpf(2) ** -126
-
-
-def test_arch_step_floors_a_coordinate_far_below_one_unit():
-    # t = floor(2^p * y) is 0 or -1 however far below 2^-p a coordinate y lies
-    lift = _power_map(2)
-    with mp.workprec(128):
-        for y in (mp.mpf(2) ** -10000, -mp.mpf(2) ** -10000, 3 * mp.mpf(2) ** -140, -3 * mp.mpf(2) ** -140):
-            _check_arch_step(lift, (mp.mpf(1), y))
-            _check_arch_step(lift, (y, mp.mpf(-1)))
-
-
-def test_arch_step_scale_invariance_through_prenormalized_pairs():
-    # (x, y)/||.|| and (cx, cy)/||.|| are the same reals, so the steps agree
-    # to rounding; this pins down that no hidden absolute scale enters
-    rng = random.Random(1401)
-    with mp.workprec(128):
-        for _ in range(20):
-            lift = random_lift(rng, 2)
-            x, y = rng.randint(-50, 50), rng.randint(1, 50)
-            c = rng.randint(2, 9)
-            n1 = max(abs(x), abs(y))
-            n2 = max(abs(c * x), abs(c * y))
-            s1 = arch_step(lift, (mp.mpf(x) / n1, mp.mpf(y) / n1))
-            s2 = arch_step(lift, (mp.mpf(c * x) / n2, mp.mpf(c * y) / n2))
-            assert abs(s1 - s2) <= mp.mpf(2) ** -100
+    p, out = _unit_step(lift, 0, 1)
+    assert out == (0, 1 << (p - 1), 2 << p)
 
 
 # ---------------------------------------------------------------------------
@@ -104,32 +67,30 @@ def test_arch_step_scale_invariance_through_prenormalized_pairs():
 def test_step_bound_power_map():
     # unit coefficients and resultant 1: the cofactor side gives log(2d),
     # which beats the triangle-inequality side log(d+1) for every d >= 2
-    lift = _power_map(3)
+    bound = mp.make_mpf(_step_bound(_power_map(3), 128))
     with mp.workprec(128):
-        bound = arch_step_bound(lift)
         assert abs(bound - mp.log(6)) <= mp.mpf(2) ** -100
 
 
 def test_step_bound_dominates_sampled_steps():
     rng = random.Random(1402)
-    with mp.workprec(128):
-        for _ in range(10):
-            lift = random_lift(rng, rng.choice((2, 3)))
-            bound = arch_step_bound(lift)
-            sup = mp.mpf(0)
+    for _ in range(10):
+        lift = random_lift(rng, rng.choice((2, 3)))
+        bound = mp.make_mpf(_step_bound(lift, 128))
+        p = 128 + arch._guard_bits(lift)
+        chains = _chains(lift, p)
+        sup = mp.mpf(0)
+        with mp.workprec(128):
             for _ in range(1000):
-                t = mp.mpf(rng.uniform(-1, 1))
-                u = (mp.mpf(1), t) if rng.random() < 0.5 else (t, mp.mpf(1))
-                sup = max(sup, abs(arch_step(lift, u)))
-            assert sup <= bound
+                _, _, m = _step(chains, rng.randrange(2), rng.randint(-(1 << p), 1 << p), p)
+                sup = max(sup, abs(mp.log(mp.ldexp(m, -p))))
+        assert sup <= bound
 
 
 def test_step_bound_finite_and_positive_on_small_fixture_analog():
-    lift = _lift((1, 1, 1), (1, 11, 2))
-    with mp.workprec(128):
-        bound = arch_step_bound(lift)
-        assert bound > 0
-        assert mp.isfinite(bound)
+    bound = mp.make_mpf(_step_bound(_lift((1, 1, 1), (1, 11, 2)), 128))
+    assert bound > 0
+    assert mp.isfinite(bound)
 
 
 # ---------------------------------------------------------------------------
@@ -174,21 +135,16 @@ def test_arch_height_validations():
 
 
 def test_steps_along_orbit_respect_bound():
-    # re-walk the renormalized orbit by hand and check every step against
-    # the uniform bound the series trusts for its tail
+    # every step of the series' own orbit against the uniform bound it
+    # trusts for its tail
     rng = random.Random(1405)
     for _ in range(5):
         lift = random_lift(rng, 2)
+        res, steps = _traced_steps(lambda: arch_height(lift, ProjectivePoint(3, 7), 25, precision_bits=192))
+        assert len(steps) == 25
         with mp.workprec(192):
-            bound = arch_step_bound(lift)
-            ux, uy = mp.mpf(3) / 7, mp.mpf(1)
-            for _ in range(25):
-                step = arch_step(lift, (ux, uy))
-                assert abs(step) <= bound
-                fa = ux * ux * lift.F.coefficients[0] + ux * uy * lift.F.coefficients[1] + uy * uy * lift.F.coefficients[2]
-                ga = ux * ux * lift.G.coefficients[0] + ux * uy * lift.G.coefficients[1] + uy * uy * lift.G.coefficients[2]
-                m = max(abs(fa), abs(ga))
-                ux, uy = fa / m, ga / m
+            for _, _, p, *_, (_, _, m) in steps:
+                assert abs(mp.log(mp.ldexp(m, -p))) <= res.step_bound
 
 
 def test_arch_series_tracks_large_coefficient_map():
@@ -265,12 +221,6 @@ def _series_cases(draw):
     terms = draw(st.integers(1, 12))
     t = draw(st.fractions(-1, 1, max_denominator=10**6))
     return f, g, normalize_point(x, y), prec, terms, t
-
-
-def _fraction(v):
-    """An mpf as the exact Fraction it holds."""
-    sign, man, exp, _ = mp.mpf(v)._mpf_
-    return Fraction(-man if sign else man) * Fraction(2) ** exp
 
 
 def _exact_forms(lift, k, t, p):
@@ -366,35 +316,21 @@ def _check_against_reference(lift, P, terms, bits, series=arch_height):
     return res, steps
 
 
-def _check_arch_step(lift, u):
-    """arch_step(lift, u) at the current precision runs one _step from the
-    floor quotient of u's exact coordinates, which passes _check_step and is
-    bit for bit the mpf-operator loop's, and returns
-    -log(m * 2^-p) - d*log|dominant|."""
-    value, (step,) = _traced_steps(lambda: arch_step(lift, u))
-    k, t, p, *_, out = step
-    x, y = (_fraction(v) for v in u)
-    k0 = 0 if abs(x) >= abs(y) else 1
-    assert (k, t) == (k0, _floor_ratio(y, x, p) if k0 == 0 else _floor_ratio(x, y, p))
-    _check_step(lift, step)
-    assert [(k, t, *step[3:])] == reference_fixed_point_orbit(lift, *reference_unit_pair(*u, p), 1, p)
-    if value is not None:
-        expected = -mp.log(mp.ldexp(mp.mpf(out[2]), -p)) - lift.degree * mp.log(abs(mp.mpf(u[k])))
-        assert abs(value - expected) <= (1 + abs(value)) * mp.mpf(2) ** (4 - mp.mp.prec)
-
-
 # no shrinking: a broken kernel fails in seconds, not minutes of minimizing
 @settings(max_examples=200, deadline=None, derandomize=True, database=None, phases=[Phase.explicit, Phase.generate])
 @given(_series_cases())
 def test_raw_kernel_is_bit_identical_to_the_mpf_operator_loop(case):
     f, g, P, prec, terms, t = case
     lift = _unchecked_lift(BinaryForm(tuple(f)), BinaryForm(tuple(g)))
-    _check_against_reference(lift, P, terms, prec)
-    with mp.workprec(prec):
-        scale = mp.mpf(max(abs(P.x), abs(P.y)))
-        tm = mp.mpf(t.numerator) / t.denominator
-        for u in ((mp.mpf(P.x) / scale, mp.mpf(P.y) / scale), (mp.mpf(1), tm), (-tm, mp.mpf(-1))):
-            _check_arch_step(lift, u)
+    _, steps = _check_against_reference(lift, P, terms, prec)
+    # one step off the orbit, at the unit pairs (1, t) and (t, 1)
+    p = steps[0][2]
+    chains = _chains(lift, p)
+    t = math.floor(t * 2**p)
+    for k in (0, 1):
+        _, (step,) = _traced_steps(lambda: _step(chains, k, t, p))
+        _check_step(lift, step)
+        assert [(k, t, *step[3:])] == reference_fixed_point_orbit(lift, k, mp.ldexp(t, -p), 1, p)
 
 
 def _series_case(case):
@@ -495,7 +431,7 @@ def test_step_shortcuts_are_bit_identical_to_the_mpf_operator_loop(f, g, prec):
     # the floors do: each step must pass _check_step and be the loop's
     lift = _unchecked_lift(BinaryForm(f), BinaryForm(g))
     p = prec + arch._guard_bits(lift)
-    chains = arch._chains(lift, p)
+    chains = _chains(lift, p)
     rng = random.Random(1702)
     ts = [1 << p, -(1 << p), 0, 1 << (p - 1), -(1 << (p - 1)), 1 << (p - 5), -(1 << (p - 5))]
     ts += [rng.randint(-(1 << p), 1 << p) for _ in range(20)]

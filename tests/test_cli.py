@@ -310,6 +310,25 @@ def test_invalid_oracle_exits_2_before_any_series(capsys, monkeypatch, n):
     assert "--oracle" in err
 
 
+def test_a_count_is_an_int_and_not_a_bool(monkeypatch):
+    # True is an int in Python, but not one term or one oracle iterate; a
+    # str --oracle must exit 2 too, not escape cli.run as a TypeError
+    def fail(*args, **kwargs):
+        raise AssertionError("canonical_height ran before the counts were checked")
+
+    monkeypatch.setattr(cli, "canonical_height", fail)
+    job = dict(map_text="phi(z) = z^2 - 3", point_text="5/3", output_format="json")
+    for field, name, value in (("terms", "terms", True), ("oracle_n", "--oracle", True), ("oracle_n", "--oracle", "3")):
+        code, report = cli.run(JobSpec(**job, **{field: value}))
+        assert code == 2 and f"{name} must be a positive integer" in report
+    monkeypatch.undo()
+    fx = load_fixture("ex4")
+    with pytest.raises(ValueError, match="terms"):
+        canonical_height(fx.lift(), fx.point(), terms=True)
+    with pytest.raises(ValueError, match="n_max"):
+        canonical_height_oracle(fx.lift(), fx.point(), n_max=True)
+
+
 @pytest.mark.parametrize("bound", ["1", "-3", "100000000"])
 @pytest.mark.parametrize("map_text", ["phi(z) = z^2", "phi(z) = (3*z^2 + 1)/(2*z)"])
 def test_invalid_trial_bound_exits_2_before_parsing(capsys, monkeypatch, map_text, bound):
@@ -564,6 +583,30 @@ def test_the_oracle_and_the_identity_check_open_no_workprec_scope(refuse_workpre
     fx = load_fixture("ex2")
     assert len(canonical_height_oracle(fx.lift(), fx.point(), 3, precision_bits=100)) == 4
     assert height_identity_check(fx.lift(), fx.point()) < mp.mpf("1e-25")
+
+
+def test_results_do_not_depend_on_the_context_precision():
+    # every real is rounded at the job's own precision, so a caller's
+    # workprec scope changes no report byte and no mpf bit
+    fx = load_fixture("ex3")
+    specs = [
+        JobSpec(fixture=fid, terms=20, oracle_n=3, emit_g_sequence=True, output_format=fmt)
+        for fid in ("ex2", "ex4")
+        for fmt in ("text", "json")
+    ]
+    runs = []
+    for prec in (20, 53, 3000):
+        reports = []
+        with mp.workprec(prec):
+            for spec in specs:
+                code, report = cli.run(spec)
+                assert code == 0, report
+                reports.append(re.sub(r"elapsed.*", "", report))
+            bd = canonical_height(fx.lift(), fx.point(), terms=20)
+        values = (bd.naive, bd.canonical, bd.error_bound, bd.nonarch.value, bd.nonarch.tail_bound)
+        values += (bd.arch.value, bd.arch.tail_bound, bd.arch.step_bound)
+        runs.append((reports, [v._mpf_ for v in values]))
+    assert runs[0] == runs[1] == runs[2]
 
 
 # ---------------------------------------------------------------------------

@@ -329,17 +329,29 @@ def test_factoring_policies_agree():
     lift = _lift((3, 1, 1), (1, 4, 2))
     P = ProjectivePoint(5, 2)
     plain = canonical_height(lift, P, terms=12)
-    by_bound = canonical_height(lift, P, terms=12, factoring=1000)
     parts = trial_division(abs(lift.resultant), 1000)
     by_parts = canonical_height(lift, P, terms=12, factoring=parts)
-    assert plain.canonical == by_bound.canonical == by_parts.canonical
-    assert plain.nonarch.gcd_sequence == by_bound.nonarch.gcd_sequence
-    assert by_bound.nonarch.modulus_bits <= plain.nonarch.modulus_bits
+    assert plain.canonical == by_parts.canonical
+    assert plain.nonarch.gcd_sequence == by_parts.nonarch.gcd_sequence
+    assert by_parts.nonarch.modulus_bits <= plain.nonarch.modulus_bits
 
 
 def test_factoring_ignored_for_unit_resultant():
-    bd = canonical_height(_power_map(2), ProjectivePoint(3, 2), terms=10, factoring=1000)
+    lift = _power_map(2)
+    parts = trial_division(abs(lift.resultant), 1000)
+    bd = canonical_height(lift, ProjectivePoint(3, 2), terms=10, factoring=parts)
     assert bd.nonarch.modulus_bits == 1
+
+
+def test_factoring_refuses_anything_but_parts():
+    # a trial-division bound is not a factoring: build the parts with trial_division
+    lift = _lift((3, 1, 1), (1, 4, 2))
+    P = ProjectivePoint(5, 2)
+    for bad in (1000, 1000.7, (abs(lift.resultant),)):
+        with pytest.raises(TypeError, match="PartialFactorization"):
+            canonical_height(lift, P, terms=12, factoring=bad)
+        with pytest.raises(TypeError, match="PartialFactorization"):
+            nonarch_height(lift, P, 12, parts=bad)
 
 
 def test_precision_is_checked_before_any_layer_runs(monkeypatch):

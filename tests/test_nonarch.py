@@ -282,6 +282,10 @@ def test_partial_factorization_validation():
         PartialFactorization((2, 1), ("user", "user"))
     with pytest.raises(ValueError):
         PartialFactorization((2, 3), ("user",))
+    # parts are taken as given, never converted: 2.9 is not 2, nor "3" 3
+    for parts in ((2.9, "3"), (47.0,), ([2], 3), (2, "3")):
+        with pytest.raises(ValueError, match="parts must be ints"):
+            PartialFactorization(parts, ("user",) * len(parts))
     pf = PartialFactorization((2, 4), ("user", "user"))
     with pytest.raises(ValueError, match="coprime"):
         pf.validate_for(8)
