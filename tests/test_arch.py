@@ -147,6 +147,28 @@ def test_steps_along_orbit_respect_bound():
                 assert abs(mp.log(mp.ldexp(m, -p))) <= res.step_bound
 
 
+def test_arch_height_reports_the_step_bound_it_charges():
+    # the bound in the result is _step_bound's own, bit for bit, at the
+    # precision the series ran at
+    rng = random.Random(1406)
+    for _ in range(5):
+        lift = random_lift(rng, rng.choice((2, 3)))
+        res = arch_height(lift, random_point(rng, bound=30), 10, precision_bits=160)
+        assert res.step_bound == mp.make_mpf(_step_bound(lift, res.precision_bits))
+
+
+def test_series_floors_a_coordinate_far_below_one_unit():
+    # the first t = floor(2^p * y/x) is 0 or -1 however far below 2^-p the
+    # smaller coordinate lies, and the orbit from it is the reference loop's
+    lift = _power_map(2)
+    big = 1 << 10000
+    for x, y in ((big, 1), (-big, 1), (1, big), (-1, big), (1 << 140, 3), (-(1 << 140), 3), (3, 1 << 140), (-3, 1 << 140)):
+        res, steps = _check_against_reference(lift, ProjectivePoint(x, y), 3, 128)
+        if abs(x) == big or abs(y) == big:
+            assert steps[0][1] == (0 if x > 0 else -1)
+        assert res.value == mp.mpf(0)
+
+
 def test_arch_series_tracks_large_coefficient_map():
     # aX^2+Y^2 over XY at (a, 1): the first step is -log a + O(a^-3), and the
     # series value stays within the rigorous tail of -log(a)/2 - log(a)/4 - ...
