@@ -30,7 +30,8 @@ from functools import partial
 from .fixtures import fixture_ids, load_fixture
 from .forms import NotAMorphismError, ParseError, parse_map, parse_point
 from .height import BudgetExceededError, canonical_height, canonical_height_oracle
-from .nonarch import check_trial_bound, trial_division
+# trial_division is unused here; perfbench/spans.py wraps it in this module
+from .nonarch import trial_division  # noqa: F401
 from .numerics import (
     _ceil_decimal_string, _check_positive_int, check_run_parameters, decimal_digits,
     int_str_digits_limit, to_decimal_string,
@@ -51,8 +52,7 @@ _TEXT_DIGITS = 32
 class JobSpec:
     """One CLI job: exactly one map source, a point, and the run options.
 
-    The fields are the argparse dests of the CLI options; trial_bound None
-    (--no-factor) runs the single-modulus loop without splitting |Res|.
+    The fields are the argparse dests of the CLI options.
     """
 
     map_text: str | None = None
@@ -61,7 +61,6 @@ class JobSpec:
     point_text: str | None = None
     terms: int = 50
     precision_bits: int | None = None
-    trial_bound: int | None = 100_000
     emit_g_sequence: bool = False
     oracle_n: int | None = None
     output_format: str = "text"
@@ -88,8 +87,6 @@ def _execute(spec: JobSpec) -> str:
     if len(sources) != 1:
         raise ValueError("exactly one of --map, --map-file, or --fixture is required")
     check_run_parameters(spec.terms, spec.precision_bits)
-    if spec.trial_bound is not None:
-        check_trial_bound(spec.trial_bound)
     if spec.oracle_n is not None:
         _check_positive_int(spec.oracle_n, "--oracle")
     if spec.output_format not in ("text", "json"):
@@ -115,12 +112,7 @@ def _execute(spec: JobSpec) -> str:
         point = parse_point(spec.point_text)
     _check_int_str_digits(lift, point)
 
-    parts = None
-    if spec.trial_bound is not None and abs(lift.resultant) > 1:
-        parts = trial_division(abs(lift.resultant), spec.trial_bound)
-    breakdown = canonical_height(
-        lift, point, terms=spec.terms, precision_bits=spec.precision_bits, factoring=parts
-    )
+    breakdown = canonical_height(lift, point, terms=spec.terms, precision_bits=spec.precision_bits)
     oracle_seq = None
     if spec.oracle_n is not None:
         oracle_seq = canonical_height_oracle(
@@ -128,7 +120,7 @@ def _execute(spec: JobSpec) -> str:
         )
     elapsed = time.perf_counter() - started
 
-    job = (spec, lift, point, parts, breakdown, oracle_seq, elapsed)
+    job = (spec, lift, point, breakdown, oracle_seq, elapsed)
     if spec.output_format == "json":
         return json.dumps(_document(*job), indent=2)
     return _render_text(*job)
@@ -136,7 +128,7 @@ def _execute(spec: JobSpec) -> str:
 
 def _check_int_str_digits(lift, point) -> None:
     """Raise BudgetExceededError when an integer the report prints in decimal
-    (a part of |Res|, coeff_norm, a coordinate) may pass Python's int<->str limit."""
+    (|Res|, coeff_norm, a coordinate) may pass Python's int<->str limit."""
     limit = int_str_digits_limit()
     digits = max(decimal_digits(n) for n in (lift.resultant, lift.coeff_norm, point.x, point.y))
     if limit is not None and digits > limit:
@@ -152,8 +144,9 @@ def _short_int(n: int) -> str:
     return s if len(s) <= 12 else f"{s[0]}.{s[1:4]}e+{len(s) - 1}"
 
 
-def _document(spec, lift, point, parts, breakdown, oracle_seq, elapsed) -> dict:
+def _document(spec, lift, point, breakdown, oracle_seq, elapsed) -> dict:
     bits, na, ar = breakdown.precision_bits, breakdown.nonarch, breakdown.arch
+    R = abs(lift.resultant)
     dec = partial(to_decimal_string, precision_bits=bits)
     doc: dict = {
         "map": {
@@ -178,12 +171,10 @@ def _document(spec, lift, point, parts, breakdown, oracle_seq, elapsed) -> dict:
         },
         "canonical_height": dec(breakdown.canonical),
         "error_bound": dec(breakdown.error_bound),
-        "factoring": None if parts is None else {
-            "trial_bound": spec.trial_bound,
-            "parts": [
-                {"decimal": str(p), "bits": p.bit_length(), "provenance": tag}
-                for p, tag in zip(parts.coprime_parts, parts.provenance)
-            ],
+        # the one part the gcd loop ran against, |Res| unsplit; readers that
+        # multiply the parts back into |Res| keep working
+        "factoring": None if R == 1 else {
+            "parts": [{"decimal": str(R), "bits": R.bit_length(), "provenance": "cofactor"}],
         },
         "elapsed_seconds": f"{elapsed:.3f}",
     }
@@ -194,7 +185,7 @@ def _document(spec, lift, point, parts, breakdown, oracle_seq, elapsed) -> dict:
     return doc
 
 
-def _render_text(spec, lift, point, parts, breakdown, oracle_seq, elapsed) -> str:
+def _render_text(spec, lift, point, breakdown, oracle_seq, elapsed) -> str:
     """The text report, from the job's values: as many significant digits as the
     precision supports, up to _TEXT_DIGITS, and bounds rounded up to 3 digits, so
     none prints below the bound computed; the JSON report carries every digit."""
@@ -208,13 +199,6 @@ def _render_text(spec, lift, point, parts, breakdown, oracle_seq, elapsed) -> st
         f"point: {pt if len(pt) <= 64 else pt[:60] + '...]'}",
         f"run: {na.terms} nonarch terms, {ar.terms} arch terms, precision {bits} bits",
     ]
-    if parts is None:
-        lines.append("factoring: off (single-modulus loop)")
-    else:
-        rendered = ", ".join(
-            f"{_short_int(p)} ({tag})" for p, tag in zip(parts.coprime_parts, parts.provenance)
-        )
-        lines.append(f"factoring: trial division up to {spec.trial_bound}; parts: {rendered}")
     lines += [
         "",
         f"naive height     = {short(breakdown.naive)}",
@@ -294,20 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="BITS",
         help="working precision; the default grows with terms, degree, and coefficient size",
-    )
-    split = parser.add_mutually_exclusive_group()
-    split.add_argument(
-        "--trial-bound",
-        type=int,
-        metavar="B",
-        help="trial-division bound for splitting the resultant (default %(default)s)",
-    )
-    split.add_argument(
-        "--no-factor",
-        dest="trial_bound",
-        action="store_const",
-        const=None,
-        help="skip trial division and run the single-modulus loop",
     )
     parser.add_argument(
         "--emit-g-sequence", action="store_true", help="include the per-step gcd values in the report"

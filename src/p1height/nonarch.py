@@ -9,8 +9,9 @@ every working integer below R^N.  R is never factored.  Each step
 evaluates F and G by exact Horner when small, else by one Paterson-Stockmeyer
 walk reduced by Barrett's method on large moduli; this module holds them all.
 On large moduli of degree d >= 12 a walk step first scales the pair by a unit
-mod R so that one coordinate is 1: the values scale by that unit's d-th
-power, which leaves every g_i as it is and removes most full-size products.
+mod R so that one coordinate is 1, evaluating the reversed forms when that is
+X: the values scale by that unit's d-th power, which leaves every g_i as it
+is and removes most full-size products.
 
 When some coprime splitting of R is known anyway (say, small prime powers
 from trial division), the same loop runs once per part on much smaller
@@ -60,12 +61,16 @@ class NonArchResult:
     precision_bits: int
 
 
+_PROVENANCE = ("prime-power", "cofactor", "user")
+
+
 @dataclass(frozen=True)
 class PartialFactorization:
     """Pairwise-coprime parts, each > 1, of some positive modulus.
 
     provenance[i] records how part i was obtained: "prime-power" (trial
-    division), "cofactor" (the unfactored remainder), or "user".
+    division), "cofactor" (the unfactored remainder), or "user".  Any other
+    tag is refused, as is a part that is not an int; neither is converted.
     """
 
     coprime_parts: tuple[int, ...]
@@ -76,7 +81,10 @@ class PartialFactorization:
         for p in parts:
             if not isinstance(p, int):
                 raise ValueError(f"parts must be ints, got {type(p).__name__}")
-        prov = tuple(str(t) for t in self.provenance)
+        prov = tuple(self.provenance)
+        for t in prov:
+            if t not in _PROVENANCE:
+                raise ValueError(f"provenance tags must be one of {', '.join(_PROVENANCE)}, got {t!r}")
         if len(parts) != len(prov):
             raise ValueError("need exactly one provenance tag per part")
         if any(p <= 1 for p in parts):
@@ -98,12 +106,6 @@ class PartialFactorization:
 
 _SIEVE_CAP = 10_000_000
 _BLOCK = 256  # primes per gcd in trial_division
-
-
-def check_trial_bound(bound: int) -> None:
-    """Raise ValueError unless bound is a trial-division bound this module supports."""
-    if not 2 <= bound <= _SIEVE_CAP:
-        raise ValueError(f"the trial-division bound must be from 2 to {_SIEVE_CAP}, got {bound}")
 
 
 @lru_cache(maxsize=8)
@@ -132,7 +134,8 @@ def trial_division(R: int, bound: int = 100_000) -> PartialFactorization:
     """
     if R < 1:
         raise ValueError("trial division needs an integer >= 1")
-    check_trial_bound(bound)
+    if not 2 <= bound <= _SIEVE_CAP:
+        raise ValueError(f"the trial-division bound must be from 2 to {_SIEVE_CAP}, got {bound}")
     parts: list[int] = []
     prov: list[str] = []
     rest = R
@@ -327,16 +330,20 @@ def _reducer(M: int, mu: int | None, extra: int):
     return red
 
 
-def _unit_chart(x: int, y: int, modulus: int, e: int, live: int, red) -> tuple[int, int]:
-    """A unit multiple of the pair (x, y) mod live = modulus^e with one coordinate 1.
+def _unit_chart(x: int, y: int, modulus: int, e: int, live: int, red) -> tuple[int, int, bool]:
+    """A unit multiple of the pair (x, y) mod live = modulus^e in the chart Y = 1,
+    as (w, 1, flip): the values of F and G there are those of the reversed forms
+    at (w, 1) when flip is set, else of F and G themselves.
 
-    That is (x/y, 1) when y is a unit mod modulus, else (1, y/x) when x is,
-    else the pair itself.  The inverse starts as u^-1 mod modulus and is
-    lifted by Newton steps z <- z(2 - u z) mod modulus^k at k = ...,
-    ceil(e/2), e; only the O(log e) powers and residues of u on that chain
-    are held.  red(v) = v % live for every |v| < live^2, as _reducer's is.
+    That is (x/y, 1, False) when y is a unit mod modulus, else (y/x, 1, True)
+    when x is: F(1, y/x) = F^rev(y/x, 1), with F^rev(X, Y) = F(Y, X).  When
+    neither is a unit it is the pair itself, (x, y, False).  The inverse
+    starts as u^-1 mod modulus and is lifted by Newton steps z <- z(2 - u z)
+    mod modulus^k at k = ..., ceil(e/2), e; only the O(log e) powers and
+    residues of u on that chain are held.  red(v) = v % live for every
+    |v| < live^2, as _reducer's is.
     """
-    for u, v, swap in ((y, x, False), (x, y, True)):
+    for u, v, flip in ((y, x, False), (x, y, True)):
         try:
             z = pow(u % modulus, -1, modulus)
         except ValueError:  # u shares a factor with modulus
@@ -351,9 +358,8 @@ def _unit_chart(x: int, y: int, modulus: int, e: int, live: int, red) -> tuple[i
             reduce = M.__rmod__
         for u, reduce in reversed(levels):
             z = reduce(z * (2 - reduce(u * z)))
-        w = red(v % live * z)
-        return (1, w) if swap else (w, 1)
-    return x, y
+        return red(v % live * z), 1, flip
+    return x, y, False
 
 
 def _gcd_loop(forms, P: ProjectivePoint, modulus: int, top_power: int, terms: int) -> list[int]:
@@ -369,15 +375,18 @@ def _gcd_loop(forms, P: ProjectivePoint, modulus: int, top_power: int, terms: in
     value reduced.  Larger ones run the Paterson-Stockmeyer walk, whose plan
     is built only then.  From degree _SCALE_MIN_DEGREE and d * bits(top_power)
     >= _SCALE_MIN_BITS every walk step after the first scales the pair by a
-    unit mod the modulus so that one coordinate is 1 (_unit_chart), and the
-    walk's products by that coordinate's powers cost linear time.  The first
-    step keeps P, whose coordinates are usually small, and a chart would
-    make them full-size.  F and G are homogeneous of degree d, so a unit c
-    scales both values by c^d: gcd(modulus, c^d F, c^d G) = gcd(modulus, F,
-    G), and the next pair is again a unit multiple of the exact quotient
-    pair reduced, so the g-sequence is the same.  While d * bits(P) <=
-    bits(top_power), the first step is exact Horner at P itself, signs kept,
-    reduced once: reduced first, a negative coordinate is a full-size residue.
+    unit mod the modulus so that its Y coordinate is 1 (_unit_chart), and the
+    walk's products by the powers of Y cost linear time.  A pair whose X
+    coordinate is the unit becomes (1, w), which the reversed forms evaluate
+    at (w, 1), by a second plan built once, so both charts cost the same and
+    give the same residues.  The first step keeps P, whose coordinates are
+    usually small, and a chart would make them full-size.  F and G are
+    homogeneous of degree d, so a unit c scales both values by c^d:
+    gcd(modulus, c^d F, c^d G) = gcd(modulus, F, G), and the next pair is
+    again a unit multiple of the exact quotient pair reduced, so the
+    g-sequence is the same.  While d * bits(P) <= bits(top_power), the first
+    step is exact Horner at P itself, signs kept, reduced once: reduced
+    first, a negative coordinate is a full-size residue.
     """
     (f0, g0), *pairs = zip(*(f.coefficients for f in forms))
     size = len(pairs) * top_power.bit_length()
@@ -386,9 +395,13 @@ def _gcd_loop(forms, P: ProjectivePoint, modulus: int, top_power: int, terms: in
     x, y = (P.x, P.y) if exact else (P.x % top_power, P.y % top_power)
     live = top_power
     if not horner:
-        ev, extra = _form_evaluator(forms), _headroom(forms)
+        extra = _headroom(forms)
         chain = _reciprocals(top_power, modulus, terms, extra)
         scale = len(pairs) >= _SCALE_MIN_DEGREE and size >= _SCALE_MIN_BITS
+        # plans[flip]: the forms, and when charts are on the reversed forms too
+        plans = [_form_evaluator(forms)]
+        if scale:
+            plans.append(_form_evaluator(tuple(BinaryForm(f.coefficients[::-1]) for f in forms)))
     out: list[int] = []
     for e in range(terms, 0, -1):
         if not horner:
@@ -401,9 +414,10 @@ def _gcd_loop(forms, P: ProjectivePoint, modulus: int, top_power: int, terms: in
             fx, gy = fx % live, gy % live
         else:
             red = _reducer(live, mu, extra)
+            flip = False
             if scale and e < terms:
-                x, y = _unit_chart(x, y, modulus, e, live, red)
-            fx, gy = ev(x, y, live, red)
+                x, y, flip = _unit_chart(x, y, modulus, e, live, red)
+            fx, gy = plans[flip](x, y, live, red)
         # modulus first: math.gcd folds left to right, and reducing each
         # full-size residue against the modulus is the cheap first step
         g = math.gcd(modulus, fx, gy)

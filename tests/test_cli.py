@@ -70,38 +70,21 @@ def test_json_report_round_trips(capsys):
     assert isinstance(doc["precision_bits"], int)
 
 
-def test_composite_resultant_parts_render(capsys):
+def test_composite_resultant_is_one_unsplit_part(capsys):
+    # Res = 2 * 3 * 5^2 is not split: the gcd loop runs against |Res| itself,
+    # and the JSON factoring field carries it as its one part
     code, out, _ = run_cli(
         capsys, "--map", "F = 2X^2 + 3Y^2; G = 5XY", "--point", "2", "--terms", "6",
         "--format", "json",
     )
     assert code == 0
     doc = json.loads(out)
-    parts = doc["factoring"]["parts"]
-    assert [(p["decimal"], p["provenance"]) for p in parts] == [
-        ("2", "prime-power"),
-        ("3", "prime-power"),
-        ("25", "prime-power"),
-    ]
-    assert doc["factoring"]["trial_bound"] == 100000
+    assert doc["factoring"] == {"parts": [{"decimal": "150", "bits": 8, "provenance": "cofactor"}]}
+    assert doc["nonarch"]["modulus_bits"] == (150**6).bit_length()
 
 
-def test_no_factor_matches_default(capsys):
-    args = ["--map", "F = 2X^2 + 3Y^2; G = 5XY", "--point", "2", "--terms", "8",
-            "--format", "json"]
-    code1, out1, _ = run_cli(capsys, *args)
-    code2, out2, _ = run_cli(capsys, *args, "--no-factor")
-    assert code1 == code2 == 0
-    d1, d2 = json.loads(out1), json.loads(out2)
-    assert d1["canonical_height"] == d2["canonical_height"]
-    assert d1["nonarch"]["value"] == d2["nonarch"]["value"]
-    assert d1["factoring"] is not None
-    assert d2["factoring"] is None
-    assert d2["nonarch"]["modulus_bits"] >= d1["nonarch"]["modulus_bits"]
-
-
-def test_point_at_infinity_through_the_split_loop(capsys):
-    # [1, 0] is fixed, and every g_i is 3, a proper part of Res = 12
+def test_point_at_infinity_through_the_gcd_loop(capsys):
+    # [1, 0] is fixed, and every g_i is 3, a proper divisor of Res = 12
     code, out, _ = run_cli(
         capsys, "--map", "phi(z) = (3*z^2 + 1)/(2*z)", "--point", "[-4, 0]", "--terms", "12",
         "--emit-g-sequence", "--format", "json",
@@ -109,7 +92,7 @@ def test_point_at_infinity_through_the_split_loop(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["point"] == "[1, 0]"
-    assert [p["decimal"] for p in doc["factoring"]["parts"]] == ["4", "3"]
+    assert [p["decimal"] for p in doc["factoring"]["parts"]] == ["12"]
     assert doc["nonarch"]["gcd_sequence"] == ["3"] * 12
     with mp.workprec(doc["precision_bits"]):
         assert abs(mp.mpf(doc["canonical_height"])) <= mp.mpf(doc["error_bound"])
@@ -196,6 +179,14 @@ def test_rsa_fixture_g_sequence(capsys):
     assert all(g == "1" for g in seq[2:])
 
 
+def test_ex1_working_modulus_is_the_catalogs(capsys):
+    # the gcd loop runs against |Res| itself, whose 50th power is the catalog's modulus
+    code, out, _ = run_cli(capsys, "--fixture", "ex1", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert f"{doc['nonarch']['modulus_bits']} bits" == dict(load_fixture("ex1").expected)["working modulus"]
+
+
 def test_periodic_fixture_reference_values(capsys):
     code, out, _ = run_cli(capsys, "--fixture", "ex2", "--format", "json")
     assert code == 0
@@ -235,7 +226,9 @@ def test_list_fixtures_json(capsys):
         ("--fixture", "nope"),
         ("--map", "phi(z) = z^2", "--point", "1", "--terms", "0"),
         ("--map", "phi(z) = z^2", "--point", "1", "--precision", "32"),
-        ("--map", "phi(z) = z^2", "--point", "1", "--trial-bound", "5", "--no-factor"),
+        # the CLI never splits |Res|, so there are no trial-division options
+        ("--map", "phi(z) = z^2", "--point", "1", "--trial-bound", "5"),
+        ("--map", "phi(z) = z^2", "--point", "1", "--no-factor"),
         ("--map", "F = (X+Y+1)^4096; G = Y^4096", "--point", "1"),  # a power over the budget
     ],
 )
@@ -327,20 +320,6 @@ def test_a_count_is_an_int_and_not_a_bool(monkeypatch):
         canonical_height(fx.lift(), fx.point(), terms=True)
     with pytest.raises(ValueError, match="n_max"):
         canonical_height_oracle(fx.lift(), fx.point(), n_max=True)
-
-
-@pytest.mark.parametrize("bound", ["1", "-3", "100000000"])
-@pytest.mark.parametrize("map_text", ["phi(z) = z^2", "phi(z) = (3*z^2 + 1)/(2*z)"])
-def test_invalid_trial_bound_exits_2_before_parsing(capsys, monkeypatch, map_text, bound):
-    # |Res| is 1 for z^2, which trial division never sees, and 12 for the other
-    def fail(*args, **kwargs):
-        raise AssertionError("parse_map ran before --trial-bound was checked")
-
-    monkeypatch.setattr(cli, "parse_map", fail)
-    code, out, err = run_cli(capsys, "--map", map_text, "--point", "2", "--trial-bound", bound)
-    assert code == 2
-    assert out == ""
-    assert "trial-division bound" in err
 
 
 def test_hostile_sum_exits_2(capsys):
@@ -465,7 +444,6 @@ _FUZZ_POINTS = (
     terms=st.integers(0, 8),
     precision_bits=st.one_of(st.sampled_from((None, 10)), st.integers(64, 300)),
     oracle_n=st.one_of(st.none(), st.integers(0, 8)),
-    trial_bound=st.sampled_from((None, 1, 2, 50, 10**5)),
     output_format=st.sampled_from(("text", "json", "json", "xml")),
 )
 def test_run_returns_a_known_exit_code_for_any_job(**options):
@@ -525,7 +503,9 @@ def test_closed_stdout_exits_5_without_a_traceback(argv):
 # golden reports and the raw-libmp epilogue
 
 _DATA = Path(__file__).resolve().parent / "data"
-_ELAPSED = re.compile(r"^.*elapsed.*\n", re.MULTILINE)
+# the elapsed line, with its newline if it has one: cli.run's text report ends
+# on it, with none
+_ELAPSED = re.compile(r"^.*elapsed.*(?:\n|\Z)", re.MULTILINE)
 
 
 @pytest.mark.parametrize(
@@ -537,13 +517,22 @@ _ELAPSED = re.compile(r"^.*elapsed.*\n", re.MULTILINE)
     ],
 )
 def test_report_is_byte_identical_to_its_golden_file(capsys, name, argv):
-    # the golden files were written by the mpmath-context epilogue, which
-    # rounded each operation inside workprec scopes; the text file's bounds
-    # have been rounded up since
+    # every byte of the report but its elapsed line is pinned
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     golden = (_DATA / name).read_text(encoding="utf-8")
     assert _ELAPSED.sub("", out) == _ELAPSED.sub("", golden)
+
+
+def test_two_text_reports_of_one_job_are_equal_but_for_the_elapsed_line():
+    spec = JobSpec(fixture="ex4", terms=8, emit_g_sequence=True)
+    (code_a, a), (code_b, b) = cli.run(spec), cli.run(spec)
+    assert code_a == code_b == 0
+    # cli.run's report ends on the elapsed line, with no newline after it
+    assert a.rpartition("\n")[2].startswith("elapsed: ")
+    stripped = _ELAPSED.sub("", a)
+    assert "elapsed" not in stripped
+    assert stripped == _ELAPSED.sub("", b)
 
 
 @pytest.fixture
@@ -564,7 +553,7 @@ def refuse_workprec(monkeypatch):
 def test_a_job_without_the_oracle_opens_no_workprec_scope(refuse_workprec):
     specs = [
         JobSpec(map_text="phi(z) = (3*z^2 + 1)/(2*z)", point_text="[-7, 5]", output_format="json"),
-        JobSpec(map_text="phi(z) = (3*z^2 + 1)/(2*z)", point_text="[-7, 5]", trial_bound=None),
+        JobSpec(map_text="phi(z) = (3*z^2 + 1)/(2*z)", point_text="[-7, 5]"),
         JobSpec(fixture="ex4", terms=8, precision_bits=1000, emit_g_sequence=True),
         JobSpec(fixture="ex2", terms=4, precision_bits=64, output_format="json"),
     ]

@@ -277,6 +277,15 @@ def test_trial_division_matches_the_per_prime_scan():
         assert trial_division(R, bound) == reference_trial_division(R, bound), (R, bound)
 
 
+def test_partial_factorization_refuses_an_unknown_provenance_tag():
+    # tags are taken as given, never converted: None is not "None"
+    for prov in ((None, 7), ("user", "sieve"), ("user", ["user"])):
+        with pytest.raises(ValueError, match="provenance"):
+            PartialFactorization((2, 3), prov)
+    for tag in ("prime-power", "cofactor", "user"):
+        assert PartialFactorization((2,), (tag,)).provenance == (tag,)
+
+
 def test_partial_factorization_validation():
     with pytest.raises(ValueError):
         PartialFactorization((2, 1), ("user", "user"))
@@ -400,7 +409,7 @@ _CHART_FORMS = (BinaryForm((-3, -3, -3)), BinaryForm((-3, -2, -3)))
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_loop_case())
 @example((_CHART_FORMS, ProjectivePoint(-3, 4), 6, 6))  # y a unit: the chart (x/y, 1)
-@example((_CHART_FORMS, ProjectivePoint(-3, 1), 6, 6))  # only x a unit: the chart (1, y/x)
+@example((_CHART_FORMS, ProjectivePoint(-3, 1), 6, 6))  # only x a unit: (1, y/x), reversed
 @example((_CHART_FORMS, ProjectivePoint(-1, 1), 6, 6))  # neither a unit: the pair as it is
 def test_horner_and_walk_bodies_give_one_g_sequence(case):
     forms, P, modulus, terms = case
@@ -445,15 +454,89 @@ def test_unit_chart_is_a_unit_multiple_of_the_pair(modulus, e, crossover, seed):
         assert abs(v) < live * live
         return red(v)
 
-    chart = _unit_chart(x, y, modulus, e, live, bounded_red)
+    w, one, flip = _unit_chart(x, y, modulus, e, live, bounded_red)
     if math.gcd(y, modulus) == 1:
-        w = chart[0]
-        assert chart[1] == 1 and 0 <= w < live and (w * y - x) % live == 0
+        # (x/y, 1), for the forms themselves
+        assert (one, flip) == (1, False) and 0 <= w < live and (w * y - x) % live == 0
     elif math.gcd(x, modulus) == 1:
-        w = chart[1]
-        assert chart[0] == 1 and 0 <= w < live and (w * x - y) % live == 0
+        # (1, y/x) read backwards, for the reversed forms
+        assert (one, flip) == (1, True) and 0 <= w < live and (w * x - y) % live == 0
     else:
-        assert chart == (x, y)
+        assert (w, one, flip) == (x, y, False)
+
+
+def test_reversed_plan_at_w_1_is_the_walk_at_1_w():
+    # F^rev(X, Y) = F(Y, X), so the second plan's residues at (w, 1) are the
+    # first plan's at (1, w), bit for bit, by % and by Barrett alike
+    rng = random.Random(2801)
+    for _ in range(60):
+        d = rng.choice((1, 2, 5, 12, 33, 80))
+        forms = tuple(
+            BinaryForm(tuple(rng.randint(-(2**70), 2**70) for _ in range(d + 1))) for _ in "FG"
+        )
+        rev = tuple(BinaryForm(f.coefficients[::-1]) for f in forms)
+        M = rng.randrange(2, 2 ** rng.choice((8, 200, 3000)))
+        w = rng.randrange(M)
+        E = _headroom(forms)
+        with mock.patch.object(nonarch, "_BARRETT_MIN_BITS", rng.choice((2, math.inf))):
+            ((_, mu),) = _reciprocals(M, 2, 1, E)
+        red = _reducer(M, mu, E)
+        got = _form_evaluator(rev)(w, 1, M, red)
+        assert got == _form_evaluator(forms)(1, w, M, red)
+        assert got == [evaluate(f, 1, w) % M for f in forms]
+
+
+@pytest.mark.parametrize("fixture_id, flipped, stuck", [("ex1", 23, 0), ("ex2", 17, 2)])
+def test_unsplit_loop_evaluates_every_charted_step_at_y_1(fixture_id, flipped, stuck):
+    # against |Res| itself only x is a unit on 23 of ex1's 49 charted steps
+    # and on 17 of ex2's; the reversed plan evaluates those at (w, 1), as the
+    # forward plan does the rest.  On 2 of ex2's steps neither coordinate is
+    # a unit, and the forward plan takes the pair as it is
+    fx = load_fixture(fixture_id)
+    lift, P = fx.lift(), fx.point()
+    R, terms = abs(lift.resultant), 50
+    plans, events = [], []
+    make_plan, chart = nonarch._form_evaluator, nonarch._unit_chart
+
+    def spy_plan(forms):
+        index, ev = len(plans), make_plan(forms)
+        plans.append(forms)
+
+        def spy(x, y, m, red):
+            events.append(("ev", index, x, y))
+            return ev(x, y, m, red)
+
+        return spy
+
+    def spy_chart(x, y, *args):
+        events.append(("chart", x, y))
+        return chart(x, y, *args)
+
+    with (
+        mock.patch.object(nonarch, "_form_evaluator", spy_plan),
+        mock.patch.object(nonarch, "_unit_chart", spy_chart),
+    ):
+        unsplit = nonarch_height(lift, P, terms)
+    split = nonarch_height(lift, P, terms, unsplit.precision_bits, parts=trial_division(R))
+    assert unsplit.gcd_sequence == split.gcd_sequence
+    assert unsplit.modulus_bits == (R**terms).bit_length()
+    assert len(plans) == 2
+    assert plans[1] == tuple(BinaryForm(f.coefficients[::-1]) for f in plans[0])
+    # the first step is exact Horner at P; each later one charts, then evaluates
+    assert len(events) == 2 * (terms - 1)
+    counts = {"forward": 0, "flipped": 0, "stuck": 0}
+    for (kind, x, y), (ev, index, ex, ey) in zip(events[::2], events[1::2]):
+        assert (kind, ev) == ("chart", "ev")
+        if math.gcd(y, R) == 1:
+            counts["forward"] += 1
+            assert (index, ey) == (0, 1)
+        elif math.gcd(x, R) == 1:
+            counts["flipped"] += 1
+            assert (index, ey) == (1, 1)
+        else:
+            counts["stuck"] += 1
+            assert (index, ex, ey) == (0, x, y)
+    assert counts == {"forward": terms - 1 - flipped - stuck, "flipped": flipped, "stuck": stuck}
 
 
 def test_scaled_loop_holds_a_few_top_powers_at_most():
