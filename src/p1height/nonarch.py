@@ -5,13 +5,15 @@ sum_{i<N} log(g_i)/d^(i+1), where g_i is the gcd of the i-th exact image
 pair with R = |Res(F, G)|.  The key point is that the g_i survive reduction:
 running the orbit modulo R^(N-i) and dividing each step's gcd out of the
 reduced pair recovers exactly the g_i of the exact orbit, while keeping
-every working integer below R^N.  R is never factored.  Each step
-evaluates F and G by exact Horner when small, else by one Paterson-Stockmeyer
-walk reduced by Barrett's method on large moduli; this module holds them all.
-On large moduli of degree d >= 12 a walk step first scales the pair by a unit
-mod R so that one coordinate is 1, evaluating the reversed forms when that is
-X: the values scale by that unit's d-th power, which leaves every g_i as it
-is and removes most full-size products.
+every working integer below R^N.  R is never factored.  One rule picks
+each step's kernel: exact Horner, reduced once, when the run is small and
+the pair below its top modulus or the step's exact values fit below its
+modulus, else one Paterson-Stockmeyer walk reduced by Barrett's method on
+large moduli; this module holds them all.  On large moduli of degree d >= 12 every walk step
+first scales the pair by a unit mod R so that one coordinate is 1,
+evaluating the reversed forms when that is X: the values scale by that
+unit's d-th power, which leaves every g_i as it is and removes most
+full-size products.
 
 When some coprime splitting of R is known anyway (say, small prime powers
 from trial division), the same loop runs once per part on much smaller
@@ -284,7 +286,7 @@ def _headroom(forms) -> int:
 
 
 def _reciprocals(top: int, modulus: int, count: int, extra: int):
-    """Yield (M, mu) for the first `count` links of the chain M = top,
+    """(M, mu) for the first `count` >= 1 links of the chain M = top,
     top/modulus, top/modulus^2, ...
 
     mu approximates floor(2^(2n+extra)/M), n = M.bit_length(), from below by
@@ -292,19 +294,23 @@ def _reciprocals(top: int, modulus: int, count: int, extra: int):
     the first Barrett step divides.  After it, since M' = M/modulus exactly,
     mu' = (mu*modulus) >> 2s with s = n - n' >= bits(modulus) - 1, so the
     factor modulus/4^s is below 1: an error e becomes at most
-    e*modulus/4^s + 1 and stays bounded down the chain.
+    e*modulus/4^s + 1 and stays bounded down the chain.  The links from the
+    first below _BARRETT_MIN_BITS on come from C iterators, as cheap as an
+    inline `//=`.
     """
-    M, mu, n = top, None, top.bit_length()
-    for _ in range(count):
-        n_prev, n = n, M.bit_length()
-        if n < _BARRETT_MIN_BITS:
-            mu = None
-        elif mu is None:
-            mu = (1 << (2 * n + extra)) // M
-        else:
-            mu = (mu * modulus) >> (2 * (n_prev - n))
-        yield M, mu
-        M //= modulus
+    links = itertools.accumulate(itertools.repeat(modulus, count - 1), operator.floordiv, initial=top)
+
+    def barrett():
+        mu, n = None, top.bit_length()
+        for M in links:
+            n_prev, n = n, M.bit_length()
+            if n < _BARRETT_MIN_BITS:
+                yield M, None
+                return
+            mu = (1 << (2 * n + extra)) // M if mu is None else (mu * modulus) >> (2 * (n_prev - n))
+            yield M, mu
+
+    return itertools.chain(barrett(), zip(links, itertools.repeat(None)))
 
 
 def _reducer(M: int, mu: int | None, extra: int):
@@ -365,66 +371,59 @@ def _unit_chart(x: int, y: int, modulus: int, e: int, live: int, red) -> tuple[i
 def _gcd_loop(forms, P: ProjectivePoint, modulus: int, top_power: int, terms: int) -> list[int]:
     """Reduced-orbit gcd extraction of the pair forms = (F, G) against one modulus.
 
-    Step i works modulo modulus^(terms-i); the shrinking powers come from
-    exact division of the precomputed top power, so only one big power is
-    ever held.  gcd(m, 0, 0) = m is correct here: the true orbit gcd always
-    divides the modulus, so a doubly-vanishing residue pair means the gcd
-    is the whole current part.  While d * bits(top_power) <= _HORNER_MAX_BITS,
-    where interpreter overhead dominates, a step is exact Horner on F and G
-    sharing powers of y, then one `%` each, so every residue is the exact
-    value reduced.  Larger ones run the Paterson-Stockmeyer walk, whose plan
-    is built only then.  From degree _SCALE_MIN_DEGREE and d * bits(top_power)
-    >= _SCALE_MIN_BITS every walk step after the first scales the pair by a
-    unit mod the modulus so that its Y coordinate is 1 (_unit_chart), and the
-    walk's products by the powers of Y cost linear time.  A pair whose X
-    coordinate is the unit becomes (1, w), which the reversed forms evaluate
-    at (w, 1), by a second plan built once, so both charts cost the same and
-    give the same residues.  The first step keeps P, whose coordinates are
-    usually small, and a chart would make them full-size.  F and G are
-    homogeneous of degree d, so a unit c scales both values by c^d:
-    gcd(modulus, c^d F, c^d G) = gcd(modulus, F, G), and the next pair is
-    again a unit multiple of the exact quotient pair reduced, so the
-    g-sequence is the same.  While d * bits(P) <= bits(top_power), the first
-    step is exact Horner at P itself, signs kept, reduced once: reduced
-    first, a negative coordinate is a full-size residue.
+    Step i works modulo live = modulus^(terms-i), the links of one
+    _reciprocals chain, so only one big power is ever held.  gcd(m, 0, 0) = m
+    is correct: the true orbit gcd divides the modulus, so a doubly-vanishing
+    residue pair means the gcd is the whole current part.  The loop starts
+    from P, signs kept, and one rule picks each step's kernel: when the run
+    is small (d * bits(top_power) <= _HORNER_MAX_BITS, where interpreter
+    overhead dominates) and |x|, y < top_power, which after the first step
+    always holds, or when this step's values fit below the modulus
+    (d * bits(max(|x|, y)) <= bits(live)), it is exact Horner on F and G,
+    then one `%` each; otherwise the Paterson-Stockmeyer walk, whose plans
+    are built at its first step.  From degree _SCALE_MIN_DEGREE and
+    d * bits(top_power) >= _SCALE_MIN_BITS every walk step first scales the
+    pair by a unit mod the modulus to a Y coordinate of 1 (_unit_chart), so
+    the products by the powers of Y cost linear time; a pair whose X
+    coordinate is the unit becomes (1, w), which the reversed forms' plan
+    evaluates at (w, 1) at the same cost.  A unit c scales both values by
+    c^d, so gcd(modulus, c^d F, c^d G) = gcd(modulus, F, G) and the next pair
+    is a unit multiple of the exact quotient pair reduced: every kernel gives
+    the same g-sequence.
     """
     (f0, g0), *pairs = zip(*(f.coefficients for f in forms))
-    size = len(pairs) * top_power.bit_length()
-    horner = size <= _HORNER_MAX_BITS
-    exact = len(pairs) * max(abs(P.x), P.y).bit_length() <= top_power.bit_length()
-    x, y = (P.x, P.y) if exact else (P.x % top_power, P.y % top_power)
-    live = top_power
-    if not horner:
-        extra = _headroom(forms)
-        chain = _reciprocals(top_power, modulus, terms, extra)
-        scale = len(pairs) >= _SCALE_MIN_DEGREE and size >= _SCALE_MIN_BITS
-        # plans[flip]: the forms, and when charts are on the reversed forms too
-        plans = [_form_evaluator(forms)]
-        if scale:
-            plans.append(_form_evaluator(tuple(BinaryForm(f.coefficients[::-1]) for f in forms)))
+    d = len(pairs)
+    top_bits = d * top_power.bit_length()
+    # a small run steps exactly on any pair below top_power: only a huge P walks
+    small = top_power if top_bits <= _HORNER_MAX_BITS else 0
+    scale = d >= _SCALE_MIN_DEGREE and top_bits >= _SCALE_MIN_BITS
+    # only Barrett links use the headroom, and a top below them has none
+    extra = _headroom(forms) if top_power.bit_length() >= _BARRETT_MIN_BITS else 0
+    plans = []  # plans[flip]: the forms, and when charts are on the reversed forms too
+    x, y = P.x, P.y
     out: list[int] = []
-    for e in range(terms, 0, -1):
-        if not horner:
-            live, mu = next(chain)
-        if horner or exact and e == terms:
+    for live, mu in _reciprocals(top_power, modulus, terms, extra):
+        if abs(x) < small and y < small or d * max(abs(x), y).bit_length() <= live.bit_length():
             fx, gy, yp = f0, g0, 1
             for a, b in pairs:
                 yp *= y
                 fx, gy = fx * x + a * yp, gy * x + b * yp
             fx, gy = fx % live, gy % live
         else:
+            if not plans:
+                plans.append(_form_evaluator(forms))
+                if scale:
+                    plans.append(_form_evaluator(tuple(BinaryForm(f.coefficients[::-1]) for f in forms)))
             red = _reducer(live, mu, extra)
             flip = False
-            if scale and e < terms:
-                x, y, flip = _unit_chart(x, y, modulus, e, live, red)
+            if scale:  # live = modulus^(terms - len(out))
+                x, y, flip = _unit_chart(x, y, modulus, terms - len(out), live, red)
             fx, gy = plans[flip](x, y, live, red)
         # modulus first: math.gcd folds left to right, and reducing each
         # full-size residue against the modulus is the cheap first step
         g = math.gcd(modulus, fx, gy)
         out.append(g)
         x, y = fx // g, gy // g
-        if horner:
-            live //= modulus
     return out
 
 

@@ -400,9 +400,9 @@ def _loop_case(draw):
     return forms, normalize_point(x, y), modulus, draw(st.integers(1, 30))
 
 
-# -3X^2 - 3XY - 3Y^2 and -3X^2 - 2XY - 3Y^2 mod 6: the first step keeps P, and
-# the second step's pair picks the chart each example names; each run meets
-# all three kinds of step, and its g-sequence mixes 1 and 3
+# -3X^2 - 3XY - 3Y^2 and -3X^2 - 2XY - 3Y^2 mod 6: the first step is exact at
+# P, and the second step's pair picks the chart each example names; each run
+# meets all three kinds of step, and its g-sequence mixes 1 and 3
 _CHART_FORMS = (BinaryForm((-3, -3, -3)), BinaryForm((-3, -2, -3)))
 
 
@@ -415,8 +415,8 @@ def test_horner_and_walk_bodies_give_one_g_sequence(case):
     forms, P, modulus, terms = case
     top = modulus**terms
     runs = []
-    # every step by Horner, then every step by the plain walk, then the walk
-    # with every step after the first scaled to a unit chart
+    # every step by Horner; then the walk wherever the exact values would pass
+    # the live modulus, plain and then scaled to a unit chart
     for cap, scale_from in ((math.inf, math.inf), (-1, math.inf), (-1, 0)):
         with (
             mock.patch.object(nonarch, "_HORNER_MAX_BITS", cap),
@@ -488,10 +488,11 @@ def test_reversed_plan_at_w_1_is_the_walk_at_1_w():
 
 @pytest.mark.parametrize("fixture_id, flipped, stuck", [("ex1", 23, 0), ("ex2", 17, 2)])
 def test_unsplit_loop_evaluates_every_charted_step_at_y_1(fixture_id, flipped, stuck):
-    # against |Res| itself only x is a unit on 23 of ex1's 49 charted steps
-    # and on 17 of ex2's; the reversed plan evaluates those at (w, 1), as the
-    # forward plan does the rest.  On 2 of ex2's steps neither coordinate is
-    # a unit, and the forward plan takes the pair as it is
+    # two steps are exact (ex1's first two, ex2's first and fourth) and every
+    # other one walks, charted: against |Res| itself only x is a unit on 23 of
+    # ex1's 48 charted steps and on 17 of ex2's; the reversed plan evaluates
+    # those at (w, 1), as the forward plan does the rest.  On 2 of ex2's steps
+    # neither coordinate is a unit, and the forward plan takes the pair as it is
     fx = load_fixture(fixture_id)
     lift, P = fx.lift(), fx.point()
     R, terms = abs(lift.resultant), 50
@@ -522,8 +523,9 @@ def test_unsplit_loop_evaluates_every_charted_step_at_y_1(fixture_id, flipped, s
     assert unsplit.modulus_bits == (R**terms).bit_length()
     assert len(plans) == 2
     assert plans[1] == tuple(BinaryForm(f.coefficients[::-1]) for f in plans[0])
-    # the first step is exact Horner at P; each later one charts, then evaluates
-    assert len(events) == 2 * (terms - 1)
+    # each walk step charts, then evaluates
+    walked = terms - 2
+    assert len(events) == 2 * walked
     counts = {"forward": 0, "flipped": 0, "stuck": 0}
     for (kind, x, y), (ev, index, ex, ey) in zip(events[::2], events[1::2]):
         assert (kind, ev) == ("chart", "ev")
@@ -536,7 +538,7 @@ def test_unsplit_loop_evaluates_every_charted_step_at_y_1(fixture_id, flipped, s
         else:
             counts["stuck"] += 1
             assert (index, ex, ey) == (0, x, y)
-    assert counts == {"forward": terms - 1 - flipped - stuck, "flipped": flipped, "stuck": stuck}
+    assert counts == {"forward": walked - flipped - stuck, "flipped": flipped, "stuck": stuck}
 
 
 def test_scaled_loop_holds_a_few_top_powers_at_most():
@@ -565,8 +567,105 @@ def test_scaled_loop_holds_a_few_top_powers_at_most():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert charts == list(range(terms - 1, 0, -1))  # every step after the first
+    # at (2, 1) the first four steps' values fit below the live modulus;
+    # every later step charts
+    assert charts == list(range(terms - 4, 0, -1))
     assert peak <= 40 * top.bit_length() // 8
+
+
+def _spy_walks(walked):
+    """A _form_evaluator that records each plan it builds and the modulus of each walk."""
+    make_plan = nonarch._form_evaluator
+
+    def spy_plan(forms):
+        ev = make_plan(forms)
+        walked.append(forms)
+
+        def spy(x, y, m, red):
+            walked.append(m)
+            return ev(x, y, m, red)
+
+        return spy
+
+    return spy_plan
+
+
+@pytest.mark.parametrize(
+    "fixture_id, terms, exact", [("ex1", 50, 2), ("ex2", 50, 2), ("ex3", 100, 8), ("ex4", 100, 5)]
+)
+def test_exact_steps_are_those_whose_values_are_small(fixture_id, terms, exact):
+    # past the small-run bound a step is exact Horner when d * bits(pair) is
+    # within bits(live): the first steps from a small P, and any step whose
+    # pair comes out small, like ex2's fourth.  A looser cut (exact while
+    # d * bits <= 8 * bits(live)) took ex3@100's loop from 0.77 to 1.93 s,
+    # since the full-size exact values then need a quadratic `%`
+    fx = load_fixture(fixture_id)
+    lift, P = fx.lift(), fx.point()
+    R = abs(lift.resultant)
+    walked = []
+    with mock.patch.object(nonarch, "_form_evaluator", _spy_walks(walked)):
+        _gcd_loop((lift.F, lift.G), P, R, R**terms, terms)
+    plans = [w for w in walked if isinstance(w, tuple)]
+    moduli = [w for w in walked if isinstance(w, int)]
+    # both plans are built once, at the first walk step, the second only with charts
+    assert walked[: len(plans)] == plans
+    assert len(plans) == (2 if lift.degree >= nonarch._SCALE_MIN_DEGREE else 1)
+    assert terms - len(moduli) == exact
+
+
+def test_points_workload_map_builds_no_walk_plan():
+    # Res 12 and d = 2: at 50 terms every pair of residues has exact values of
+    # about 360 bits, a small run, so no step walks; a point of 3000 bits is
+    # past the top modulus, so the first step walks on the reduced pair, and
+    # every later pair is a residue again, evaluated exactly
+    lift = parse_map("phi(z) = (3*z^2 + 1)/(2*z)")
+    R, terms = abs(lift.resultant), 50
+    rng = random.Random(2901)
+    for _ in range(20):
+        P = normalize_point(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6))
+        walked = []
+        with mock.patch.object(nonarch, "_form_evaluator", _spy_walks(walked)):
+            gs = _gcd_loop((lift.F, lift.G), P, R, R**terms, terms)
+        assert walked == []
+        assert gs[:12] == exact_gcd_sequence(lift, P, 12)
+    P = normalize_point(3**1893, 2)
+    walked = []
+    with mock.patch.object(nonarch, "_form_evaluator", _spy_walks(walked)):
+        gs = _gcd_loop((lift.F, lift.G), P, R, R**terms, terms)
+    assert walked == [(lift.F, lift.G), R**terms]
+    assert gs[:6] == exact_gcd_sequence(lift, P, 6)
+
+
+# d = 2 maps at [1, 0] whose g_i nearly all equal R: a brute force over
+# coefficients |c| <= 4 finds 26 distinct R from 2 to 34 with g_i = R on at
+# least 18 of 20 steps.  There the paper's start modulus R^N is the ideal one,
+# so they are the worst case of a schedule sized by the g_i (ROADMAP item 2).
+# Each row: F, G, the steps whose g_i is not R, the steps that walk
+_WORST_CASE_MAPS = [
+    # R = 34: [1, 0] -> [4, 3], a fixed point with positive values, so every step is exact
+    ((4, 3, 4), (3, 3, 2), 1, 0),
+    # the others walk once a negative value reduces to a full-size residue
+    ((-2, -4, -3), (0, -1, -1), 0, 1528),  # R = 2, 1530 steps
+    ((-4, -3, 4), (1, 1, 0), 1, 426),  # R = 12, 427 steps
+    ((-4, -1, -4), (-3, 0, -4), 1, 318),  # R = 28, 319 steps
+    ((-3, -2, -3), (-4, -4, -3), 1, 303),  # R = 33, 304 steps
+]
+
+
+@pytest.mark.parametrize("F, G, misses, walks", _WORST_CASE_MAPS, ids=["R34", "R2", "R12", "R28", "R33"])
+def test_worst_case_gcd_family_matches_the_exact_orbit_and_the_split_run(F, G, misses, walks):
+    lift = _lift(F, G)
+    R, P = abs(lift.resultant), ProjectivePoint(1, 0)
+    assert list(nonarch_height(lift, P, 12).gcd_sequence) == exact_gcd_sequence(lift, P, 12)
+    # a top modulus of about 1530 bits, past the small-run bound (300 terms at R = 34)
+    terms = math.ceil(1530 / math.log2(R))
+    walked = []
+    with mock.patch.object(nonarch, "_form_evaluator", _spy_walks(walked)):
+        unsplit = nonarch_height(lift, P, terms)
+    split = nonarch_height(lift, P, terms, unsplit.precision_bits, parts=trial_division(R))
+    assert unsplit.gcd_sequence == split.gcd_sequence
+    assert sum(g != R for g in unsplit.gcd_sequence) == misses
+    assert sum(isinstance(w, int) for w in walked) == walks
 
 
 def test_first_step_at_a_negative_point_hands_the_reducer_no_full_size_value(monkeypatch):
