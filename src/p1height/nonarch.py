@@ -13,7 +13,8 @@ large moduli; this module holds them all.  On large moduli of degree d >= 12 eve
 first scales the pair by a unit mod R so that one coordinate is 1,
 evaluating the reversed forms when that is X: the values scale by that
 unit's d-th power, which leaves every g_i as it is and removes most
-full-size products.
+full-size products.  The loop stops once its pairs mod R repeat within a
+run of g = 1 steps (Brent's cycle test): every later g_i is then 1.
 
 When some coprime splitting of R is known anyway (say, small prime powers
 from trial division), the same loop runs once per part on much smaller
@@ -265,9 +266,10 @@ def _form_evaluator(forms: tuple[BinaryForm, ...]):
 # Moduli of at least this many bits reduce by Barrett's method (one product
 # by a carried reciprocal and one by the modulus) instead of `%`, whose
 # schoolbook division is quadratic where Karatsuba multiplication is not.
-# Timed on products of two residues (Python 3.11, 2 cores), `%` against
-# Barrett: 39 against 58 us at 4000 bits, 223 against 246 us at 10000,
-# 326 against 310 us at 12000, 2.36 against 1.56 ms at 32674.
+# Timed on products of two random residues (Python 3.11.7, 2-core x86_64,
+# best of 5), `%` against Barrett: 27 against 22 us at 4000 bits, 102
+# against 70 us at 8000, 229 against 132 us at 12000, 1.62 against 0.71 ms
+# at 32674, so Barrett already wins below this bound (ROADMAP item 8).
 _BARRETT_MIN_BITS = 12_000
 
 # largest d * bits(top modulus) stepped by exact Horner (crossover table in CHANGES.md)
@@ -390,6 +392,20 @@ def _gcd_loop(forms, P: ProjectivePoint, modulus: int, top_power: int, terms: in
     c^d, so gcd(modulus, c^d F, c^d G) = gcd(modulus, F, G) and the next pair
     is a unit multiple of the exact quotient pair reduced: every kernel gives
     the same g-sequence.
+
+    The loop stops early once the rest of the g-sequence is decided.  Let
+    key_i = (fx % modulus, gy % modulus) be step i's values mod the modulus
+    and c_i their class under multiplication by units.  g_i =
+    gcd(modulus, key_i) depends only on c_i, as a unit multiple has the same
+    gcd with the modulus.  When g_i = 1 the next pair is (fx, gy) itself, so
+    mod the modulus (which divides every live modulus) it is key_i times the
+    next step's chart unit c, or 1, and the next values are F and G at key_i
+    times c^d: c_(i+1) depends only on c_i.  So if key_j = key_i for some
+    j < i with g_j = ... = g_i = 1, then c_(i+k) = c_(j+k) and g_(i+k) = 1
+    for every k > 0, whichever kernel, chart or flip ran; a split run
+    applies this per part.  Brent's test (one saved key and a doubling
+    window of steps compared with it, cleared by any g > 1) finds such a
+    repeat in O(1) memory, and the loop fills the remaining g_i with 1.
     """
     (f0, g0), *pairs = zip(*(f.coefficients for f in forms))
     d = len(pairs)
@@ -402,6 +418,9 @@ def _gcd_loop(forms, P: ProjectivePoint, modulus: int, top_power: int, terms: in
     plans = []  # plans[flip]: the forms, and when charts are on the reversed forms too
     x, y = P.x, P.y
     out: list[int] = []
+    # Brent: the key saved in this run of g = 1 steps, the window of steps
+    # compared with it, and the steps compared so far
+    saved, window, run = None, 1, 0
     for live, mu in _reciprocals(top_power, modulus, terms, extra):
         if abs(x) < small and y < small or d * max(abs(x), y).bit_length() <= live.bit_length():
             fx, gy, yp = f0, g0, 1
@@ -419,10 +438,24 @@ def _gcd_loop(forms, P: ProjectivePoint, modulus: int, top_power: int, terms: in
             if scale:  # live = modulus^(terms - len(out))
                 x, y, flip = _unit_chart(x, y, modulus, terms - len(out), live, red)
             fx, gy = plans[flip](x, y, live, red)
-        # modulus first: math.gcd folds left to right, and reducing each
-        # full-size residue against the modulus is the cheap first step
-        g = math.gcd(modulus, fx, gy)
+        # fx % modulus is the division math.gcd(modulus, fx) would make first,
+        # and keys the cycle test; math.gcd folds left to right and stops at a
+        # running gcd of 1, so gy is reduced only when that is not 1, and
+        # gy % modulus is taken only to save a key or to confirm a match
+        fr = fx % modulus
+        g = math.gcd(modulus, fr, gy)
         out.append(g)
+        if g > 1:
+            saved = None
+        elif saved is None:
+            saved, window, run = (fr, gy % modulus), 1, 0
+        elif fr == saved[0] and gy % modulus == saved[1]:
+            out += [1] * (terms - len(out))
+            break
+        else:
+            run += 1
+            if run == window:
+                saved, window, run = (fr, gy % modulus), 2 * window, 0
         x, y = fx // g, gy // g
     return out
 

@@ -590,8 +590,20 @@ def _spy_walks(walked):
     return spy_plan
 
 
+def _spy_links(links):
+    """A _reciprocals that records each link the loop takes, one per step run."""
+    chain = nonarch._reciprocals
+
+    def spy(*args):
+        for link in chain(*args):
+            links.append(link[0])
+            yield link
+
+    return spy
+
+
 @pytest.mark.parametrize(
-    "fixture_id, terms, exact", [("ex1", 50, 2), ("ex2", 50, 2), ("ex3", 100, 8), ("ex4", 100, 5)]
+    "fixture_id, terms, exact", [("ex1", 50, 2), ("ex2", 50, 2), ("ex3", 100, 8), ("ex4", 100, 4)]
 )
 def test_exact_steps_are_those_whose_values_are_small(fixture_id, terms, exact):
     # past the small-run bound a step is exact Horner when d * bits(pair) is
@@ -602,15 +614,21 @@ def test_exact_steps_are_those_whose_values_are_small(fixture_id, terms, exact):
     fx = load_fixture(fixture_id)
     lift, P = fx.lift(), fx.point()
     R = abs(lift.resultant)
-    walked = []
-    with mock.patch.object(nonarch, "_form_evaluator", _spy_walks(walked)):
+    walked, links = [], []
+    with (
+        mock.patch.object(nonarch, "_form_evaluator", _spy_walks(walked)),
+        mock.patch.object(nonarch, "_reciprocals", _spy_links(links)),
+    ):
         _gcd_loop((lift.F, lift.G), P, R, R**terms, terms)
     plans = [w for w in walked if isinstance(w, tuple)]
     moduli = [w for w in walked if isinstance(w, int)]
     # both plans are built once, at the first walk step, the second only with charts
     assert walked[: len(plans)] == plans
-    assert len(plans) == (2 if lift.degree >= nonarch._SCALE_MIN_DEGREE else 1)
-    assert terms - len(moduli) == exact
+    assert len(plans) == (0 if not moduli else 2 if lift.degree >= nonarch._SCALE_MIN_DEGREE else 1)
+    # ex1, ex2 and ex3 run every step; ex4's orbit mod |Res| cycles through
+    # g = 1 by its fourth step, which ends the loop before its first walk
+    assert len(links) == (4 if fixture_id == "ex4" else terms)
+    assert len(links) - len(moduli) == exact
 
 
 def test_points_workload_map_builds_no_walk_plan():
@@ -693,6 +711,77 @@ def test_first_step_at_a_negative_point_hands_the_reducer_no_full_size_value(mon
     assert handed.get(top, 0) < top.bit_length() // 2
     assert handed[R] > R.bit_length()  # the second step's walk reduces through the spy
     assert gs == exact_gcd_sequence(lift, P, terms)
+
+
+# ---------------------------------------------------------------------------
+# the stop once the orbit mod the modulus cycles through g = 1
+
+
+@pytest.mark.parametrize(
+    "source, terms, steps", [("ex4", 50, 4), ("ex4", 100, 4), ("phi(z) = z^2 - 3", 50, 2)]
+)
+def test_loop_stops_once_its_orbit_mod_res_cycles_through_g_1(source, terms, steps):
+    # ex4: g_1 = |Res|, then the next two pairs agree mod |Res|; z^2 - 3 has
+    # |Res| = 1, where every pair is (0, 0) and the second step repeats the first
+    if source.startswith("ex"):
+        fx = load_fixture(source)
+        lift, P = fx.lift(), fx.point()
+    else:
+        lift, P = parse_map(source), ProjectivePoint(5, 3)
+    R = abs(lift.resultant)
+    links = []
+    with mock.patch.object(nonarch, "_reciprocals", _spy_links(links)):
+        gs = _gcd_loop((lift.F, lift.G), P, R, R**terms, terms)
+    assert links == [R ** (terms - i) for i in range(steps)]
+    assert gs == exact_gcd_sequence(lift, P, steps) + [1] * (terms - steps)
+
+
+# terms by degree: the exact orbit's values grow like d^n, and these keep each
+# case within about 20 ms
+_STOP_TERMS = {2: 14, 3: 8, 4: 7, 5: 6, 12: 4}
+
+
+@st.composite
+def _stop_case(draw):
+    """A map of degree 2, 3, 4, 5 or 12 with coefficients |c| <= 3, a point,
+    and the degree's _STOP_TERMS."""
+    d = draw(st.sampled_from(tuple(_STOP_TERMS)))
+    coeffs = st.tuples(*[st.integers(-3, 3)] * (d + 1))
+    F, G = BinaryForm(draw(coeffs)), BinaryForm(draw(coeffs))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # drawn pairs may carry content
+            lift = MapLift.from_forms(F, G)
+    except NotAMorphismError:
+        reject()
+    x, y = draw(st.integers(-50, 50)), draw(st.integers(-50, 50))
+    assume(x or y)
+    return lift, normalize_point(x, y), _STOP_TERMS[d]
+
+
+def test_stop_keeps_the_exact_g_sequence_in_every_kernel():
+    # the stop must leave every g_i as the exact orbit has it, on the default
+    # kernels and on walked, charted steps; and it must fire in both, which
+    # it does where the orbit mod |Res| falls into a cycle of g = 1 steps
+    defaults = {name: getattr(nonarch, name) for name in ("_HORNER_MAX_BITS", "_SCALE_MIN_DEGREE", "_SCALE_MIN_BITS")}
+    modes = {"default": defaults, "walk": dict.fromkeys(defaults, 0)}
+    fired = dict.fromkeys(modes, 0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_stop_case())
+    def check(case):
+        lift, P, terms = case
+        R = abs(lift.resultant)
+        exact = exact_gcd_sequence(lift, P, terms)
+        for mode, values in modes.items():
+            links = []
+            with mock.patch.multiple(nonarch, **values), mock.patch.object(nonarch, "_reciprocals", _spy_links(links)):
+                assert _gcd_loop((lift.F, lift.G), P, R, R**terms, terms) == exact
+            fired[mode] += len(links) < terms
+
+    check()
+    # 16 of the 200 maps stop early by default and 19 on the walk
+    assert min(fired.values()) >= 10
 
 
 # ---------------------------------------------------------------------------
