@@ -30,8 +30,7 @@ from functools import partial
 from .fixtures import fixture_ids, load_fixture
 from .forms import NotAMorphismError, ParseError, parse_map, parse_point
 from .height import BudgetExceededError, canonical_height, canonical_height_oracle
-# trial_division is unused here; perfbench/spans.py wraps it in this module
-from .nonarch import trial_division  # noqa: F401
+from .nonarch import nonarch_height
 from .numerics import (
     _ceil_decimal_string, _check_positive_int, check_run_parameters, decimal_digits,
     int_str_digits_limit, to_decimal_string,
@@ -46,6 +45,10 @@ EXIT_BUDGET = 4
 EXIT_CLOSED_STDOUT = 5
 
 _TEXT_DIGITS = 32
+
+# perfbench/spans.py wraps this name; nothing calls it, and ROADMAP item 11's
+# benchmark half deletes it
+trial_division = nonarch_height
 
 
 @dataclass

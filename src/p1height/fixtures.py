@@ -26,7 +26,6 @@ from functools import lru_cache
 from importlib import resources
 
 from .forms import BinaryForm, MapLift, ProjectivePoint, normalize_point
-from .nonarch import _primes_upto
 
 __all__ = ["Fixture", "fixture_ids", "load_fixture", "fixture_lift"]
 
@@ -84,7 +83,7 @@ def _inputs(fixture_id: str) -> tuple[BinaryForm, BinaryForm, ProjectivePoint]:
         G = _digits_form(_load_data("ex1_den_digits.txt"))
         return F, G, normalize_point(-5, 1)
     if fixture_id == "ex2":
-        primes = _primes_upto(65)
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
         F = BinaryForm(tuple(-i if i in primes else 1 for i in range(66)))
         G = BinaryForm(tuple(1 if i <= 33 else -1 for i in range(66)))
         return F, G, normalize_point(0, 1)

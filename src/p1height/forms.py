@@ -77,7 +77,7 @@ class BinaryForm:
         if not coeffs:
             raise ValueError("a binary form needs at least one coefficient")
         for c in coeffs:
-            if not isinstance(c, int):
+            if not isinstance(c, int) or isinstance(c, bool):
                 raise ValueError(f"coefficients must be ints, got {type(c).__name__}")
         object.__setattr__(self, "coefficients", coeffs)
 
@@ -129,8 +129,9 @@ class ProjectivePoint:
     y: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.x, int) and isinstance(self.y, int)):
-            raise ValueError("coordinates must be ints; use normalize_point for rationals")
+        for v in (self.x, self.y):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"coordinates must be ints, got {type(v).__name__}; use normalize_point")
         if self.x == 0 and self.y == 0:
             raise ValueError("(0, 0) does not name a point of P^1")
         if math.gcd(self.x, self.y) != 1:

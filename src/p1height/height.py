@@ -28,13 +28,7 @@ from mpmath.libmp import (
 
 from .arch import ArchResult, arch_height
 from .forms import MapLift, ProjectivePoint, _budget, normalize_point
-# nonarch_height_factored is unused here; perfbench/spans.py wraps it in this module
-from .nonarch import (  # noqa: F401
-    NonArchResult,
-    PartialFactorization,
-    nonarch_height,
-    nonarch_height_factored,
-)
+from .nonarch import NonArchResult, nonarch_height
 from .numerics import _check_positive_int, _check_precision_bits, _log_int, resolve_precision_bits
 
 __all__ = [
@@ -82,18 +76,15 @@ def canonical_height(
     P: ProjectivePoint,
     terms: int = 50,
     precision_bits: int | None = None,
-    factoring: PartialFactorization | None = None,
 ) -> HeightBreakdown:
     """Canonical height of P under the lifted map, with an error bound that
     is not rigorous near a repelling fixed point (ROADMAP item 4).
 
-    Both series run `terms` steps.  `factoring` picks the coprime parts of
-    |Res| that the nonarchimedean gcd loop runs over: None runs it once
-    against |Res|; a PartialFactorization, e.g. trial_division(|Res|, B),
-    runs it per part.  Both give the same g-sequence and value.
+    Both series run `terms` steps; the nonarchimedean gcd loop runs once,
+    against |Res| unfactored.
     """
     bits = resolve_precision_bits(precision_bits, lift.degree, terms, lift.coeff_norm)
-    na = nonarch_height(lift, P, terms, precision_bits=bits, parts=factoring)
+    na = nonarch_height(lift, P, terms, precision_bits=bits)
     ar = arch_height(lift, P, terms, precision_bits=bits)
     naive = naive_height(P, bits)
     rnd = round_nearest
@@ -182,3 +173,8 @@ def height_identity_check(
     for term in (step, _log_int(g, bits)):
         residual = mpf_add(residual, term, bits, rnd)
     return mp.make_mpf(mpf_abs(residual))
+
+
+# perfbench/spans.py wraps this name; nothing calls it, and ROADMAP item 11's
+# benchmark half deletes it
+nonarch_height_factored = nonarch_height

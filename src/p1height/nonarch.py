@@ -15,10 +15,6 @@ evaluating the reversed forms when that is X: the values scale by that
 unit's d-th power, which leaves every g_i as it is and removes most
 full-size products.  The loop stops once its pairs mod R repeat within a
 run of g = 1 steps (Brent's cycle test): every later g_i is then 1.
-
-When some coprime splitting of R is known anyway (say, small prime powers
-from trial division), the same loop runs once per part on much smaller
-moduli, and the per-part gcds multiply back into the g_i.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import mpmath as mp
 from mpmath.libmp import from_int, mpf_div, mpf_mul_int, mpf_sum, round_nearest
@@ -35,14 +30,7 @@ from mpmath.libmp import from_int, mpf_div, mpf_mul_int, mpf_sum, round_nearest
 from .forms import BinaryForm, MapLift, ProjectivePoint, evaluate
 from .numerics import _log_int, resolve_precision_bits
 
-__all__ = [
-    "NonArchResult",
-    "PartialFactorization",
-    "exact_log_gcd",
-    "nonarch_height",
-    "nonarch_height_factored",
-    "trial_division",
-]
+__all__ = ["NonArchResult", "exact_log_gcd", "nonarch_height"]
 
 
 @dataclass(frozen=True)
@@ -52,7 +40,7 @@ class NonArchResult:
     value: sum_{i<terms} log(gcd_sequence[i]) / d^(i+1).
     gcd_sequence: the extracted gcds; every entry divides |Res(F, G)|.
     tail_bound: log|Res| / ((d-1) d^terms), bounding the discarded tail.
-    modulus_bits: bit length of the largest modulus the loop worked with.
+    modulus_bits: bit length of the top modulus |Res|^terms, the largest the loop holds.
     precision_bits: working precision of the logarithms in `value`.
     """
 
@@ -62,108 +50,6 @@ class NonArchResult:
     terms: int
     modulus_bits: int
     precision_bits: int
-
-
-_PROVENANCE = ("prime-power", "cofactor", "user")
-
-
-@dataclass(frozen=True)
-class PartialFactorization:
-    """Pairwise-coprime parts, each > 1, of some positive modulus.
-
-    provenance[i] records how part i was obtained: "prime-power" (trial
-    division), "cofactor" (the unfactored remainder), or "user".  Any other
-    tag is refused, as is a part that is not an int; neither is converted.
-    """
-
-    coprime_parts: tuple[int, ...]
-    provenance: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        parts = tuple(self.coprime_parts)
-        for p in parts:
-            if not isinstance(p, int):
-                raise ValueError(f"parts must be ints, got {type(p).__name__}")
-        prov = tuple(self.provenance)
-        for t in prov:
-            if t not in _PROVENANCE:
-                raise ValueError(f"provenance tags must be one of {', '.join(_PROVENANCE)}, got {t!r}")
-        if len(parts) != len(prov):
-            raise ValueError("need exactly one provenance tag per part")
-        if any(p <= 1 for p in parts):
-            raise ValueError("every part must exceed 1")
-        object.__setattr__(self, "coprime_parts", parts)
-        object.__setattr__(self, "provenance", prov)
-
-    def validate_for(self, modulus: int) -> None:
-        """Raise ValueError unless the parts are pairwise coprime with product `modulus`."""
-        prod = 1
-        for i, p in enumerate(self.coprime_parts):
-            for q in self.coprime_parts[i + 1 :]:
-                if math.gcd(p, q) != 1:
-                    raise ValueError(f"parts {p} and {q} are not coprime")
-            prod *= p
-        if prod != modulus:
-            raise ValueError("the product of the parts must equal the modulus")
-
-
-_SIEVE_CAP = 10_000_000
-_BLOCK = 256  # primes per gcd in trial_division
-
-
-@lru_cache(maxsize=8)
-def _primes_upto(bound: int) -> tuple[int, ...]:
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(bound) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, bound + 1, p)))
-    return tuple(itertools.compress(range(bound + 1), sieve))
-
-
-@lru_cache(maxsize=4096)
-def _block_product(bound: int, start: int) -> int:
-    """The product of the _BLOCK primes up to `bound` from index `start` on."""
-    return math.prod(_primes_upto(bound)[start : start + _BLOCK])
-
-
-def trial_division(R: int, bound: int = 100_000) -> PartialFactorization:
-    """Split R into prime powers p^e for p <= bound plus one unfactored cofactor.
-
-    The parts are pairwise coprime and multiply to R (none at all for R = 1).
-    If the remainder after stripping small primes is 1 there is no cofactor
-    part.  The primes go in blocks of _BLOCK, and a block is scanned prime by
-    prime only when the gcd of the remainder with its product exceeds 1.
-    """
-    if R < 1:
-        raise ValueError("trial division needs an integer >= 1")
-    if not 2 <= bound <= _SIEVE_CAP:
-        raise ValueError(f"the trial-division bound must be from 2 to {_SIEVE_CAP}, got {bound}")
-    parts: list[int] = []
-    prov: list[str] = []
-    rest = R
-    primes = _primes_upto(bound)
-    for start in range(0, len(primes), _BLOCK):
-        if rest == 1 or primes[start] ** 2 > rest:
-            break
-        if math.gcd(rest, _block_product(bound, start)) == 1:
-            continue
-        for p in primes[start : start + _BLOCK]:
-            if rest == 1 or p * p > rest:
-                break
-            if rest % p == 0:
-                q = p
-                rest //= p
-                while rest % p == 0:
-                    q *= p
-                    rest //= p
-                parts.append(q)
-                prov.append("prime-power")
-    if rest > 1:
-        # a remainder <= bound survived division by every prime up to its square root: prime
-        parts.append(rest)
-        prov.append("prime-power" if rest <= bound else "cofactor")
-    return PartialFactorization(tuple(parts), tuple(prov))
 
 
 def exact_log_gcd(lift: MapLift, Q: ProjectivePoint, precision_bits: int | None = None) -> mp.mpf:
@@ -376,7 +262,7 @@ def _gcd_loop(forms, P: ProjectivePoint, modulus: int, top_power: int, terms: in
     Step i works modulo live = modulus^(terms-i), the links of one
     _reciprocals chain, so only one big power is ever held.  gcd(m, 0, 0) = m
     is correct: the true orbit gcd divides the modulus, so a doubly-vanishing
-    residue pair means the gcd is the whole current part.  The loop starts
+    residue pair means the gcd is the whole modulus.  The loop starts
     from P, signs kept, and one rule picks each step's kernel: when the run
     is small (d * bits(top_power) <= _HORNER_MAX_BITS, where interpreter
     overhead dominates) and |x|, y < top_power, which after the first step
@@ -402,10 +288,10 @@ def _gcd_loop(forms, P: ProjectivePoint, modulus: int, top_power: int, terms: in
     next step's chart unit c, or 1, and the next values are F and G at key_i
     times c^d: c_(i+1) depends only on c_i.  So if key_j = key_i for some
     j < i with g_j = ... = g_i = 1, then c_(i+k) = c_(j+k) and g_(i+k) = 1
-    for every k > 0, whichever kernel, chart or flip ran; a split run
-    applies this per part.  Brent's test (one saved key and a doubling
-    window of steps compared with it, cleared by any g > 1) finds such a
-    repeat in O(1) memory, and the loop fills the remaining g_i with 1.
+    for every k > 0, whichever kernel, chart or flip ran.  Brent's test (one
+    saved key and a doubling window of steps compared with it, cleared by
+    any g > 1) finds such a repeat in O(1) memory, and the loop fills the
+    remaining g_i with 1.
     """
     (f0, g0), *pairs = zip(*(f.coefficients for f in forms))
     d = len(pairs)
@@ -465,35 +351,22 @@ def nonarch_height(
     P: ProjectivePoint,
     terms: int,
     precision_bits: int | None = None,
-    *,
-    parts: PartialFactorization | None = None,
 ) -> NonArchResult:
     """Truncated nonarchimedean series at P via the reduced-orbit gcd loop.
 
-    The loop runs once per coprime part of |Res| (the single part |Res|
-    when `parts` is None).  Coprimality makes gcds multiplicative, so the
-    per-part gcds multiply back into exactly the g-sequence of the
-    single-modulus run; modulus_bits reports the largest per-part working
-    modulus.  A unit resultant needs no special case: every gcd is
-    gcd(1, 0, 0) = 1, and the value and the tail are 0.  tail_bound bounds
-    the discarded tail only: the roundings to nearest at bits of each
-    logarithm (g rounded, then its log), its product by W_g, the sum and the
-    division are not charged to it or to error_bound yet (ROADMAP item 3).
+    The loop runs once against R = |Res|, from the top modulus R^terms;
+    modulus_bits reports that modulus.  A unit resultant needs no special
+    case: every gcd is gcd(1, 0, 0) = 1, and the value and the tail are 0.
+    tail_bound bounds the discarded tail only: the roundings to nearest at
+    bits of each logarithm (g rounded, then its log), its product by W_g,
+    the sum and the division are not charged to it or to error_bound yet
+    (ROADMAP item 3).
     """
     d = lift.degree
     bits = resolve_precision_bits(precision_bits, d, terms, lift.coeff_norm)
     R = abs(lift.resultant)
-    if parts is not None:
-        if not isinstance(parts, PartialFactorization):
-            raise TypeError(f"parts must be a PartialFactorization or None, got {type(parts).__name__}")
-        parts.validate_for(R)
-    gs = [1] * terms
-    max_bits = 1
-    for part in parts.coprime_parts if parts is not None else (R,):
-        top = part**terms
-        max_bits = max(max_bits, top.bit_length())
-        for i, g in enumerate(_gcd_loop((lift.F, lift.G), P, part, top, terms)):
-            gs[i] *= g
+    top = R**terms
+    gs = _gcd_loop((lift.F, lift.G), P, R, top, terms)
     # one logarithm per distinct g, with the exact weight
     # W_g = sum over the steps i with g_i = g of d^(terms-1-i)
     dn = d**terms
@@ -507,15 +380,4 @@ def nonarch_height(
     total = mpf_sum([mpf_mul_int(_log_int(g, bits), w, bits, rnd) for g, w in weights.items()], bits, rnd)
     value = mp.make_mpf(mpf_div(total, from_int(dn), bits, rnd))
     tail = mp.make_mpf(mpf_div(_log_int(R, bits), from_int((d - 1) * dn), bits, rnd))
-    return NonArchResult(value, tuple(gs), tail, terms, max_bits, bits)
-
-
-def nonarch_height_factored(
-    lift: MapLift,
-    P: ProjectivePoint,
-    terms: int,
-    parts: PartialFactorization,
-    precision_bits: int | None = None,
-) -> NonArchResult:
-    """Alias of nonarch_height that takes the coprime parts positionally."""
-    return nonarch_height(lift, P, terms, precision_bits, parts=parts)
+    return NonArchResult(value, tuple(gs), tail, terms, top.bit_length(), bits)

@@ -10,10 +10,9 @@ recurrence on a packed list, the archimedean series by mpf operators
 instead of fixed-point ints, a run's logarithms, bounds and assembly by mpf
 operators in a workprec scope instead of raw libmp calls, the exact-orbit
 oracle's entries by a division by the whole d^n in a workprec scope instead
-of raw libmp calls on its odd part, trial division one prime at a time
-instead of by block gcds.  It also holds the text strategy that fuzzes the
-parsers, and a generator and strategies of points near a repelling fixed
-point.
+of raw libmp calls on its odd part.  It also holds the text strategy that
+fuzzes the parsers, and a generator and strategies of points near a
+repelling fixed point.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from p1height.forms import (
     evaluate,
     normalize_point,
 )
-from p1height.nonarch import PartialFactorization, _primes_upto
 
 
 def brute_det(m: list[list[int]]) -> int:
@@ -358,28 +356,6 @@ repelling_fixed_point_strategies = {
     "c": st.integers(1 << 19, (1 << 70) - 1),
     "k": st.integers(300, 500),
 }
-
-
-def reference_trial_division(R: int, bound: int):
-    """trial_division as one remainder per sieve prime, in order, stopping
-    at rest == 1 or p*p > rest; a remainder <= bound is a prime power."""
-    parts, prov = [], []
-    rest = R
-    for p in _primes_upto(bound):
-        if rest == 1 or p * p > rest:
-            break
-        if rest % p == 0:
-            q = p
-            rest //= p
-            while rest % p == 0:
-                q *= p
-                rest //= p
-            parts.append(q)
-            prov.append("prime-power")
-    if rest > 1:
-        parts.append(rest)
-        prov.append("prime-power" if rest <= bound else "cofactor")
-    return PartialFactorization(tuple(parts), tuple(prov))
 
 
 # the grammar's characters and '**', three whitespaces, and '&', which no token takes

@@ -220,6 +220,24 @@ def test_projective_point_invariants():
         ProjectivePoint(0, 0)
 
 
+def test_bools_are_neither_coordinates_nor_coefficients():
+    # bool is an int subclass: ProjectivePoint(True, 1) would print [True, 1]
+    for x, y in ((True, 1), (1, True), (False, True)):
+        with pytest.raises(ValueError, match="bool"):
+            ProjectivePoint(x, y)
+    for coeffs in ((True, 0, 1), (1, False), (True,)):
+        with pytest.raises(ValueError, match="bool"):
+            BinaryForm(coeffs)
+    # other int subclasses still build, and normalize_point still converts a bool
+    class Int(int):
+        pass
+
+    assert ProjectivePoint(Int(3), Int(2)) == ProjectivePoint(3, 2)
+    assert BinaryForm((Int(1), 0, Int(2))).coefficients == (1, 0, 2)
+    assert normalize_point(True, 2) == ProjectivePoint(1, 2)
+    assert str(normalize_point(True, 1)) == "[1, 1]"
+
+
 def test_guards_and_renderings_that_other_tests_miss():
     # _divide_exact's two corruption guards: a coefficient and a polynomial remainder
     with pytest.raises(ArithmeticError):

@@ -20,10 +20,11 @@ from p1height.height import (
     height_identity_check,
     naive_height,
 )
-from p1height.nonarch import nonarch_height, trial_division
+from p1height.nonarch import nonarch_height
 from p1height.numerics import _log_int, default_precision_bits
 
 from helpers import (
+    exact_gcd_sequence,
     random_lift,
     random_point,
     reference_epilogue,
@@ -322,36 +323,32 @@ def test_scaled_lift_gives_same_canonical_height():
 
 
 # ---------------------------------------------------------------------------
-# factoring policies
+# the one nonarchimedean run
 
 
-def test_factoring_policies_agree():
+def test_canonical_height_gcd_sequence_is_the_exact_orbits():
     lift = _lift((3, 1, 1), (1, 4, 2))
     P = ProjectivePoint(5, 2)
-    plain = canonical_height(lift, P, terms=12)
-    parts = trial_division(abs(lift.resultant), 1000)
-    by_parts = canonical_height(lift, P, terms=12, factoring=parts)
-    assert plain.canonical == by_parts.canonical
-    assert plain.nonarch.gcd_sequence == by_parts.nonarch.gcd_sequence
-    assert by_parts.nonarch.modulus_bits <= plain.nonarch.modulus_bits
+    bd = canonical_height(lift, P, terms=12)
+    assert list(bd.nonarch.gcd_sequence) == exact_gcd_sequence(lift, P, 12)
+    assert bd.nonarch.modulus_bits == (abs(lift.resultant) ** 12).bit_length()
 
 
-def test_factoring_ignored_for_unit_resultant():
-    lift = _power_map(2)
-    parts = trial_division(abs(lift.resultant), 1000)
-    bd = canonical_height(lift, ProjectivePoint(3, 2), terms=10, factoring=parts)
+def test_unit_resultant_runs_the_loop_against_1():
+    bd = canonical_height(_power_map(2), ProjectivePoint(3, 2), terms=10)
     assert bd.nonarch.modulus_bits == 1
+    assert bd.nonarch.value == 0
+    assert bd.nonarch.gcd_sequence == (1,) * 10
 
 
-def test_factoring_refuses_anything_but_parts():
-    # a trial-division bound is not a factoring: build the parts with trial_division
+def test_split_run_keywords_are_gone():
+    # the loop always runs against |Res| unfactored: no factoring to pass
     lift = _lift((3, 1, 1), (1, 4, 2))
     P = ProjectivePoint(5, 2)
-    for bad in (1000, 1000.7, (abs(lift.resultant),)):
-        with pytest.raises(TypeError, match="PartialFactorization"):
-            canonical_height(lift, P, terms=12, factoring=bad)
-        with pytest.raises(TypeError, match="PartialFactorization"):
-            nonarch_height(lift, P, 12, parts=bad)
+    with pytest.raises(TypeError, match="factoring"):
+        canonical_height(lift, P, terms=12, factoring=None)
+    with pytest.raises(TypeError, match="parts"):
+        nonarch_height(lift, P, 12, parts=None)
 
 
 def test_precision_is_checked_before_any_layer_runs(monkeypatch):

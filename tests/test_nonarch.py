@@ -1,4 +1,4 @@
-"""Tests for the reduced-orbit gcd loop and its factored variant."""
+"""Tests for the reduced-orbit gcd loop."""
 
 import math
 import random
@@ -23,7 +23,6 @@ from p1height.forms import (
     parse_map,
 )
 from p1height.nonarch import (
-    PartialFactorization,
     _form_evaluator,
     _gcd_loop,
     _headroom,
@@ -32,11 +31,9 @@ from p1height.nonarch import (
     _unit_chart,
     exact_log_gcd,
     nonarch_height,
-    nonarch_height_factored,
-    trial_division,
 )
 
-from helpers import exact_gcd_sequence, random_lift, random_point, reference_trial_division
+from helpers import exact_gcd_sequence, random_lift, random_point
 
 
 def _lift(f_coeffs, g_coeffs):
@@ -130,9 +127,6 @@ def test_terms_validation():
     for bad in (0, -3, 2.5):
         with pytest.raises(ValueError):
             nonarch_height(lift, P, bad)
-    parts = trial_division(abs(lift.resultant))
-    with pytest.raises(ValueError):
-        nonarch_height_factored(lift, P, 0, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -177,131 +171,6 @@ def test_reduction_mod_resultant_preserves_step_gcd():
         gv = evaluate(lift.G, P.x, P.y)
         k1, k2 = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
         assert math.gcd(fv + k1 * R, gv + k2 * R, R) == math.gcd(fv, gv, R)
-
-
-# ---------------------------------------------------------------------------
-# trial division and partial factorizations
-
-
-def test_trial_division_small_composite():
-    parts = trial_division(360)
-    assert parts.coprime_parts == (8, 9, 5)
-    assert parts.provenance == ("prime-power",) * 3
-    parts.validate_for(360)
-
-
-def test_sieve_matches_trial_division_primality():
-    # an independent primality check: no divisor from 2 to isqrt(n)
-    def is_prime(n):
-        return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
-
-    expected = [n for n in range(2001) if is_prime(n)]
-    for bound in range(2, 2001):
-        assert nonarch._primes_upto(bound) == tuple(p for p in expected if p <= bound)
-    primes = nonarch._primes_upto(10**5)
-    assert len(primes) == 9592 and primes[-1] == 99991
-
-
-def test_trial_division_large_prime_tail_is_cofactor():
-    parts = trial_division(2**5 * 100003)
-    assert parts.coprime_parts == (32, 100003)
-    assert parts.provenance == ("prime-power", "cofactor")
-
-
-def test_trial_division_semiprime_above_bound():
-    parts = trial_division(101 * 103, bound=100)
-    assert parts.coprime_parts == (101 * 103,)
-    assert parts.provenance == ("cofactor",)
-
-
-def test_trial_division_prime_within_bound_is_recognized():
-    # never divided, but smaller than the bound, hence certified prime
-    parts = trial_division(99991)
-    assert parts.coprime_parts == (99991,)
-    assert parts.provenance == ("prime-power",)
-
-
-def test_trial_division_validation():
-    assert trial_division(1) == PartialFactorization((), ())
-    with pytest.raises(ValueError):
-        trial_division(0)
-    with pytest.raises(ValueError):
-        trial_division(360, bound=1)
-    with pytest.raises(ValueError):
-        trial_division(360, bound=10**9)
-
-
-def test_trial_division_random_roundtrip():
-    rng = random.Random(1307)
-    for _ in range(50):
-        R = rng.randint(2, 10**12)
-        parts = trial_division(R, bound=1000)
-        parts.validate_for(R)
-
-
-def _trial_division_cases():
-    """(R, bound) pairs around the block structure of trial_division."""
-    B = 100_000
-    primes = nonarch._primes_upto(B)
-    size = nonarch._BLOCK
-    last0, first1 = primes[size - 1], primes[size]  # the first block boundary
-    big = 2**89 - 1  # a Mersenne prime far above every bound
-    cases = [
-        (2, B),
-        (last0 * first1, B),
-        (last0**3 * first1**2 * big, B),
-        (last0 * primes[3 * size + 7] * big, B),
-        # the p*p > rest stop leaves a prime <= B: block 1's first, and the largest below B
-        (3 * first1, B),
-        (2**4 * primes[-1], B),
-        # a prime remainder above B, and a factor equal to B
-        (6 * 100_003, B),
-        (97**2 * 101, 97),
-        (2 * 97 * 103 * 107, 97),
-        # B below one block: a single partial block
-        (2**3 * 5 * 211, 100),
-        (211 * 223, 100),
-    ]
-    rng = random.Random(1309)
-    for _ in range(150):
-        R = 1
-        for _ in range(rng.randint(0, 4)):
-            R *= rng.choice(primes[: 4 * size]) ** rng.randint(1, 3)
-        R *= rng.choice((1, rng.randint(2, 10**6), rng.getrandbits(200) | 1, big))
-        cases.append((max(R, 2), rng.choice((B, 1000, 2000, 17))))
-    return cases
-
-
-def test_trial_division_matches_the_per_prime_scan():
-    for R, bound in _trial_division_cases():
-        assert trial_division(R, bound) == reference_trial_division(R, bound), (R, bound)
-
-
-def test_partial_factorization_refuses_an_unknown_provenance_tag():
-    # tags are taken as given, never converted: None is not "None"
-    for prov in ((None, 7), ("user", "sieve"), ("user", ["user"])):
-        with pytest.raises(ValueError, match="provenance"):
-            PartialFactorization((2, 3), prov)
-    for tag in ("prime-power", "cofactor", "user"):
-        assert PartialFactorization((2,), (tag,)).provenance == (tag,)
-
-
-def test_partial_factorization_validation():
-    with pytest.raises(ValueError):
-        PartialFactorization((2, 1), ("user", "user"))
-    with pytest.raises(ValueError):
-        PartialFactorization((2, 3), ("user",))
-    # parts are taken as given, never converted: 2.9 is not 2, nor "3" 3
-    for parts in ((2.9, "3"), (47.0,), ([2], 3), (2, "3")):
-        with pytest.raises(ValueError, match="parts must be ints"):
-            PartialFactorization(parts, ("user",) * len(parts))
-    pf = PartialFactorization((2, 4), ("user", "user"))
-    with pytest.raises(ValueError, match="coprime"):
-        pf.validate_for(8)
-    pf = PartialFactorization((2, 3), ("user", "user"))
-    with pytest.raises(ValueError, match="product"):
-        pf.validate_for(12)
-    pf.validate_for(6)
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +386,15 @@ def test_unsplit_loop_evaluates_every_charted_step_at_y_1(fixture_id, flipped, s
         mock.patch.object(nonarch, "_form_evaluator", spy_plan),
         mock.patch.object(nonarch, "_unit_chart", spy_chart),
     ):
-        unsplit = nonarch_height(lift, P, terms)
-    split = nonarch_height(lift, P, terms, unsplit.precision_bits, parts=trial_division(R))
-    assert unsplit.gcd_sequence == split.gcd_sequence
-    assert unsplit.modulus_bits == (R**terms).bit_length()
+        res = nonarch_height(lift, P, terms)
+    gs = res.gcd_sequence
+    # the catalog's patterns
+    if fixture_id == "ex1":
+        assert gs == (36, 2, 12) + tuple(2 if i % 2 else 4 for i in range(3, terms))
+    else:
+        assert set(gs) == {1, 19, 27, 513}
+        assert gs[20:] == gs[:-20]
+    assert res.modulus_bits == (R**terms).bit_length()
     assert len(plans) == 2
     assert plans[1] == tuple(BinaryForm(f.coefficients[::-1]) for f in plans[0])
     # each walk step charts, then evaluates
@@ -671,7 +545,7 @@ _WORST_CASE_MAPS = [
 
 
 @pytest.mark.parametrize("F, G, misses, walks", _WORST_CASE_MAPS, ids=["R34", "R2", "R12", "R28", "R33"])
-def test_worst_case_gcd_family_matches_the_exact_orbit_and_the_split_run(F, G, misses, walks):
+def test_worst_case_gcd_family_matches_the_exact_orbit_and_exact_horner(F, G, misses, walks):
     lift = _lift(F, G)
     R, P = abs(lift.resultant), ProjectivePoint(1, 0)
     assert list(nonarch_height(lift, P, 12).gcd_sequence) == exact_gcd_sequence(lift, P, 12)
@@ -679,10 +553,17 @@ def test_worst_case_gcd_family_matches_the_exact_orbit_and_the_split_run(F, G, m
     terms = math.ceil(1530 / math.log2(R))
     walked = []
     with mock.patch.object(nonarch, "_form_evaluator", _spy_walks(walked)):
-        unsplit = nonarch_height(lift, P, terms)
-    split = nonarch_height(lift, P, terms, unsplit.precision_bits, parts=trial_division(R))
-    assert unsplit.gcd_sequence == split.gcd_sequence
-    assert sum(g != R for g in unsplit.gcd_sequence) == misses
+        walk = nonarch_height(lift, P, terms)
+    # the same run with every step exact Horner on the whole pair
+    exact = []
+    with (
+        mock.patch.object(nonarch, "_HORNER_MAX_BITS", math.inf),
+        mock.patch.object(nonarch, "_form_evaluator", _spy_walks(exact)),
+    ):
+        horner = nonarch_height(lift, P, terms, walk.precision_bits)
+    assert exact == []
+    assert walk.gcd_sequence == horner.gcd_sequence
+    assert sum(g != R for g in walk.gcd_sequence) == misses
     assert sum(isinstance(w, int) for w in walked) == walks
 
 
@@ -785,10 +666,10 @@ def test_stop_keeps_the_exact_g_sequence_in_every_kernel():
 
 
 # ---------------------------------------------------------------------------
-# factored variant
+# random small maps against the exact orbit
 
 
-def test_factored_run_reproduces_plain_run():
+def test_random_quadratic_runs_match_the_exact_orbit():
     rng = random.Random(1308)
     checked = 0
     while checked < 15:
@@ -797,13 +678,9 @@ def test_factored_run_reproduces_plain_run():
         if R < 2:
             continue
         P = random_point(rng)
-        plain = nonarch_height(lift, P, 6)
-        parts = trial_division(R, bound=1000)
-        fact = nonarch_height_factored(lift, P, 6, parts, precision_bits=plain.precision_bits)
-        assert fact.gcd_sequence == plain.gcd_sequence
-        assert fact.value == plain.value
-        assert fact.tail_bound == plain.tail_bound
-        assert fact.modulus_bits <= plain.modulus_bits
+        res = nonarch_height(lift, P, 6)
+        assert list(res.gcd_sequence) == exact_gcd_sequence(lift, P, 6)
+        assert res.modulus_bits == (R**6).bit_length()
         checked += 1
 
 
@@ -825,54 +702,12 @@ def _small_map_and_point(draw):
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(_small_map_and_point())
-def test_one_driver_agrees_with_itself_split_and_with_exact_orbit(case):
+def test_one_driver_agrees_with_the_exact_orbit(case):
     lift, P = case
-    R = abs(lift.resultant)
-    assume(R > 1)
-    plain = nonarch_height(lift, P, 5)
-    split = nonarch_height(
-        lift, P, 5, plain.precision_bits, parts=trial_division(R, bound=50)
-    )
-    assert plain.gcd_sequence == split.gcd_sequence
-    assert list(plain.gcd_sequence) == exact_gcd_sequence(lift, P, 5)
-    assert plain.value == split.value
-
-
-def test_single_part_factored_run_is_the_plain_run():
-    lift = _lift((3, 1, 1), (1, 4, 2))
-    R = abs(lift.resultant)
-    P = ProjectivePoint(5, 2)
-    plain = nonarch_height(lift, P, 5)
-    whole = PartialFactorization((R,), ("user",))
-    fact = nonarch_height_factored(lift, P, 5, whole, precision_bits=plain.precision_bits)
-    assert fact.gcd_sequence == plain.gcd_sequence
-    assert fact.value == plain.value
-    assert fact.modulus_bits == plain.modulus_bits
-
-
-def test_factored_rejects_wrong_parts():
-    lift = _lift((3, 1, 1), (1, 4, 2))
-    with pytest.raises(ValueError):
-        nonarch_height_factored(
-            lift, ProjectivePoint(5, 2), 5, PartialFactorization((7,), ("user",))
-        )
-
-
-def test_factored_moduli_stay_small_on_fixture():
-    from p1height.fixtures import fixture_lift, load_fixture
-
-    lift = fixture_lift("ex1")
-    R = abs(lift.resultant)
-    parts = trial_division(R, 10)
-    assert parts.coprime_parts[:2] == (256, 9)
-    assert parts.provenance == ("prime-power", "prime-power", "cofactor")
-    assert parts.coprime_parts[2].bit_length() == 643
-
-    P = load_fixture("ex1").point()
-    plain = nonarch_height(lift, P, 12)
-    fact = nonarch_height_factored(lift, P, 12, parts, precision_bits=plain.precision_bits)
-    assert fact.gcd_sequence == plain.gcd_sequence
-    assert fact.value == plain.value
-    # the largest per-part modulus is the cofactor's 12th power
-    assert fact.modulus_bits == (parts.coprime_parts[2] ** 12).bit_length()
-    assert fact.modulus_bits < plain.modulus_bits
+    assume(abs(lift.resultant) > 1)
+    res = nonarch_height(lift, P, 5)
+    exact = exact_gcd_sequence(lift, P, 5)
+    assert list(res.gcd_sequence) == exact
+    with mp.workprec(res.precision_bits):
+        total = mp.fsum(mp.log(g) / lift.degree ** (i + 1) for i, g in enumerate(exact))
+        assert abs(total - res.value) <= mp.mpf(2) ** (8 - res.precision_bits)
