@@ -21,14 +21,15 @@ from hypothesis import strategies as st
 
 import p1height
 import p1height.cli as cli
-from p1height import forms
+from p1height import forms, height
 from p1height.cli import JobSpec, main
 from p1height.fixtures import load_fixture
 from p1height.forms import BinaryForm, MapLift
 from p1height.height import canonical_height, canonical_height_oracle, height_identity_check
+from p1height.nonarch import nonarch_height
 from p1height.numerics import _ceil_decimal_string
 
-from helpers import grammar_texts
+from helpers import exact_gcd_sequence, grammar_texts
 
 
 def run_cli(capsys, *argv):
@@ -185,6 +186,28 @@ def test_ex1_working_modulus_is_the_catalogs(capsys):
     assert code == 0
     doc = json.loads(out)
     assert f"{doc['nonarch']['modulus_bits']} bits" == dict(load_fixture("ex1").expected)["working modulus"]
+
+
+@pytest.mark.parametrize("fixture_id, terms", [("ex1", 50), ("ex2", 50), ("ex3", 100), ("ex4", 100)])
+def test_cli_g_sequence_is_the_library_runs_and_follows_the_exact_orbit(capsys, fixture_id, terms):
+    # each CLI g-sequence is a library canonical_height run's; ex1 and ex2
+    # follow the catalog's patterns, and the first 8 g_i of ex3 and ex4 are
+    # the gcds of the exact orbit
+    code, out, _ = run_cli(
+        capsys, "--fixture", fixture_id, "--terms", str(terms), "--emit-g-sequence", "--format", "json",
+    )
+    assert code == 0
+    gs = tuple(int(g) for g in json.loads(out)["nonarch"]["gcd_sequence"])
+    fx = load_fixture(fixture_id)
+    lift, P = fx.lift(), fx.point()
+    assert gs == canonical_height(lift, P, terms).nonarch.gcd_sequence
+    if fixture_id == "ex1":
+        assert gs == (36, 2, 12) + tuple(2 if i % 2 else 4 for i in range(3, terms))
+    elif fixture_id == "ex2":
+        assert set(gs) == {1, 19, 27, 513}
+        assert gs[20:] == gs[:-20]
+    else:
+        assert list(gs[:8]) == exact_gcd_sequence(lift, P, 8)
 
 
 def test_periodic_fixture_reference_values(capsys):
@@ -698,3 +721,12 @@ def test_every_trace_target_resolves():
     assert spans.TARGETS
     for modname, attr, _ in spans.TARGETS:
         assert callable(getattr(importlib.import_module(modname), attr, None)), (modname, attr)
+
+
+def test_the_two_wrap_only_bindings_are_the_one_driver():
+    # perfbench wraps cli.trial_division and height.nonarch_height_factored by
+    # attribute; both stay bound to nonarch_height and outside every __all__
+    assert cli.trial_division is nonarch_height
+    assert height.nonarch_height_factored is nonarch_height
+    assert "trial_division" not in cli.__all__
+    assert "nonarch_height_factored" not in height.__all__

@@ -220,15 +220,20 @@ def test_projective_point_invariants():
         ProjectivePoint(0, 0)
 
 
-def test_bools_are_neither_coordinates_nor_coefficients():
-    # bool is an int subclass: ProjectivePoint(True, 1) would print [True, 1]
-    for x, y in ((True, 1), (1, True), (False, True)):
-        with pytest.raises(ValueError, match="bool"):
-            ProjectivePoint(x, y)
-    for coeffs in ((True, 0, 1), (1, False), (True,)):
-        with pytest.raises(ValueError, match="bool"):
-            BinaryForm(coeffs)
-    # other int subclasses still build, and normalize_point still converts a bool
+# bool is an int subclass: ProjectivePoint(True, 1) would print [True, 1]
+@pytest.mark.parametrize("x, y", [(True, 1), (1, True), (False, True)])
+def test_projective_point_refuses_bool_coordinates(x, y):
+    with pytest.raises(ValueError, match="bool"):
+        ProjectivePoint(x, y)
+
+
+@pytest.mark.parametrize("coeffs", [(True, 0, 1), (1, False), (True,)])
+def test_binary_form_refuses_bool_coefficients(coeffs):
+    with pytest.raises(ValueError, match="bool"):
+        BinaryForm(coeffs)
+
+
+def test_other_int_subclasses_build_and_normalize_point_converts_a_bool():
     class Int(int):
         pass
 

@@ -341,14 +341,16 @@ def test_unit_resultant_runs_the_loop_against_1():
     assert bd.nonarch.gcd_sequence == (1,) * 10
 
 
-def test_split_run_keywords_are_gone():
+@pytest.mark.parametrize(
+    "run, keyword",
+    [(canonical_height, "factoring"), (nonarch_height, "parts")],
+    ids=["canonical_height", "nonarch_height"],
+)
+def test_split_run_keywords_are_gone(run, keyword):
     # the loop always runs against |Res| unfactored: no factoring to pass
     lift = _lift((3, 1, 1), (1, 4, 2))
-    P = ProjectivePoint(5, 2)
-    with pytest.raises(TypeError, match="factoring"):
-        canonical_height(lift, P, terms=12, factoring=None)
-    with pytest.raises(TypeError, match="parts"):
-        nonarch_height(lift, P, 12, parts=None)
+    with pytest.raises(TypeError, match=keyword):
+        run(lift, ProjectivePoint(5, 2), 12, **{keyword: None})
 
 
 def test_precision_is_checked_before_any_layer_runs(monkeypatch):

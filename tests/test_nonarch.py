@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
+import p1height
 from p1height import nonarch
 from p1height.fixtures import load_fixture
 from p1height.forms import (
@@ -127,6 +128,13 @@ def test_terms_validation():
     for bad in (0, -3, 2.5):
         with pytest.raises(ValueError):
             nonarch_height(lift, P, bad)
+
+
+def test_the_split_run_names_are_gone_from_the_public_api():
+    for name in ("PartialFactorization", "trial_division", "nonarch_height_factored"):
+        assert name not in p1height.__all__
+        assert not hasattr(p1height, name)
+        assert not hasattr(nonarch, name)
 
 
 # ---------------------------------------------------------------------------
