@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .fixtures import fixture_ids, load_fixture
-from .forms import NotAMorphismError, ParseError, parse_map, parse_point
-from .height import BudgetExceededError, canonical_height, canonical_height_oracle
+from .forms import BudgetExceededError, NotAMorphismError, ParseError, parse_map, parse_point
+from .height import canonical_height, canonical_height_oracle
 from .nonarch import nonarch_height
 from .numerics import (
     _ceil_decimal_string, _check_positive_int, check_run_parameters, decimal_digits,

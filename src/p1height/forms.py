@@ -7,7 +7,8 @@ building blocks the height computations rest on:
 
 * parsing of map and point descriptions (homogeneous pair or rational
   function in one variable),
-* exact form evaluation,
+* exact form evaluation, and the one exact-orbit step, which the oracle,
+  the identity check and exact_log_gcd take, charged to a work budget,
 * point normalization to coprime integer coordinates,
 * Sylvester resultants by the fraction-free subresultant PRS,
 * the degree-(d-1) cofactor forms a1, b1, a2, b2 with
@@ -38,6 +39,7 @@ from .numerics import int_str_digits_limit
 
 __all__ = [
     "BinaryForm",
+    "BudgetExceededError",
     "CofactorIdentity",
     "MapLift",
     "NotAMorphismError",
@@ -54,6 +56,10 @@ __all__ = [
 
 class ParseError(ValueError):
     """A map or point description does not match the input grammar."""
+
+
+class BudgetExceededError(RuntimeError):
+    """A computation would exceed its resource budget."""
 
 
 class NotAMorphismError(ValueError):
@@ -429,6 +435,23 @@ class MapLift:
         return f"[{self.F}, {self.G}]"
 
 
+def _exact_step(lift: MapLift, x: int, y: int, charge) -> tuple[int, int, int]:
+    """(F/g, G/g, g) at a coprime pair (x, y), g = gcd(F(x, y), G(x, y)), which divides |Res|: one
+    exact-orbit step, whose work is charged before lift.apply runs, so a refused step never runs."""
+    d = lift.degree
+    # Horner step i of lift.apply, for both forms: y-power and accumulator (i-1)*b + h bits by
+    # b, coefficient by the i*b-bit y-power; then the images' gcd and two divisions by it (<= |Res|)
+    b, h = max(abs(x), abs(y)).bit_length(), lift.coeff_norm.bit_length() + (d + 1).bit_length()
+    for i in range(1, d + 1):
+        charge(4, (i - 1) * b + h, b)
+        charge(2, h, i * b)
+    charge(1, d * b + h, d * b + h)
+    charge(2, d * b + h, lift.resultant.bit_length())
+    fx, gy = lift.apply(x, y)
+    g = math.gcd(fx, gy)
+    return fx // g, gy // g, g
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -449,7 +472,7 @@ _MAX_EXPONENT = 4096
 # _MAX_EXPONENT, and j < _KEY_BASE
 _KEY_BASE = _MAX_EXPONENT + 1
 # the work budget of a parse_map call or an exact-orbit run, charged before each product, power,
-# negation, elimination and oracle iterate: a product or exact division of an a-bit by a b-bit int
+# negation, elimination and exact-orbit step: a product or exact division of an a-bit by a b-bit int
 # costs ceil(a/64)*ceil(b/64), an upper bound on CPython's 64-bit limb products, plus a fixed cost
 # for the interpreter's overhead, _PRODUCT_COST for dict products; the work took 2 to 10 ns per
 # unit on a 2-core x86_64 host, so the budget is at most about 3.5 s

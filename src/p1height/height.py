@@ -13,12 +13,12 @@ points; a computed value below -error_bound is treated as a bug and raised.
 The oracle in this module takes the slow road instead: it iterates the map
 on exact normalized integer pairs and returns d^(-n) h(of the n-th iterate),
 whose limit is the same canonical height.  Coordinates grow like d^n digits,
-so the oracle is for cross-checking at small n only.
+so the oracle is for cross-checking at small n only.  It and the identity
+check take forms._exact_step, charged to the work budget before it runs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -27,22 +27,17 @@ from mpmath.libmp import (
 )
 
 from .arch import ArchResult, arch_height
-from .forms import MapLift, ProjectivePoint, _budget, normalize_point
+from .forms import BudgetExceededError, MapLift, ProjectivePoint, _budget, _exact_step
 from .nonarch import NonArchResult, nonarch_height
 from .numerics import _check_positive_int, _check_precision_bits, _log_int, resolve_precision_bits
 
 __all__ = [
-    "BudgetExceededError",
     "HeightBreakdown",
     "canonical_height",
     "canonical_height_oracle",
     "height_identity_check",
     "naive_height",
 ]
-
-
-class BudgetExceededError(RuntimeError):
-    """A computation would exceed its resource budget."""
 
 
 @dataclass(frozen=True)
@@ -115,8 +110,8 @@ def canonical_height_oracle(
     Successive entries converge to the canonical height; this is the
     definition made executable, entirely independent of the series route.
     Iterate coordinates are exact integers divided by their gcd each step,
-    so they grow like d^n digits; each iterate is charged to the parser's
-    work budget before it runs, and BudgetExceededError refuses it past that.
+    so they grow like d^n digits; each iterate is one forms._exact_step, charged to
+    the parser's work budget before it runs; BudgetExceededError refuses it past that.
     """
     _check_positive_int(n_max, "n_max")
     _check_precision_bits(precision_bits)
@@ -130,17 +125,7 @@ def canonical_height_oracle(
     charge = _budget(BudgetExceededError)
     for n in range(n_max + 1):
         if n:
-            # Horner step i of lift.apply, for both forms: y-power and accumulator (i-1)*b + h bits by
-            # b, coefficient by the i*b-bit y-power; then the images' gcd and two divisions by it (<= |Res|)
-            b, h = max(abs(x), abs(y)).bit_length(), lift.coeff_norm.bit_length() + (d + 1).bit_length()
-            for i in range(1, d + 1):
-                charge(4, (i - 1) * b + h, b)
-                charge(2, h, i * b)
-            charge(1, d * b + h, d * b + h)
-            charge(2, d * b + h, lift.resultant.bit_length())
-            fx, gy = lift.apply(x, y)
-            g = math.gcd(fx, gy)
-            x, y = fx // g, gy // g
+            x, y, _ = _exact_step(lift, x, y, charge)
             denom *= d >> k
         log_h = _log_int(max(abs(x), abs(y)), precision_bits)
         entry = mpf_div(log_h, from_int(denom), precision_bits, round_nearest)
@@ -158,16 +143,16 @@ def height_identity_check(
     h(image of P) - d*h(P) must equal -(step + log g), where step is d times
     the one-term arch_height value, the series' own first step, and g is the
     exact gcd of the two evaluations.  The left side goes through exact
-    integer normalization, the right through the fixed-point orbit, each
-    term rounded to nearest at precision_bits (at least 64), so a nonzero
-    residual beyond rounding pinpoints an inconsistency between the routes.
+    integer normalization (one exact step, charged as an oracle iterate is),
+    the right through the fixed-point orbit, each term rounded to nearest at
+    precision_bits (at least 64), so a nonzero residual beyond rounding
+    pinpoints an inconsistency between the routes.
     """
     _check_precision_bits(precision_bits)
-    fx, gy = lift.apply(P.x, P.y)
-    g = math.gcd(fx, gy)
+    x, y, g = _exact_step(lift, P.x, P.y, _budget(BudgetExceededError))
     d, bits, rnd = lift.degree, precision_bits, round_nearest
     step = mpf_mul(from_int(d), arch_height(lift, P, 1, bits).value._mpf_, bits, rnd)
-    h_image = naive_height(normalize_point(fx, gy), bits)._mpf_
+    h_image = _log_int(max(abs(x), abs(y)), bits)
     h_p = mpf_mul(from_int(d), naive_height(P, bits)._mpf_, bits, rnd)
     residual = mpf_sub(h_image, h_p, bits, rnd)
     for term in (step, _log_int(g, bits)):

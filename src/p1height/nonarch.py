@@ -19,7 +19,6 @@ run of g = 1 steps (Brent's cycle test): every later g_i is then 1.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import mpmath as mp
 from mpmath.libmp import from_int, mpf_div, mpf_mul_int, mpf_sum, round_nearest
 
-from .forms import BinaryForm, MapLift, ProjectivePoint, evaluate
+from .forms import BinaryForm, BudgetExceededError, MapLift, ProjectivePoint, _budget, _exact_step
 from .numerics import _log_int, resolve_precision_bits
 
 __all__ = ["NonArchResult", "exact_log_gcd", "nonarch_height"]
@@ -53,14 +52,13 @@ class NonArchResult:
 
 
 def exact_log_gcd(lift: MapLift, Q: ProjectivePoint, precision_bits: int | None = None) -> mp.mpf:
-    """log gcd(F(Q), G(Q)) from the two full-size exact evaluations.
+    """log gcd(F(Q), G(Q)) from one exact step, forms._exact_step, charged to the work budget first.
 
     Oracle-grade only: along an orbit the evaluations grow like d^n digits,
     so this is for tests and single steps; use nonarch_height for series.
     """
-    g = math.gcd(evaluate(lift.F, Q.x, Q.y), evaluate(lift.G, Q.x, Q.y))
     bits = resolve_precision_bits(precision_bits, lift.degree, 1, lift.coeff_norm)
-    return mp.make_mpf(_log_int(g, bits))
+    return mp.make_mpf(_log_int(_exact_step(lift, Q.x, Q.y, _budget(BudgetExceededError))[2], bits))
 
 
 def _block_size(d: int) -> int:
@@ -182,23 +180,17 @@ def _reciprocals(top: int, modulus: int, count: int, extra: int):
     the first Barrett step divides.  After it, since M' = M/modulus exactly,
     mu' = (mu*modulus) >> 2s with s = n - n' >= bits(modulus) - 1, so the
     factor modulus/4^s is below 1: an error e becomes at most
-    e*modulus/4^s + 1 and stays bounded down the chain.  The links from the
-    first below _BARRETT_MIN_BITS on come from C iterators, as cheap as an
-    inline `//=`.
+    e*modulus/4^s + 1 and stays bounded down the chain.
     """
-    links = itertools.accumulate(itertools.repeat(modulus, count - 1), operator.floordiv, initial=top)
-
-    def barrett():
-        mu, n = None, top.bit_length()
-        for M in links:
-            n_prev, n = n, M.bit_length()
-            if n < _BARRETT_MIN_BITS:
-                yield M, None
-                return
+    mu, n = None, top.bit_length()
+    for i in range(count):
+        M = M // modulus if i else top
+        n_prev, n = n, M.bit_length()
+        if n < _BARRETT_MIN_BITS:
+            mu = None
+        else:
             mu = (1 << (2 * n + extra)) // M if mu is None else (mu * modulus) >> (2 * (n_prev - n))
-            yield M, mu
-
-    return itertools.chain(barrett(), zip(links, itertools.repeat(None)))
+        yield M, mu
 
 
 def _reducer(M: int, mu: int | None, extra: int):

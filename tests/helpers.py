@@ -11,7 +11,8 @@ instead of fixed-point ints, a run's logarithms, bounds and assembly by mpf
 operators in a workprec scope instead of raw libmp calls, the exact-orbit
 oracle's entries by a division by the whole d^n in a workprec scope instead
 of raw libmp calls on its odd part.  It also holds the text strategy that
-fuzzes the parsers, and a generator and strategies of points near a
+fuzzes the parsers, a strategy of small maps and points with a step count
+for their exact orbits, and a generator and strategies of points near a
 repelling fixed point.
 """
 
@@ -22,12 +23,14 @@ import warnings
 from fractions import Fraction
 
 import mpmath as mp
+from hypothesis import assume, reject
 from hypothesis import strategies as st
 
 from p1height.forms import (
     _KEY_BASE,
     BinaryForm,
     MapLift,
+    NotAMorphismError,
     ProjectivePoint,
     evaluate,
     normalize_point,
@@ -178,6 +181,29 @@ def exact_gcd_sequence(lift: MapLift, P: ProjectivePoint, n: int) -> list[int]:
         out.append(g)
         x, y = a // g, b // g
     return out
+
+
+# steps by degree: the exact orbit's values grow like d^n, and these keep each
+# case within about 20 ms
+STOP_TERMS = {2: 14, 3: 8, 4: 7, 5: 6, 12: 4}
+
+
+@st.composite
+def stop_case(draw):
+    """A map of degree 2, 3, 4, 5 or 12 with coefficients |c| <= 3, a point,
+    and the degree's STOP_TERMS."""
+    d = draw(st.sampled_from(tuple(STOP_TERMS)))
+    coeffs = st.tuples(*[st.integers(-3, 3)] * (d + 1))
+    F, G = BinaryForm(draw(coeffs)), BinaryForm(draw(coeffs))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # drawn pairs may carry content
+            lift = MapLift.from_forms(F, G)
+    except NotAMorphismError:
+        reject()
+    x, y = draw(st.integers(-50, 50)), draw(st.integers(-50, 50))
+    assume(x or y)
+    return lift, normalize_point(x, y), STOP_TERMS[d]
 
 
 def _reference_eval_real(coeffs, x, y):

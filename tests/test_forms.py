@@ -15,6 +15,7 @@ from p1height import forms, nonarch
 from p1height.fixtures import fixture_lift
 from p1height.forms import (
     BinaryForm,
+    BudgetExceededError,
     MapLift,
     NotAMorphismError,
     ParseError,
@@ -22,6 +23,7 @@ from p1height.forms import (
     cofactors,
     evaluate,
     _PolyParser,
+    _exact_step,
     _tokenize,
     normalize_point,
     parse_map,
@@ -34,12 +36,14 @@ from helpers import (
     brute_det,
     cofactor_identities_hold,
     convolve,
+    exact_gcd_sequence,
     exponent_keyed,
     fraction_det,
     grammar_texts,
     monomial_key,
     random_form,
     random_lift,
+    stop_case,
     sylvester_rows,
     tuple_power,
 )
@@ -510,6 +514,28 @@ def test_map_lift_validations():
         MapLift.from_forms(BinaryForm((1, 0, 0)), BinaryForm((1, 0)))
     with pytest.raises(NotAMorphismError):
         MapLift.from_forms(BinaryForm((1, 0, 0)), BinaryForm((1, 0, 0)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(stop_case())
+def test_exact_step_iterates_the_normalized_orbit(case):
+    # the one exact-orbit step behind the oracle, the identity check and
+    # exact_log_gcd, iterated on its own output from P: its g's are the exact
+    # orbit's gcds, each dividing |Res|, and its pairs are, up to sign, the
+    # normalized MapLift.apply orbit, so coprime.  Half the gcd loop's steps:
+    # a gcd of coprime full-size values takes quadratic time, and the last of
+    # the loop's steps would take most of the run
+    lift, P, terms = case
+    steps = terms // 2
+    charge = forms._budget(BudgetExceededError)  # one running cost, as the oracle keeps
+    x, y, Q, gs = P.x, P.y, P, []
+    for _ in range(steps):
+        x, y, g = _exact_step(lift, x, y, charge)
+        Q = normalize_point(*lift.apply(Q.x, Q.y))
+        assert (x, y) in ((Q.x, Q.y), (-Q.x, -Q.y))
+        assert lift.resultant % g == 0
+        gs.append(g)
+    assert gs == exact_gcd_sequence(lift, P, steps)
 
 
 def test_parse_map_reports_map_checks_as_parse_errors():

@@ -20,7 +20,7 @@ from p1height.height import (
     height_identity_check,
     naive_height,
 )
-from p1height.nonarch import nonarch_height
+from p1height.nonarch import exact_log_gcd, nonarch_height
 from p1height.numerics import _log_int, default_precision_bits
 
 from helpers import (
@@ -196,6 +196,25 @@ def test_oracle_respects_work_budget(monkeypatch):
         canonical_height_oracle(lift, P, 0)
 
 
+@pytest.mark.parametrize("entry", [height_identity_check, exact_log_gcd])
+def test_one_step_entries_refuse_their_step_before_evaluating_it(monkeypatch, entry):
+    # the identity check and exact_log_gcd take one exact-orbit step each,
+    # charged to the work budget as an oracle iterate is: a cubic at a
+    # 100001-bit point projects a cost of 51328404, so a budget of
+    # 1e5 refuses the step before MapLift.apply runs, and the default runs it
+    applied, original = [], MapLift.apply
+    monkeypatch.setattr(MapLift, "apply", lambda lift, x, y: applied.append(1) or original(lift, x, y))
+    lift = random_lift(random.Random(1503), 3)
+    P = ProjectivePoint(2**100_000, 1)
+    entry(lift, P)
+    assert len(applied) == 1
+    applied.clear()
+    monkeypatch.setattr(forms, "_MAX_COST", 100_000)
+    with pytest.raises(BudgetExceededError, match="the next exact-orbit iterate .* work budget"):
+        entry(lift, P)
+    assert applied == []
+
+
 @pytest.mark.parametrize(
     "case, n_max",
     [("ex1", 2), ("ex2", 5), ("ex3", 8), ("ex4", 6), ("points map", 5), ("cubic map", 6),
@@ -234,22 +253,27 @@ class _LimbTally(int):
 
 
 def test_oracle_charge_bounds_the_limb_products_of_its_iterate(monkeypatch):
-    # the limb part of each charge, recorded in place of the budget
+    # the limb part of each charge, recorded in place of the budget that the
+    # oracle and the identity check (height) and exact_log_gcd (nonarch) build
     charged = []
-    monkeypatch.setattr(height, "_budget", lambda error: (
-        lambda n, a_bits, b_bits, overhead=0: charged.append(n * -(-a_bits // 64) * -(-b_bits // 64))
-    ))
+    for module in (height, nonarch):
+        monkeypatch.setattr(module, "_budget", lambda error: (
+            lambda n, a_bits, b_bits, overhead=0: charged.append(n * -(-a_bits // 64) * -(-b_bits // 64))
+        ))
     rng = random.Random(1505)
     for _ in range(80):
         c = 2 ** rng.randint(1, 400)
         lift = random_lift(rng, rng.randint(2, 12), -c, c)
         P = random_point(rng, 2 ** rng.randint(1, 3000))
-        charged.clear()
-        _LimbTally.limbs = 0
-        # coordinates that tally lift.apply's products; its result is plain
-        canonical_height_oracle(lift, ProjectivePoint(_LimbTally(P.x), _LimbTally(P.y)), 1)
-        # the last two charges price the gcd of the images and the divisions by it
-        assert 0 < _LimbTally.limbs <= sum(charged[:-2])
+        # one iterate of the oracle, and the one step of each other entry
+        for step in (lambda Q: canonical_height_oracle(lift, Q, 1), lambda Q: height_identity_check(lift, Q),
+                     lambda Q: exact_log_gcd(lift, Q)):
+            charged.clear()
+            _LimbTally.limbs = 0
+            # coordinates that tally lift.apply's products; its result is plain
+            step(ProjectivePoint(_LimbTally(P.x), _LimbTally(P.y)))
+            # the last two charges price the gcd of the images and the divisions by it
+            assert 0 < _LimbTally.limbs <= sum(charged[:-2])
 
 
 def test_oracle_tail_consistency_band():

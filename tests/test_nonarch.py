@@ -34,7 +34,7 @@ from p1height.nonarch import (
     nonarch_height,
 )
 
-from helpers import exact_gcd_sequence, random_lift, random_point
+from helpers import exact_gcd_sequence, random_lift, random_point, stop_case
 
 
 def _lift(f_coeffs, g_coeffs):
@@ -625,29 +625,6 @@ def test_loop_stops_once_its_orbit_mod_res_cycles_through_g_1(source, terms, ste
     assert gs == exact_gcd_sequence(lift, P, steps) + [1] * (terms - steps)
 
 
-# terms by degree: the exact orbit's values grow like d^n, and these keep each
-# case within about 20 ms
-_STOP_TERMS = {2: 14, 3: 8, 4: 7, 5: 6, 12: 4}
-
-
-@st.composite
-def _stop_case(draw):
-    """A map of degree 2, 3, 4, 5 or 12 with coefficients |c| <= 3, a point,
-    and the degree's _STOP_TERMS."""
-    d = draw(st.sampled_from(tuple(_STOP_TERMS)))
-    coeffs = st.tuples(*[st.integers(-3, 3)] * (d + 1))
-    F, G = BinaryForm(draw(coeffs)), BinaryForm(draw(coeffs))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # drawn pairs may carry content
-            lift = MapLift.from_forms(F, G)
-    except NotAMorphismError:
-        reject()
-    x, y = draw(st.integers(-50, 50)), draw(st.integers(-50, 50))
-    assume(x or y)
-    return lift, normalize_point(x, y), _STOP_TERMS[d]
-
-
 def test_stop_keeps_the_exact_g_sequence_in_every_kernel():
     # the stop must leave every g_i as the exact orbit has it, on the default
     # kernels and on walked, charted steps; and it must fire in both, which
@@ -657,7 +634,7 @@ def test_stop_keeps_the_exact_g_sequence_in_every_kernel():
     fired = dict.fromkeys(modes, 0)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(_stop_case())
+    @given(stop_case())
     def check(case):
         lift, P, terms = case
         R = abs(lift.resultant)
