@@ -75,8 +75,9 @@ def _digits_form(digits: str) -> BinaryForm:
     return BinaryForm(tuple(int(ch) for ch in digits))
 
 
+@lru_cache(maxsize=None)
 def _inputs(fixture_id: str) -> tuple[BinaryForm, BinaryForm, ProjectivePoint]:
-    """F, G and the point of a fixture; load_fixture rejects an unknown id."""
+    """F, G and the point of a fixture, cached; load_fixture rejects an unknown id."""
     load_fixture(fixture_id)
     if fixture_id == "ex1":
         F = _digits_form(_load_data("ex1_num_digits.txt"))

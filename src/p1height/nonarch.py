@@ -6,10 +6,10 @@ pair with R = |Res(F, G)|.  The key point is that the g_i survive reduction:
 running the orbit modulo R^(N-i) and dividing each step's gcd out of the
 reduced pair recovers exactly the g_i of the exact orbit, while keeping
 every working integer below R^N.  R is never factored.  One rule picks
-each step's kernel: exact Horner, reduced once, when the run is small and
-the pair below its top modulus or the step's exact values fit below its
-modulus, else one Paterson-Stockmeyer walk reduced by Barrett's method on
-large moduli; this module holds them all.  On large moduli of degree d >= 12 every walk step
+each step's kernel from that step's sizes alone: exact Horner, reduced
+once, when the step's exact values fit below its modulus or a small bound,
+else one Paterson-Stockmeyer walk reduced by Barrett's method on large
+moduli; this module holds them all.  From degree 12 on every walk step
 first scales the pair by a unit mod R so that one coordinate is 1,
 evaluating the reversed forms when that is X: the values scale by that
 unit's d-th power, which leaves every g_i as it is and removes most
@@ -156,13 +156,13 @@ def _form_evaluator(forms: tuple[BinaryForm, ...]):
 # at 32674, so Barrett already wins below this bound (ROADMAP item 8).
 _BARRETT_MIN_BITS = 12_000
 
-# largest d * bits(top modulus) stepped by exact Horner (crossover table in CHANGES.md)
+# a step is exact Horner when d * bits(pair) <= max(bits(live), this); below this
+# bound a step costs interpreter overhead, not arithmetic (crossover table in CHANGES.md)
 _HORNER_MAX_BITS = 2048
 
-# smallest degree and d * bits(top modulus) whose walk steps scale the pair to
-# a coordinate 1 first (crossover table in CHANGES.md)
+# smallest degree whose walk steps scale the pair to a coordinate 1 first
+# (crossover table in CHANGES.md)
 _SCALE_MIN_DEGREE = 12
-_SCALE_MIN_BITS = 40_000
 
 
 def _headroom(forms) -> int:
@@ -254,22 +254,20 @@ def _gcd_loop(forms, P: ProjectivePoint, modulus: int, top_power: int, terms: in
     Step i works modulo live = modulus^(terms-i), the links of one
     _reciprocals chain, so only one big power is ever held.  gcd(m, 0, 0) = m
     is correct: the true orbit gcd divides the modulus, so a doubly-vanishing
-    residue pair means the gcd is the whole modulus.  The loop starts
-    from P, signs kept, and one rule picks each step's kernel: when the run
-    is small (d * bits(top_power) <= _HORNER_MAX_BITS, where interpreter
-    overhead dominates) and |x|, y < top_power, which after the first step
-    always holds, or when this step's values fit below the modulus
-    (d * bits(max(|x|, y)) <= bits(live)), it is exact Horner on F and G,
-    then one `%` each; otherwise the Paterson-Stockmeyer walk, whose plans
-    are built at its first step.  From degree _SCALE_MIN_DEGREE and
-    d * bits(top_power) >= _SCALE_MIN_BITS every walk step first scales the
-    pair by a unit mod the modulus to a Y coordinate of 1 (_unit_chart), so
-    the products by the powers of Y cost linear time; a pair whose X
-    coordinate is the unit becomes (1, w), which the reversed forms' plan
-    evaluates at (w, 1) at the same cost.  A unit c scales both values by
-    c^d, so gcd(modulus, c^d F, c^d G) = gcd(modulus, F, G) and the next pair
-    is a unit multiple of the exact quotient pair reduced: every kernel gives
-    the same g-sequence.
+    residue pair means the gcd is the whole modulus.  The loop starts from
+    P, signs kept, and one rule picks each step's kernel from that step's
+    sizes: when its exact values are small, d * bits(max(|x|, y)) <=
+    max(bits(live), _HORNER_MAX_BITS), it is exact Horner on F and G, then
+    one `%` each; otherwise the Paterson-Stockmeyer walk on the reduced
+    pair, whose plans are built at its first step.  From degree
+    _SCALE_MIN_DEGREE on every walk step first scales the pair by a unit mod
+    the modulus to a Y coordinate of 1 (_unit_chart), so the products by the
+    powers of Y cost linear time; a pair whose X coordinate is the unit
+    becomes (1, w), which the reversed forms' plan evaluates at (w, 1) at
+    the same cost.  A unit c scales both values by c^d, so gcd(modulus,
+    c^d F, c^d G) = gcd(modulus, F, G) and the next pair is a unit multiple
+    of the exact quotient pair reduced: every kernel gives the same
+    g-sequence.
 
     The loop stops early once the rest of the g-sequence is decided.  Let
     key_i = (fx % modulus, gy % modulus) be step i's values mod the modulus
@@ -287,12 +285,8 @@ def _gcd_loop(forms, P: ProjectivePoint, modulus: int, top_power: int, terms: in
     """
     (f0, g0), *pairs = zip(*(f.coefficients for f in forms))
     d = len(pairs)
-    top_bits = d * top_power.bit_length()
-    # a small run steps exactly on any pair below top_power: only a huge P walks
-    small = top_power if top_bits <= _HORNER_MAX_BITS else 0
-    scale = d >= _SCALE_MIN_DEGREE and top_bits >= _SCALE_MIN_BITS
-    # only Barrett links use the headroom, and a top below them has none
-    extra = _headroom(forms) if top_power.bit_length() >= _BARRETT_MIN_BITS else 0
+    scale = d >= _SCALE_MIN_DEGREE
+    extra = _headroom(forms)
     plans = []  # plans[flip]: the forms, and when charts are on the reversed forms too
     x, y = P.x, P.y
     out: list[int] = []
@@ -300,7 +294,7 @@ def _gcd_loop(forms, P: ProjectivePoint, modulus: int, top_power: int, terms: in
     # compared with it, and the steps compared so far
     saved, window, run = None, 1, 0
     for live, mu in _reciprocals(top_power, modulus, terms, extra):
-        if abs(x) < small and y < small or d * max(abs(x), y).bit_length() <= live.bit_length():
+        if d * max(abs(x), y).bit_length() <= max(live.bit_length(), _HORNER_MAX_BITS):
             fx, gy, yp = f0, g0, 1
             for a, b in pairs:
                 yp *= y
@@ -318,22 +312,22 @@ def _gcd_loop(forms, P: ProjectivePoint, modulus: int, top_power: int, terms: in
             fx, gy = plans[flip](x, y, live, red)
         # fx % modulus is the division math.gcd(modulus, fx) would make first,
         # and keys the cycle test; math.gcd folds left to right and stops at a
-        # running gcd of 1, so gy is reduced only when that is not 1, and
-        # gy % modulus is taken only to save a key or to confirm a match
+        # running gcd of 1, so gy is reduced only when that is not 1, and a
+        # key saves gy unreduced, compared mod the modulus only once fr matches
         fr = fx % modulus
         g = math.gcd(modulus, fr, gy)
         out.append(g)
         if g > 1:
             saved = None
         elif saved is None:
-            saved, window, run = (fr, gy % modulus), 1, 0
-        elif fr == saved[0] and gy % modulus == saved[1]:
+            saved, window, run = (fr, gy), 1, 0
+        elif fr == saved[0] and (gy - saved[1]) % modulus == 0:
             out += [1] * (terms - len(out))
             break
         else:
             run += 1
             if run == window:
-                saved, window, run = (fr, gy % modulus), 2 * window, 0
+                saved, window, run = (fr, gy), 2 * window, 0
         x, y = fx // g, gy // g
     return out
 

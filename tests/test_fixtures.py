@@ -146,6 +146,33 @@ def test_fixture_lift_is_cached():
     assert fixture_lift("ex3") is fixture_lift("ex3")
 
 
+@pytest.mark.parametrize(
+    "fixture_id, files",
+    [
+        ("ex1", ["ex1_num_digits.txt", "ex1_den_digits.txt"]),
+        ("ex2", []),
+        ("ex3", ["pi_digits_201.txt"]),
+        ("ex4", ["rsa768.txt"]),
+    ],
+)
+def test_fixture_inputs_read_each_data_file_once(monkeypatch, fixture_id, files):
+    # a CLI --fixture job calls lift() and then point(); each reads through
+    # the cached inputs, so a data file is read and hashed once
+    reads, load = [], fixtures._load_data
+
+    def spy(name):
+        reads.append(name)
+        return load(name)
+
+    monkeypatch.setattr(fixtures, "_load_data", spy)
+    fixtures._inputs.cache_clear()
+    fixture_lift.cache_clear()
+    fx = load_fixture(fixture_id)
+    fx.lift()
+    assert fx.point() == fx.point()
+    assert reads == files
+
+
 def test_unknown_fixture():
     with pytest.raises(KeyError, match="ex1"):
         load_fixture("nope")

@@ -298,7 +298,6 @@ def test_horner_and_walk_bodies_give_one_g_sequence(case):
         with (
             mock.patch.object(nonarch, "_HORNER_MAX_BITS", cap),
             mock.patch.object(nonarch, "_SCALE_MIN_DEGREE", scale_from),
-            mock.patch.object(nonarch, "_SCALE_MIN_BITS", scale_from),
         ):
             runs.append(_gcd_loop(forms, P, modulus, top, terms))
     assert runs[0] == runs[1] == runs[2]
@@ -433,15 +432,9 @@ def test_scaled_loop_holds_a_few_top_powers_at_most():
     # the first steps reduce by Barrett, odd exponents included
     assert top.bit_length() > nonarch._BARRETT_MIN_BITS
     charts = []
-
-    def chart(*args):
-        charts.append(args[3])
-        return _unit_chart(*args)
-
     with (
         mock.patch.object(nonarch, "_SCALE_MIN_DEGREE", 0),
-        mock.patch.object(nonarch, "_SCALE_MIN_BITS", 0),
-        mock.patch.object(nonarch, "_unit_chart", chart),
+        mock.patch.object(nonarch, "_unit_chart", _spy_charts(charts)),
     ):
         tracemalloc.start()
         try:
@@ -449,9 +442,9 @@ def test_scaled_loop_holds_a_few_top_powers_at_most():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    # at (2, 1) the first four steps' values fit below the live modulus;
-    # every later step charts
-    assert charts == list(range(terms - 4, 0, -1))
+    # at (2, 1) the first four steps' values fit below the live modulus, and
+    # the last six steps' values fit _HORNER_MAX_BITS; every other step charts
+    assert charts == list(range(terms - 4, 6, -1))
     assert peak <= 40 * top.bit_length() // 8
 
 
@@ -484,22 +477,35 @@ def _spy_links(links):
     return spy
 
 
+def _spy_charts(charts):
+    """A _unit_chart that records the exponent e of each live modulus it charts against."""
+    chart = nonarch._unit_chart
+
+    def spy(*args):
+        charts.append(args[3])
+        return chart(*args)
+
+    return spy
+
+
 @pytest.mark.parametrize(
-    "fixture_id, terms, exact", [("ex1", 50, 2), ("ex2", 50, 2), ("ex3", 100, 8), ("ex4", 100, 4)]
+    "fixture_id, terms, exact, charted",
+    [("ex1", 50, 2, 48), ("ex2", 50, 2, 48), ("ex3", 100, 8, 0), ("ex4", 100, 4, 0)],
 )
-def test_exact_steps_are_those_whose_values_are_small(fixture_id, terms, exact):
-    # past the small-run bound a step is exact Horner when d * bits(pair) is
-    # within bits(live): the first steps from a small P, and any step whose
-    # pair comes out small, like ex2's fourth.  A looser cut (exact while
+def test_exact_steps_are_those_whose_values_are_small(fixture_id, terms, exact, charted):
+    # on these fixtures a step is exact Horner when d * bits(pair) is within
+    # bits(live): the first steps from a small P, and any step whose pair
+    # comes out small, like ex2's fourth.  A looser cut (exact while
     # d * bits <= 8 * bits(live)) took ex3@100's loop from 0.77 to 1.93 s,
     # since the full-size exact values then need a quadratic `%`
     fx = load_fixture(fixture_id)
     lift, P = fx.lift(), fx.point()
     R = abs(lift.resultant)
-    walked, links = [], []
+    walked, links, charts = [], [], []
     with (
         mock.patch.object(nonarch, "_form_evaluator", _spy_walks(walked)),
         mock.patch.object(nonarch, "_reciprocals", _spy_links(links)),
+        mock.patch.object(nonarch, "_unit_chart", _spy_charts(charts)),
     ):
         _gcd_loop((lift.F, lift.G), P, R, R**terms, terms)
     plans = [w for w in walked if isinstance(w, tuple)]
@@ -511,13 +517,45 @@ def test_exact_steps_are_those_whose_values_are_small(fixture_id, terms, exact):
     # g = 1 by its fourth step, which ends the loop before its first walk
     assert len(links) == (4 if fixture_id == "ex4" else terms)
     assert len(links) - len(moduli) == exact
+    # from degree _SCALE_MIN_DEGREE every walk step charts; the quadratics never do
+    assert [R**e for e in charts] == (moduli if lift.degree >= nonarch._SCALE_MIN_DEGREE else [])
+    assert len(charts) == charted
+
+
+# maps of degree 12 and 14 from the `maps` benchmark workload (seed 1) at its
+# 10 terms, with d * bits(|Res|^10) of 10068 and 15288.  Each row: F, G, the
+# point, and the steps that walk, every one of them charted
+_CHARTED_MAPS = [
+    ((-4, 5, 5, 0, 9, 9, -4, 1, 7, 3, 4, 8, 3), (6, -2, 0, -9, -7, -5, 6, -6, 2, -1, 0, 8, 0), (-3, 1), 8),
+    ((9, 0, -3, 3, -4, -5, -9, -9, 3, -5, 8, -8, 9, 3, -1), (-5, -7, 5, 0, -9, -8, 8, -8, 7, -5, -8, -1, -6, 4, -7), (-8, 1), 9),
+]
+
+
+@pytest.mark.parametrize("F, G, point, walks", _CHARTED_MAPS, ids=["d12", "d14"])
+def test_every_walk_step_charts_from_degree_12_whatever_the_modulus(F, G, point, walks):
+    # the chart rule reads the degree alone, so runs with a small
+    # d * bits(top modulus) chart every step that walks.  The d = 12 run's
+    # last step is exact, its pair below 2048/12 bits
+    lift, P = _lift(F, G), normalize_point(*point)
+    R, terms = abs(lift.resultant), 10
+    assert lift.degree * (R**terms).bit_length() < 40_000
+    walked, charts = [], []
+    with (
+        mock.patch.object(nonarch, "_form_evaluator", _spy_walks(walked)),
+        mock.patch.object(nonarch, "_unit_chart", _spy_charts(charts)),
+    ):
+        gs = _gcd_loop((lift.F, lift.G), P, R, R**terms, terms)
+    assert [R**e for e in charts] == [w for w in walked if isinstance(w, int)]
+    assert len(charts) == walks
+    # the exact orbit's values pass 10^5 bits by its fourth step at d = 14
+    assert gs[:4] == exact_gcd_sequence(lift, P, 4)
 
 
 def test_points_workload_map_builds_no_walk_plan():
     # Res 12 and d = 2: at 50 terms every pair of residues has exact values of
-    # about 360 bits, a small run, so no step walks; a point of 3000 bits is
-    # past the top modulus, so the first step walks on the reduced pair, and
-    # every later pair is a residue again, evaluated exactly
+    # about 360 bits, within _HORNER_MAX_BITS, so no step walks; a point of
+    # 3000 bits is past both bounds, so the first step walks on the reduced
+    # pair, and every later pair is a residue again, evaluated exactly
     lift = parse_map("phi(z) = (3*z^2 + 1)/(2*z)")
     R, terms = abs(lift.resultant), 50
     rng = random.Random(2901)
@@ -544,11 +582,13 @@ def test_points_workload_map_builds_no_walk_plan():
 _WORST_CASE_MAPS = [
     # R = 34: [1, 0] -> [4, 3], a fixed point with positive values, so every step is exact
     ((4, 3, 4), (3, 3, 2), 1, 0),
-    # the others walk once a negative value reduces to a full-size residue
-    ((-2, -4, -3), (0, -1, -1), 0, 1528),  # R = 2, 1530 steps
-    ((-4, -3, 4), (1, 1, 0), 1, 426),  # R = 12, 427 steps
-    ((-4, -1, -4), (-3, 0, -4), 1, 318),  # R = 28, 319 steps
-    ((-3, -2, -3), (-4, -4, -3), 1, 303),  # R = 33, 304 steps
+    # the others walk once a negative value reduces to a full-size residue,
+    # until the live modulus, and with it the pair, is below 1024 bits, where
+    # d * bits(pair) is within _HORNER_MAX_BITS
+    ((-2, -4, -3), (0, -1, -1), 0, 505),  # R = 2, 1530 steps
+    ((-4, -3, 4), (1, 1, 0), 1, 141),  # R = 12, 427 steps
+    ((-4, -1, -4), (-3, 0, -4), 1, 105),  # R = 28, 319 steps
+    ((-3, -2, -3), (-4, -4, -3), 1, 101),  # R = 33, 304 steps
 ]
 
 
@@ -557,7 +597,8 @@ def test_worst_case_gcd_family_matches_the_exact_orbit_and_exact_horner(F, G, mi
     lift = _lift(F, G)
     R, P = abs(lift.resultant), ProjectivePoint(1, 0)
     assert list(nonarch_height(lift, P, 12).gcd_sequence) == exact_gcd_sequence(lift, P, 12)
-    # a top modulus of about 1530 bits, past the small-run bound (300 terms at R = 34)
+    # a top modulus of about 1530 bits, whose residues pass _HORNER_MAX_BITS at d = 2
+    # (300 terms at R = 34)
     terms = math.ceil(1530 / math.log2(R))
     walked = []
     with mock.patch.object(nonarch, "_form_evaluator", _spy_walks(walked)):
@@ -625,11 +666,31 @@ def test_loop_stops_once_its_orbit_mod_res_cycles_through_g_1(source, terms, ste
     assert gs == exact_gcd_sequence(lift, P, steps) + [1] * (terms - steps)
 
 
+def test_cycle_test_reduces_nothing_mod_res_beyond_one_value_per_step():
+    # a key is saved unreduced and its G half compared mod |Res| only once the
+    # F halves match; ex3's orbit never repeats, so the loop's one reduction
+    # mod |Res| per step is fx % |Res| (d = 2 takes no chart, whose inverse
+    # reduces too)
+    reductions = []
+
+    class Modulus(int):
+        def __rmod__(self, value):
+            reductions.append(value)
+            return value % int(self)
+
+    fx = load_fixture("ex3")
+    lift, P = fx.lift(), fx.point()
+    R, terms = abs(lift.resultant), 50
+    gs = _gcd_loop((lift.F, lift.G), P, Modulus(R), R**terms, terms)
+    assert len(reductions) == terms
+    assert gs == _gcd_loop((lift.F, lift.G), P, R, R**terms, terms)
+
+
 def test_stop_keeps_the_exact_g_sequence_in_every_kernel():
     # the stop must leave every g_i as the exact orbit has it, on the default
     # kernels and on walked, charted steps; and it must fire in both, which
     # it does where the orbit mod |Res| falls into a cycle of g = 1 steps
-    defaults = {name: getattr(nonarch, name) for name in ("_HORNER_MAX_BITS", "_SCALE_MIN_DEGREE", "_SCALE_MIN_BITS")}
+    defaults = {name: getattr(nonarch, name) for name in ("_HORNER_MAX_BITS", "_SCALE_MIN_DEGREE")}
     modes = {"default": defaults, "walk": dict.fromkeys(defaults, 0)}
     fired = dict.fromkeys(modes, 0)
 
