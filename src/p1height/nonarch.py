@@ -6,15 +6,16 @@ pair with R = |Res(F, G)|.  The key point is that the g_i survive reduction:
 running the orbit modulo R^(N-i) and dividing each step's gcd out of the
 reduced pair recovers exactly the g_i of the exact orbit, while keeping
 every working integer below R^N.  R is never factored.  One rule picks
-each step's kernel from that step's sizes alone: exact Horner, reduced
+each step's kernel from that step's sizes alone: forms.evaluate, reduced
 once, when the step's exact values fit below its modulus or a small bound,
-else one Paterson-Stockmeyer walk reduced by Barrett's method on large
-moduli; this module holds them all.  From degree 12 on every walk step
-first scales the pair by a unit mod R so that one coordinate is 1,
-evaluating the reversed forms when that is X: the values scale by that
-unit's d-th power, which leaves every g_i as it is and removes most
-full-size products.  The loop stops once its pairs mod R repeat within a
-run of g = 1 steps (Brent's cycle test): every later g_i is then 1.
+else one Paterson-Stockmeyer walk, reduced by its chain link's reducer
+(Barrett's method on large moduli).  This module holds the walk, the
+modulus chain and the loop.  From degree 12 on every walk step first
+scales the pair by a unit mod R so that one coordinate is 1, evaluating
+the reversed forms when that is X: the values scale by that unit's d-th
+power, which leaves every g_i as it is and removes most full-size
+products.  The loop stops once its pairs mod R repeat within a run of
+g = 1 steps (Brent's cycle test): every later g_i is then 1.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import partial
 
 import mpmath as mp
 from mpmath.libmp import from_int, mpf_div, mpf_mul_int, mpf_sum, round_nearest
 
-from .forms import BinaryForm, BudgetExceededError, MapLift, ProjectivePoint, _budget, _exact_step
+from .forms import BinaryForm, BudgetExceededError, MapLift, ProjectivePoint, _budget, _exact_step, evaluate
 from .numerics import _log_int, resolve_precision_bits
 
 __all__ = ["NonArchResult", "exact_log_gcd", "nonarch_height"]
@@ -171,49 +173,42 @@ def _headroom(forms) -> int:
     return max(f.norm for f in forms).bit_length() + (forms[0].degree + 1).bit_length() + 2
 
 
-def _reciprocals(top: int, modulus: int, count: int, extra: int):
-    """(M, mu) for the first `count` >= 1 links of the chain M = top,
-    top/modulus, top/modulus^2, ...
+def _barrett(M: int, mu: int, shift: int, back: int, v: int) -> int:
+    """v % M, exactly, by Barrett's method, for |v| < 2^(2n+E), n = M.bit_length(),
+    with mu a _chain reciprocal, shift = n - 1 and back = n + E + 1.  The
+    quotient estimate is off by a few units whatever mu's error, and the two
+    loops correct it in either direction."""
+    r = v - (((v >> shift) * mu) >> back) * M
+    while r >= M:
+        r -= M
+    while r < 0:
+        r += M
+    return r
 
-    mu approximates floor(2^(2n+extra)/M), n = M.bit_length(), from below by
-    at most a few units; it is None when M is below _BARRETT_MIN_BITS.  Only
-    the first Barrett step divides.  After it, since M' = M/modulus exactly,
-    mu' = (mu*modulus) >> 2s with s = n - n' >= bits(modulus) - 1, so the
-    factor modulus/4^s is below 1: an error e becomes at most
-    e*modulus/4^s + 1 and stays bounded down the chain.
+
+def _chain(top: int, modulus: int, count: int, forms):
+    """(M, red) for the first `count` >= 1 links of the chain M = top,
+    top/modulus, top/modulus^2, ..., with red(v) = v % M for every value
+    _form_evaluator(forms) reduces mod M.
+
+    Below _BARRETT_MIN_BITS red is M.__rmod__, a builtin with no Python
+    frame; from there on it is _barrett with a reciprocal mu that
+    approximates floor(2^(2n+E)/M), E = _headroom(forms), from below by at
+    most a few units.  Only the first Barrett link divides.  After it, since
+    M' = M/modulus exactly, mu' = (mu*modulus) >> 2s with s = n - n' >=
+    bits(modulus) - 1, so the factor modulus/4^s is below 1: an error e
+    becomes at most e*modulus/4^s + 1 and stays bounded down the chain.
     """
+    E = _headroom(forms)
     mu, n = None, top.bit_length()
     for i in range(count):
         M = M // modulus if i else top
         n_prev, n = n, M.bit_length()
-        if n < _BARRETT_MIN_BITS:
-            mu = None
+        if n < _BARRETT_MIN_BITS:  # and so is every later link
+            yield M, M.__rmod__
         else:
-            mu = (1 << (2 * n + extra)) // M if mu is None else (mu * modulus) >> (2 * (n_prev - n))
-        yield M, mu
-
-
-def _reducer(M: int, mu: int | None, extra: int):
-    """red(v) -> v % M, exactly, for |v| < 2^(2n+extra), n = M.bit_length().
-
-    Without a reciprocal this is M.__rmod__, a builtin with no Python frame.
-    With one, the quotient estimate is off by a few units whatever mu's
-    error, and the two loops correct it in either direction.
-    """
-    if mu is None:
-        return M.__rmod__
-    shift = M.bit_length() - 1
-    back = M.bit_length() + extra + 1
-
-    def red(v: int) -> int:
-        r = v - (((v >> shift) * mu) >> back) * M
-        while r >= M:
-            r -= M
-        while r < 0:
-            r += M
-        return r
-
-    return red
+            mu = (1 << (2 * n + E)) // M if mu is None else (mu * modulus) >> (2 * (n_prev - n))
+            yield M, partial(_barrett, M, mu, n - 1, n + E + 1)
 
 
 def _unit_chart(x: int, y: int, modulus: int, e: int, live: int, red) -> tuple[int, int, bool]:
@@ -227,7 +222,7 @@ def _unit_chart(x: int, y: int, modulus: int, e: int, live: int, red) -> tuple[i
     starts as u^-1 mod modulus and is lifted by Newton steps z <- z(2 - u z)
     mod modulus^k at k = ..., ceil(e/2), e; only the O(log e) powers and
     residues of u on that chain are held.  red(v) = v % live for every
-    |v| < live^2, as _reducer's is.
+    |v| < live^2, as the reducer of live's _chain link is.
     """
     for u, v, flip in ((y, x, False), (x, y, True)):
         try:
@@ -251,15 +246,16 @@ def _unit_chart(x: int, y: int, modulus: int, e: int, live: int, red) -> tuple[i
 def _gcd_loop(forms, P: ProjectivePoint, modulus: int, top_power: int, terms: int) -> list[int]:
     """Reduced-orbit gcd extraction of the pair forms = (F, G) against one modulus.
 
-    Step i works modulo live = modulus^(terms-i), the links of one
-    _reciprocals chain, so only one big power is ever held.  gcd(m, 0, 0) = m
-    is correct: the true orbit gcd divides the modulus, so a doubly-vanishing
-    residue pair means the gcd is the whole modulus.  The loop starts from
-    P, signs kept, and one rule picks each step's kernel from that step's
-    sizes: when its exact values are small, d * bits(max(|x|, y)) <=
-    max(bits(live), _HORNER_MAX_BITS), it is exact Horner on F and G, then
-    one `%` each; otherwise the Paterson-Stockmeyer walk on the reduced
-    pair, whose plans are built at its first step.  From degree
+    Step i works modulo live = modulus^(terms-i), a link of one _chain
+    that comes with its reducer, so only one big power is ever held.
+    gcd(m, 0, 0) = m is correct: the true orbit gcd divides the modulus, so
+    a doubly-vanishing residue pair means the gcd is the whole modulus.
+    The loop starts from P, signs kept, and one rule picks each step's
+    kernel from that step's sizes: when its exact values are small,
+    d * bits(max(|x|, y)) <= max(bits(live), _HORNER_MAX_BITS), it is
+    forms.evaluate on F and G, then one `%` each; otherwise the
+    Paterson-Stockmeyer walk on the reduced pair, whose plans are built at
+    its first step.  From degree
     _SCALE_MIN_DEGREE on every walk step first scales the pair by a unit mod
     the modulus to a Y coordinate of 1 (_unit_chart), so the products by the
     powers of Y cost linear time; a pair whose X coordinate is the unit
@@ -283,29 +279,23 @@ def _gcd_loop(forms, P: ProjectivePoint, modulus: int, top_power: int, terms: in
     any g > 1) finds such a repeat in O(1) memory, and the loop fills the
     remaining g_i with 1.
     """
-    (f0, g0), *pairs = zip(*(f.coefficients for f in forms))
-    d = len(pairs)
+    F, G = forms
+    d = F.degree
     scale = d >= _SCALE_MIN_DEGREE
-    extra = _headroom(forms)
     plans = []  # plans[flip]: the forms, and when charts are on the reversed forms too
     x, y = P.x, P.y
     out: list[int] = []
     # Brent: the key saved in this run of g = 1 steps, the window of steps
     # compared with it, and the steps compared so far
     saved, window, run = None, 1, 0
-    for live, mu in _reciprocals(top_power, modulus, terms, extra):
+    for live, red in _chain(top_power, modulus, terms, forms):
         if d * max(abs(x), y).bit_length() <= max(live.bit_length(), _HORNER_MAX_BITS):
-            fx, gy, yp = f0, g0, 1
-            for a, b in pairs:
-                yp *= y
-                fx, gy = fx * x + a * yp, gy * x + b * yp
-            fx, gy = fx % live, gy % live
+            fx, gy = evaluate(F, x, y) % live, evaluate(G, x, y) % live
         else:
             if not plans:
                 plans.append(_form_evaluator(forms))
                 if scale:
                     plans.append(_form_evaluator(tuple(BinaryForm(f.coefficients[::-1]) for f in forms)))
-            red = _reducer(live, mu, extra)
             flip = False
             if scale:  # live = modulus^(terms - len(out))
                 x, y, flip = _unit_chart(x, y, modulus, terms - len(out), live, red)

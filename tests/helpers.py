@@ -3,7 +3,8 @@
 Everything here recomputes quantities by a route deliberately different
 from the implementation under test: determinants by cofactor expansion or
 by Gaussian elimination over Fraction instead of fraction-free elimination,
-gcd sequences from full-size exact orbits instead of reduced ones,
+gcd sequences from full-size exact orbits instead of reduced ones, those
+orbits' form values by Horner in y instead of forms.evaluate's walk in x,
 polynomial identities by coefficient convolution, polynomial powers by
 repeated multiplication of exponent-tuple dicts instead of Miller's
 recurrence on a packed list, the archimedean series by mpf operators
@@ -32,7 +33,6 @@ from p1height.forms import (
     MapLift,
     NotAMorphismError,
     ProjectivePoint,
-    evaluate,
     normalize_point,
 )
 
@@ -170,13 +170,24 @@ def random_point(rng, bound: int = 50) -> ProjectivePoint:
             return normalize_point(x, y)
 
 
+def y_horner(f: BinaryForm, x: int, y: int) -> int:
+    """f(x, y) exactly, by Horner in y with the powers of x alongside: the
+    exact orbits' evaluation, sharing no code with forms.evaluate."""
+    coeffs = f.coefficients
+    acc, xp = coeffs[-1], 1
+    for c in coeffs[-2::-1]:
+        xp *= x
+        acc = acc * y + c * xp
+    return acc
+
+
 def exact_gcd_sequence(lift: MapLift, P: ProjectivePoint, n: int) -> list[int]:
     """The per-step gcds along the exact normalized orbit (full-size integers)."""
     x, y = P.x, P.y
     out = []
     for _ in range(n):
-        a = evaluate(lift.F, x, y)
-        b = evaluate(lift.G, x, y)
+        a = y_horner(lift.F, x, y)
+        b = y_horner(lift.G, x, y)
         g = math.gcd(a, b)
         out.append(g)
         x, y = a // g, b // g
@@ -304,14 +315,14 @@ def reference_fixed_point_orbit(lift: MapLift, k: int, s, terms: int, p: int):
 def reference_oracle(lift: MapLift, P: ProjectivePoint, n_max: int, bits: int) -> list:
     """canonical_height_oracle by mpf operators in a workprec(bits) scope:
     mp.log of the n-th exact normalized iterate's larger coordinate, divided
-    by the whole int d^n, for n = 0..n_max."""
+    by the whole int d^n, for n = 0..n_max, the iterates by y_horner."""
     d = lift.degree
     x, y = P.x, P.y
     out = []
     with mp.workprec(bits):
         for n in range(n_max + 1):
             if n:
-                fx, gy = lift.apply(x, y)
+                fx, gy = y_horner(lift.F, x, y), y_horner(lift.G, x, y)
                 g = math.gcd(fx, gy)
                 x, y = fx // g, gy // g
             out.append(mp.log(mp.mpf(max(abs(x), abs(y)))) / d**n)

@@ -135,14 +135,12 @@ def test_form_evaluator_matches_evaluate_for_every_block_size(case):
     fs, m, x, y = case
     want = [evaluate(f, x, y) % m for f in fs]
     d = fs[0].degree
-    # a Barrett reducer built as the gcd loop builds it, with the crossover
+    # a Barrett reducer taken from the gcd loop's chain, with the crossover
     # lowered so that moduli from 64 bits up take it, at the chosen k and at
     # the single block; plain `%` at every k
-    extra = nonarch._headroom(fs)
     with mock.patch.object(nonarch, "_BARRETT_MIN_BITS", 64):
-        [(_, mu)] = nonarch._reciprocals(m, 2, 1, extra)
-    assert (mu is None) == (m.bit_length() < 64)
-    barrett = nonarch._reducer(m, mu, extra)
+        [(_, barrett)] = nonarch._chain(m, 2, 1, fs)
+    assert (barrett == m.__rmod__) == (m.bit_length() < 64)
     assert _form_evaluator(fs)(x, y, m, barrett) == want
     for k in range(1, d + 2):
         with mock.patch.object(nonarch, "_block_size", lambda _: k):

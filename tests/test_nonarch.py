@@ -23,18 +23,18 @@ from p1height.forms import (
     normalize_point,
     parse_map,
 )
+from p1height.height import canonical_height_oracle
 from p1height.nonarch import (
+    _chain,
     _form_evaluator,
     _gcd_loop,
     _headroom,
-    _reciprocals,
-    _reducer,
     _unit_chart,
     exact_log_gcd,
     nonarch_height,
 )
 
-from helpers import exact_gcd_sequence, random_lift, random_point, stop_case
+from helpers import exact_gcd_sequence, random_lift, random_point, reference_oracle, stop_case, y_horner
 
 
 def _lift(f_coeffs, g_coeffs):
@@ -64,6 +64,24 @@ def test_gcd_sequence_matches_exact_orbit():
         res = nonarch_height(lift, P, n)
         assert list(res.gcd_sequence) == exact_gcd_sequence(lift, P, n)
         checked += 1
+
+
+def test_exact_orbit_references_share_no_code_with_forms(monkeypatch):
+    # the loop's exact steps and the oracle evaluate by forms.evaluate, so the
+    # references they are checked against must not: with forms.evaluate and
+    # MapLift.apply refusing, the references still give the library's values
+    lift, P = _lift((1, 0, -2, 1), (0, 3, 0, 1)), ProjectivePoint(2, 3)
+    gs = list(nonarch_height(lift, P, 6).gcd_sequence)
+    assert gs == [1, 4, 1, 76, 1, 4]
+    oracle = [v._mpf_ for v in canonical_height_oracle(lift, P, 6, precision_bits=256)]
+
+    def refuse(*args):
+        raise AssertionError("a reference ran forms' own evaluation")
+
+    monkeypatch.setattr("p1height.forms.evaluate", refuse)
+    monkeypatch.setattr(MapLift, "apply", refuse)
+    assert exact_gcd_sequence(lift, P, 6) == gs
+    assert [v._mpf_ for v in reference_oracle(lift, P, 6, 256)] == oracle
 
 
 def test_every_gcd_divides_resultant():
@@ -205,13 +223,13 @@ def test_barrett_chain_reduces_exactly_and_keeps_its_reciprocal_close(case):
     rng = random.Random(seed)
     E = _headroom((form,))
     with mock.patch.object(nonarch, "_BARRETT_MIN_BITS", crossover):
-        for M, mu in _reciprocals(R**steps, R, steps, E):
+        for M, red in _chain(R**steps, R, steps, (form,)):
             n = M.bit_length()
             if n < crossover:
-                assert mu is None
+                assert red == M.__rmod__
             else:
-                assert 0 <= ((1 << (2 * n + E)) // M) - mu <= 4
-            red = _reducer(M, mu, E)
+                # the link's reciprocal mu, as _barrett's partial holds it
+                assert 0 <= ((1 << (2 * n + E)) // M) - red.args[1] <= 4
             edge = (1 << (2 * n + E)) - 1
             # the single-block sums at their largest, either sign, and a random one
             top = sum(abs(c) for c in form.coefficients) * (M - 1) ** 2
@@ -243,7 +261,7 @@ def _exact_modulus_gcds(forms, P, modulus, n):
     x, y = P.x, P.y
     out = []
     for _ in range(n):
-        a, b = (evaluate(f, x, y) for f in forms)
+        a, b = (y_horner(f, x, y) for f in forms)
         g = math.gcd(modulus, a, b)
         out.append(g)
         x, y = a // g, b // g
@@ -321,9 +339,10 @@ def test_unit_chart_is_a_unit_multiple_of_the_pair(modulus, e, crossover, seed):
     x, y = rng.randrange(live * modulus), rng.randrange(live * modulus)
     if seed % 3 == 0:
         y -= y % math.gcd(modulus, 6)  # y shares a small factor with a composite modulus
+    # the reducer of a chain for a degree-1 form of norm 1, whose headroom
+    # of 5 bits is the least any chain has
     with mock.patch.object(nonarch, "_BARRETT_MIN_BITS", crossover):
-        ((M, mu),) = _reciprocals(live, modulus, 1, 3)
-    red = _reducer(M, mu, 3)
+        ((_, red),) = _chain(live, modulus, 1, (BinaryForm((1, 1)),))
 
     def bounded_red(v):
         # past its bound Barrett's correction loop spins instead of failing
@@ -353,10 +372,8 @@ def test_reversed_plan_at_w_1_is_the_walk_at_1_w():
         rev = tuple(BinaryForm(f.coefficients[::-1]) for f in forms)
         M = rng.randrange(2, 2 ** rng.choice((8, 200, 3000)))
         w = rng.randrange(M)
-        E = _headroom(forms)
         with mock.patch.object(nonarch, "_BARRETT_MIN_BITS", rng.choice((2, math.inf))):
-            ((_, mu),) = _reciprocals(M, 2, 1, E)
-        red = _reducer(M, mu, E)
+            ((_, red),) = _chain(M, 2, 1, forms)
         got = _form_evaluator(rev)(w, 1, M, red)
         assert got == _form_evaluator(forms)(1, w, M, red)
         assert got == [evaluate(f, 1, w) % M for f in forms]
@@ -466,8 +483,8 @@ def _spy_walks(walked):
 
 
 def _spy_links(links):
-    """A _reciprocals that records each link the loop takes, one per step run."""
-    chain = nonarch._reciprocals
+    """A _chain that records each link the loop takes, one per step run."""
+    chain = nonarch._chain
 
     def spy(*args):
         for link in chain(*args):
@@ -501,11 +518,17 @@ def test_exact_steps_are_those_whose_values_are_small(fixture_id, terms, exact, 
     fx = load_fixture(fixture_id)
     lift, P = fx.lift(), fx.point()
     R = abs(lift.resultant)
-    walked, links, charts = [], [], []
+    walked, links, charts, evaluated = [], [], [], []
+
+    def spy_evaluate(f, x, y):
+        evaluated.append(f)
+        return evaluate(f, x, y)
+
     with (
         mock.patch.object(nonarch, "_form_evaluator", _spy_walks(walked)),
-        mock.patch.object(nonarch, "_reciprocals", _spy_links(links)),
+        mock.patch.object(nonarch, "_chain", _spy_links(links)),
         mock.patch.object(nonarch, "_unit_chart", _spy_charts(charts)),
+        mock.patch.object(nonarch, "evaluate", spy_evaluate),
     ):
         _gcd_loop((lift.F, lift.G), P, R, R**terms, terms)
     plans = [w for w in walked if isinstance(w, tuple)]
@@ -517,6 +540,8 @@ def test_exact_steps_are_those_whose_values_are_small(fixture_id, terms, exact, 
     # g = 1 by its fourth step, which ends the loop before its first walk
     assert len(links) == (4 if fixture_id == "ex4" else terms)
     assert len(links) - len(moduli) == exact
+    # an exact step is forms.evaluate on F, then on G
+    assert evaluated == [lift.F, lift.G] * exact
     # from degree _SCALE_MIN_DEGREE every walk step charts; the quadratics never do
     assert [R**e for e in charts] == (moduli if lift.degree >= nonarch._SCALE_MIN_DEGREE else [])
     assert len(charts) == charted
@@ -625,18 +650,19 @@ def test_first_step_at_a_negative_point_hands_the_reducer_no_full_size_value(mon
     R, terms = abs(lift.resultant), 2
     top = R**terms
     assert P.x < 0 and lift.degree * top.bit_length() > nonarch._HORNER_MAX_BITS  # the walk
-    handed, original = {}, nonarch._reducer
+    handed, chain = {}, nonarch._chain
 
-    def reducer(M, mu, extra):
-        red = original(M, mu, extra)
+    def spy_chain(*args):
+        # each link's reducer, recording the largest value it is handed
+        for M, red in chain(*args):
 
-        def spy(v):
-            handed[M] = max(handed.get(M, 0), v.bit_length())
-            return red(v)
+            def spy(v, M=M, red=red):
+                handed[M] = max(handed.get(M, 0), v.bit_length())
+                return red(v)
 
-        return spy
+            yield M, spy
 
-    monkeypatch.setattr(nonarch, "_reducer", reducer)
+    monkeypatch.setattr(nonarch, "_chain", spy_chain)
     gs = _gcd_loop((lift.F, lift.G), P, R, top, terms)
     assert handed.get(top, 0) < top.bit_length() // 2
     assert handed[R] > R.bit_length()  # the second step's walk reduces through the spy
@@ -660,7 +686,7 @@ def test_loop_stops_once_its_orbit_mod_res_cycles_through_g_1(source, terms, ste
         lift, P = parse_map(source), ProjectivePoint(5, 3)
     R = abs(lift.resultant)
     links = []
-    with mock.patch.object(nonarch, "_reciprocals", _spy_links(links)):
+    with mock.patch.object(nonarch, "_chain", _spy_links(links)):
         gs = _gcd_loop((lift.F, lift.G), P, R, R**terms, terms)
     assert links == [R ** (terms - i) for i in range(steps)]
     assert gs == exact_gcd_sequence(lift, P, steps) + [1] * (terms - steps)
@@ -702,12 +728,12 @@ def test_stop_keeps_the_exact_g_sequence_in_every_kernel():
         exact = exact_gcd_sequence(lift, P, terms)
         for mode, values in modes.items():
             links = []
-            with mock.patch.multiple(nonarch, **values), mock.patch.object(nonarch, "_reciprocals", _spy_links(links)):
+            with mock.patch.multiple(nonarch, **values), mock.patch.object(nonarch, "_chain", _spy_links(links)):
                 assert _gcd_loop((lift.F, lift.G), P, R, R**terms, terms) == exact
             fired[mode] += len(links) < terms
 
     check()
-    # 16 of the 200 maps stop early by default and 19 on the walk
+    # 21 of the 200 maps stop early by default and 32 on the walk
     assert min(fired.values()) >= 10
 
 
