@@ -821,13 +821,9 @@ def parse_map(text: str) -> MapLift:
             )
         var, rhs = m.group(1), m.group(2)
         num, den = _PolyParser(_tokenize(rhs), (var,), charge).parse(ratio=True)
-        if not num:
-            raise ParseError("the numerator must not be the zero polynomial")
-        if not den:
-            raise ParseError("the denominator must not be the zero polynomial")
-        d = max(max(num), max(den)) // _KEY_BASE
-        F = BinaryForm(tuple(num.get((d - i) * _KEY_BASE, 0) for i in range(d + 1)))
-        G = BinaryForm(tuple(den.get((d - i) * _KEY_BASE, 0) for i in range(d + 1)))
+        d = max(max(num, default=0), max(den, default=0)) // _KEY_BASE  # z^t becomes X^t*Y^(d-t)
+        F, G = (_form_from_xy_poly({d * _KEY_BASE + d - k // _KEY_BASE: c for k, c in side.items()}, label)
+                for side, label in ((num, "the numerator"), (den, "the denominator")))
     if F.degree == G.degree:  # else MapLift.from_forms refuses the pair
         charge(*_elimination_work(F, G))
     try:

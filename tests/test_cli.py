@@ -24,12 +24,12 @@ import p1height.cli as cli
 from p1height import forms, height
 from p1height.cli import JobSpec, main
 from p1height.fixtures import load_fixture
-from p1height.forms import BinaryForm, MapLift
+from p1height.forms import BinaryForm, MapLift, normalize_point
 from p1height.height import canonical_height, canonical_height_oracle, height_identity_check
 from p1height.nonarch import nonarch_height
 from p1height.numerics import _ceil_decimal_string
 
-from helpers import exact_gcd_sequence, grammar_texts
+from helpers import CHARTED_MAPS, exact_gcd_sequence, grammar_texts
 
 
 def run_cli(capsys, *argv):
@@ -167,17 +167,24 @@ def test_oracle_values_carry_the_run_precision(capsys):
 # fixtures through the CLI
 
 
-def test_rsa_fixture_g_sequence(capsys):
+@pytest.mark.parametrize("terms, modulus_bits", [(50, 38384), (400, 307066)])
+def test_rsa_fixture_g_sequence(capsys, terms, modulus_bits):
+    # g_1 = |Res| and every other g_i = 1: the loop stops after 4 steps, when
+    # its pairs mod |Res| repeat, and fills the rest with 1; running all 400
+    # steps at the paper schedule's 307066-bit top modulus took 13.4 s on a
+    # 2-core x86_64 host
     code, out, _ = run_cli(
-        capsys, "--fixture", "ex4", "--terms", "50", "--emit-g-sequence", "--format", "json",
+        capsys, "--fixture", "ex4", "--terms", str(terms), "--emit-g-sequence", "--format", "json",
     )
     assert code == 0
     doc = json.loads(out)
     assert doc["nonarch"]["value"].startswith("133.0260806")
+    assert doc["nonarch"]["modulus_bits"] == modulus_bits
     seq = doc["nonarch"]["gcd_sequence"]
-    assert seq[0] == "1"
+    assert len(seq) == terms
     assert len(seq[1]) == 232  # the unfactorable modulus itself appears as g_1
-    assert all(g == "1" for g in seq[2:])
+    assert seq[1] == doc["factoring"]["parts"][0]["decimal"]
+    assert seq[:1] + seq[2:] == ["1"] * (terms - 1)
 
 
 def test_ex1_working_modulus_is_the_catalogs(capsys):
@@ -188,26 +195,38 @@ def test_ex1_working_modulus_is_the_catalogs(capsys):
     assert f"{doc['nonarch']['modulus_bits']} bits" == dict(load_fixture("ex1").expected)["working modulus"]
 
 
-@pytest.mark.parametrize("fixture_id, terms", [("ex1", 50), ("ex2", 50), ("ex3", 100), ("ex4", 100)])
-def test_cli_g_sequence_is_the_library_runs_and_follows_the_exact_orbit(capsys, fixture_id, terms):
-    # each CLI g-sequence is a library canonical_height run's; ex1 and ex2
-    # follow the catalog's patterns, and the first 8 g_i of ex3 and ex4 are
-    # the gcds of the exact orbit
-    code, out, _ = run_cli(
-        capsys, "--fixture", fixture_id, "--terms", str(terms), "--emit-g-sequence", "--format", "json",
-    )
+@pytest.mark.parametrize(
+    "source, terms", [("ex1", 50), ("ex2", 50), ("ex3", 100), ("ex4", 100), ("map14", 10)]
+)
+def test_cli_g_sequence_is_the_library_runs_and_follows_the_exact_orbit(capsys, source, terms):
+    # the CLI runs the loop against |Res| itself, so the unit chart also meets
+    # pairs with no coordinate a unit mod Res (two steps on ex2).  Each CLI
+    # g-sequence is a library canonical_height run's; ex1 and ex2 follow the
+    # catalog's patterns, and the first 8 g_i of ex3 and ex4 are the gcds of
+    # the exact orbit.  map14, the degree-14 `maps` job, charts every walk
+    # step; its first 3 g_i are the exact orbit's (step 4 of a degree-14 orbit
+    # is already about 10^5 bits)
+    if source == "map14":
+        F, G, point, _ = CHARTED_MAPS[1]
+        lift = MapLift.from_forms(BinaryForm(F), BinaryForm(G))
+        P, prefix = normalize_point(*point), 3
+        # the `maps` job's text, which is also the contract script's row
+        argv = ("--map", f"F = {lift.F}; G = {lift.G}", "--point", f"[{point[0]}, {point[1]}]")
+    else:
+        fx = load_fixture(source)
+        lift, P, prefix = fx.lift(), fx.point(), 8
+        argv = ("--fixture", source)
+    code, out, _ = run_cli(capsys, *argv, "--terms", str(terms), "--emit-g-sequence", "--format", "json")
     assert code == 0
     gs = tuple(int(g) for g in json.loads(out)["nonarch"]["gcd_sequence"])
-    fx = load_fixture(fixture_id)
-    lift, P = fx.lift(), fx.point()
     assert gs == canonical_height(lift, P, terms).nonarch.gcd_sequence
-    if fixture_id == "ex1":
+    if source == "ex1":
         assert gs == (36, 2, 12) + tuple(2 if i % 2 else 4 for i in range(3, terms))
-    elif fixture_id == "ex2":
+    elif source == "ex2":
         assert set(gs) == {1, 19, 27, 513}
         assert gs[20:] == gs[:-20]
     else:
-        assert list(gs[:8]) == exact_gcd_sequence(lift, P, 8)
+        assert list(gs[:prefix]) == exact_gcd_sequence(lift, P, prefix)
 
 
 def test_periodic_fixture_reference_values(capsys):

@@ -671,6 +671,8 @@ _PHI_SUM = (
         ("F = *X; G = Y^2", "unexpected '*' in expression"),
         ("H = X^2; G = Y^2", "each statement must assign to F or G, as in F = X^2 + Y^2"),
         ("phi(z) = 0", "the numerator must not be the zero polynomial"),
+        ("phi(z) = 0/0", "the numerator must not be the zero polynomial"),
+        ("phi(z) = z/0", "the denominator must not be the zero polynomial"),
         # the phi form's right-hand side is tokenized and parsed as one expression
         ("phi(z) = (z^2 & 1)/z", "unexpected character '&' at position 5 of '(z^2 & 1)/z'"),
         ("phi(z) = / z", "'/' is not allowed here; only integer coefficients are supported"),

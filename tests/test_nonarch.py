@@ -34,7 +34,7 @@ from p1height.nonarch import (
     nonarch_height,
 )
 
-from helpers import exact_gcd_sequence, random_lift, random_point, reference_oracle, stop_case, y_horner
+from helpers import CHARTED_MAPS, exact_gcd_sequence, random_lift, random_point, reference_oracle, stop_case, y_horner
 
 
 def _lift(f_coeffs, g_coeffs):
@@ -547,16 +547,7 @@ def test_exact_steps_are_those_whose_values_are_small(fixture_id, terms, exact, 
     assert len(charts) == charted
 
 
-# maps of degree 12 and 14 from the `maps` benchmark workload (seed 1) at its
-# 10 terms, with d * bits(|Res|^10) of 10068 and 15288.  Each row: F, G, the
-# point, and the steps that walk, every one of them charted
-_CHARTED_MAPS = [
-    ((-4, 5, 5, 0, 9, 9, -4, 1, 7, 3, 4, 8, 3), (6, -2, 0, -9, -7, -5, 6, -6, 2, -1, 0, 8, 0), (-3, 1), 8),
-    ((9, 0, -3, 3, -4, -5, -9, -9, 3, -5, 8, -8, 9, 3, -1), (-5, -7, 5, 0, -9, -8, 8, -8, 7, -5, -8, -1, -6, 4, -7), (-8, 1), 9),
-]
-
-
-@pytest.mark.parametrize("F, G, point, walks", _CHARTED_MAPS, ids=["d12", "d14"])
+@pytest.mark.parametrize("F, G, point, walks", CHARTED_MAPS, ids=["d12", "d14"])
 def test_every_walk_step_charts_from_degree_12_whatever_the_modulus(F, G, point, walks):
     # the chart rule reads the degree alone, so runs with a small
     # d * bits(top modulus) chart every step that walks.  The d = 12 run's
@@ -674,7 +665,8 @@ def test_first_step_at_a_negative_point_hands_the_reducer_no_full_size_value(mon
 
 
 @pytest.mark.parametrize(
-    "source, terms, steps", [("ex4", 50, 4), ("ex4", 100, 4), ("phi(z) = z^2 - 3", 50, 2)]
+    "source, terms, steps",
+    [("ex4", 50, 4), ("ex4", 100, 4), ("ex4", 400, 4), ("phi(z) = z^2 - 3", 50, 2)],
 )
 def test_loop_stops_once_its_orbit_mod_res_cycles_through_g_1(source, terms, steps):
     # ex4: g_1 = |Res|, then the next two pairs agree mod |Res|; z^2 - 3 has
